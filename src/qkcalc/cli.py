@@ -27,6 +27,8 @@ from .poset import (
 from .qkring import (
     MultTable,
     TruncationTooSmall,
+    cache_path,
+    default_truncation,
     full_table,
     load_table,
     make_field,
@@ -232,34 +234,39 @@ def _shift_all(poly: QPolynomial, offset) -> QPolynomial:
     return QPolynomial(poly.rank, [c.shifted(offset) for c in poly.coeffs])
 
 
+def _warn(msg: str) -> None:
+    print(f"warning: {msg}", file=sys.stderr)
+
+
 def _load_or_build_table(args, poset) -> MultTable:
     backend = args.backend or _default_backend(poset)
-    qmax = args.qmax if args.qmax is not None else poset.d_max + 1
+    qmax = args.qmax if args.qmax is not None else default_truncation(poset)
     cache_dir = args.cache_dir or _default_cache_dir()
     fld = make_field(poset, backend, seed=args.seed)
     desc = fld.descriptor()
-    # a certified table at any qmax on the retry ladder answers the query,
-    # so probe the whole ladder before paying for a build
-    probe = qmax
-    for _ in range(4):
-        cached = load_table(str(poset.space), probe, desc, cache_dir)
+    space = str(poset.space)
+    # doubling is only the fallback for a failed certificate; a certified
+    # table at any rung of that ladder answers the query, so probe each once
+    rungs = [qmax << i for i in range(4)]
+    for D in rungs:
+        cached = load_table(space, D, desc, cache_dir)
         if cached is not None:
             return cached
-        probe *= 2
-    for attempt in range(4):
-        cached = load_table(str(poset.space), qmax, desc, cache_dir)
-        if cached is not None:
-            return cached
+        path = cache_path(space, D, desc, cache_dir)
+        if os.path.exists(path):
+            _warn(f"ignoring unreadable cache file {path}")
+    for D in rungs:
         try:
-            table = full_table(poset, D=qmax, backend=fld)
+            table = full_table(poset, D=D, backend=fld)
+            break
         except TruncationTooSmall:
-            if attempt == 3:
+            if D == rungs[-1]:
                 raise
-            qmax *= 2
-            continue
+    try:
         save_table(table, cache_dir)
-        return table
-    raise AssertionError("unreachable")
+    except OSError as e:
+        _warn(f"table not cached: {e}")
+    return table
 
 
 def _cmd_product(args) -> int:

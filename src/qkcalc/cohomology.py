@@ -355,13 +355,13 @@ def _ms_post_checks(sol: MSSolution) -> None:
     for v in range(k):
         for w in range(k):
             want = fld.one if v == w else fld.zero
-            assert fld.eq(sol.table[0][v][w], want), "identity row did not emerge"
+            if not fld.eq(sol.table[0][v][w], want):
+                raise CohomologyError("identity row did not emerge")
     for u in range(k):
         for v in range(u + 1, k):
             for w in range(k):
-                assert fld.eq(sol.table[u][v][w], sol.table[v][u][w]), (
-                    "commutativity did not emerge"
-                )
+                if not fld.eq(sol.table[u][v][w], sol.table[v][u][w]):
+                    raise CohomologyError("commutativity did not emerge")
 
 
 def ms_solve_classical(poset: CominusculePoset, backend: str = "exact", prime: int | None = None, assignment: tuple | None = None, seed: int = 0) -> MSSolution:
@@ -374,7 +374,7 @@ def ms_solve_classical(poset: CominusculePoset, backend: str = "exact", prime: i
         if assignment is None:
             import random
 
-            rng = random.Random((seed, p, rank, "lambda").__hash__())
+            rng = random.Random(f"lambda:{seed}:{p}:{rank}")
             assignment = tuple(rng.randrange(1, p) for _ in range(rank))
         fld = LambdaModPField(rank, p, assignment)
     else:
@@ -418,7 +418,8 @@ def ch_bridge_check(table: MultTable, sol: MSSolution) -> dict:
     below degree d vanishes and the piece in degree d equals C^w_{u,v}.
     Comparisons cross-multiply so no polynomial division is needed.
     """
-    assert table.is_exact, "bridge needs the exact table"
+    if not table.is_exact:
+        raise CohomologyError("bridge needs the exact table")
     poset = table.poset
     k = table.k
     lengths = [bin(m).count("1") for m in table.masks]
@@ -491,10 +492,10 @@ def conjecture_probe(poset: CominusculePoset, assignments: int = 2, prime: int |
     index = {m: i for i, m in enumerate(masks)}
     import random
 
-    rng = random.Random((seed, p, rank, "probe").__hash__())
+    rng = random.Random(f"probe:{seed}:{p}:{rank}")
+    points = [tuple(rng.randrange(1, p) for _ in range(rank)) for _ in range(assignments)]
     dims = []
-    for _ in range(assignments):
-        asg = tuple(rng.randrange(1, p) for _ in range(rank))
+    for asg in points:
         fld = LambdaModPField(rank, p, asg)
         chev = [
             {index[wm]: fld.from_poly(c) for wm, c in h_chevalley(poset, mask).items()}
@@ -529,6 +530,7 @@ def conjecture_probe(poset: CominusculePoset, assignments: int = 2, prime: int |
         "matches_conjecture": all(d == k for d in dims),
         "stable": len(set(dims)) == 1,
         "prime": p,
+        "assignments": [list(a) for a in points],
     }
 
 
@@ -542,7 +544,7 @@ def divisor_generation_check(poset: CominusculePoset, prime: int | None = None, 
     p = prime if prime is not None else DEFAULT_PRIMES[0]
     import random
 
-    rng = random.Random((seed, p, rank, "divgen").__hash__())
+    rng = random.Random(f"divgen:{seed}:{p}:{rank}")
     asg = tuple(rng.randrange(1, p) for _ in range(rank))
     fld = LambdaModPField(rank, p, asg)
     index = {m: i for i, m in enumerate(masks)}
@@ -564,4 +566,5 @@ def divisor_generation_check(poset: CominusculePoset, prime: int | None = None, 
         "distinct_diagonals": distinct,
         "krylov_invertible": invertible,
         "prime": p,
+        "assignment": list(asg),
     }

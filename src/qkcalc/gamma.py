@@ -21,7 +21,6 @@ The module also provides
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -71,9 +70,6 @@ class GammaElement:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     # -- ring operations ---------------------------------------------------
 
@@ -432,10 +428,6 @@ class GammaFraction:
     def __hash__(self) -> int:  # pragma: no cover - not used as dict key
         raise TypeError("GammaFraction is unhashable")
 
-    def to_gamma(self) -> GammaElement:
-        """Clear the denominator exactly or raise NotDivisible."""
-        return exact_divide(self.num, self.den)
-
     def __repr__(self) -> str:
         return f"({self.num!r})/({self.den!r})"
 
@@ -613,12 +605,6 @@ class ChernPolynomial:
     def from_fraction(rank: int, c) -> "ChernPolynomial":
         c = Fraction(c)
         return ChernPolynomial(rank, {(0,) * rank: c} if c else {})
-
-    @staticmethod
-    def variable(rank: int, i: int, coeff=1) -> "ChernPolynomial":
-        e = [0] * rank
-        e[i] = 1
-        return ChernPolynomial(rank, {tuple(e): Fraction(coeff)})
 
     @staticmethod
     def linear(rank: int, coeffs) -> "ChernPolynomial":

@@ -10,7 +10,6 @@ calculus: it expands a product of explicit K-classes on projective space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .chevalley import j_class, kt_chevalley
 from .gamma import DEFAULT_PRIMES, GammaElement, default_assignments, eval_mod_p
@@ -53,10 +52,13 @@ def _theta0_matrix(poset: CominusculePoset) -> list[dict[int, int]]:
             col = {}
             for m2, g in theta0_op(poset, {mask: GammaElement.from_int(poset.rs.rank, 1)}).items():
                 c = g.terms.get((0,) * poset.rs.rank, 0)
-                assert len(g.terms) == 1 and c in (1, -1), "entries must be +-1"
-                assert mask & ~m2 == 0, "theta_0 is not upper triangular"
+                if len(g.terms) != 1 or c not in (1, -1):
+                    raise OracleError("theta_0 entries must be +-1")
+                if mask & ~m2:
+                    raise OracleError("theta_0 is not upper triangular")
                 col[index[m2]] = c
-            assert col[index[mask]] == 1, "theta_0 is not unitriangular"
+            if col[index[mask]] != 1:
+                raise OracleError("theta_0 is not unitriangular")
             cols.append(col)
         _THETA0_MATRIX_CACHE[key] = cols
     return cols
@@ -266,9 +268,8 @@ def lg_equations(n: int, u, w) -> dict:
         if any(r == c for r, c in comp):
             continue  # long component: touches the diagonal, no equation
         side = sorted(k for k in range(1, n + 1) if pu.box_southeast(k) in comp)
-        assert side == list(range(side[0], side[-1] + 1)), (
-            "NW side of a short component must be a contiguous segment run"
-        )
+        if side != list(range(side[0], side[-1] + 1)):
+            raise OracleError("NW side of a short component must be a contiguous segment run")
         quads.append((side[0], side[-1]))
     return {
         "n": n,
@@ -323,7 +324,8 @@ def lg_oracle_chi(n: int, u, w) -> GammaElement:
 
     rank = n
     lead_deg = n + eqs["shared"] + 2 * eqs["short_components"]
-    assert lead_deg <= 2 * n, "too many equations for the ambient dimension"
+    if lead_deg > 2 * n:
+        raise OracleError("too many equations for the ambient dimension")
     out = GammaElement.zero(rank)
     for e, c in coeffs[2 * n].items():
         if c:
@@ -333,9 +335,8 @@ def lg_oracle_chi(n: int, u, w) -> GammaElement:
     nu = nu_weight(n, u, w)
     sign = -1 if (n + eqs["shared"] + eqs["short_components"]) % 2 else 1
     lead = {e: c for e, c in coeffs[lead_deg].items() if c}
-    assert lead == {nu: sign}, (
-        "leading coefficient disagrees with (-1)^{n+l+q} [C_nu]"
-    )
+    if lead != {nu: sign}:
+        raise OracleError("leading coefficient disagrees with (-1)^{n+l+q} [C_nu]")
     return out
 
 

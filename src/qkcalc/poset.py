@@ -53,10 +53,6 @@ class NotContained(PosetError):
     pass
 
 
-class NotShortRookStrip(PosetError):
-    pass
-
-
 class BuildCheckError(PosetError):
     """An internal consistency check failed while building a space."""
 
@@ -271,20 +267,6 @@ class Shape:
             and self.poset is other.poset
             and self.mask == other.mask
         )
-
-
-@dataclass(frozen=True)
-class WeylOp:
-    """Weyl group element as an integer matrix on simple-root coordinates."""
-
-    matrix: tuple[tuple[int, ...], ...]
-    matrix_inv: tuple[tuple[int, ...], ...]
-
-    def apply(self, v: RootVector) -> RootVector:
-        return mat_apply(self.matrix, v)
-
-    def apply_inv(self, v: RootVector) -> RootVector:
-        return mat_apply(self.matrix_inv, v)
 
 
 class CominusculePoset:
@@ -569,12 +551,6 @@ class CominusculePoset:
             out.append(j)
         return out
 
-    def is_ideal(self, mask: int) -> bool:
-        return mask in self.shape_index
-
-    def delta_labels(self) -> list[tuple[RootVector, int]]:
-        return [(a, d + 1) for a, d in zip(self.boxes, self.delta)]
-
     # -- skew shapes ---------------------------------------------------------
 
     def skew_boxes(self, u: Shape, w: Shape) -> list[int]:
@@ -626,10 +602,6 @@ class CominusculePoset:
                 mat = mat_mult(mat, self._refl[i])
             self._winv_cache[mask] = cached = mat
         return cached
-
-    def weyl_action(self, u: Shape) -> WeylOp:
-        """The minimal-length coset representative w_u as a linear operator."""
-        return WeylOp(self.weyl_matrix(u.mask), self.weyl_matrix_inv(u.mask))
 
     def negativity_shape(self, mat: tuple) -> Shape:
         """Ideal {alpha in P_X : mat(alpha) < 0}; checks it is an ideal."""

@@ -9,9 +9,11 @@ K c = e_v.  Solving that system q-adically (invert K mod q once, then lift
 degree by degree) recovers every structure constant N^{w,d}_{u,v} from the
 Chevalley formula alone.
 
-There is no a priori bound on the q-degree of a product, only a finiteness
-guarantee, so tables are computed mod q^{D+1} and certified by requiring the
-top two layers to vanish identically.
+Every product has q-degree at most d_X(2) = d_max (Buch, Chaput, Mihalcea
+and Perrin, "Finiteness of cominuscule quantum K-theory"), so tables are
+computed mod q^{D+1} with D = d_max + 2 by default.  The bound is not trusted
+blindly: a table is certified by requiring its top two layers to vanish
+identically, and TruncationTooSmall is raised otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import comb
@@ -36,7 +39,7 @@ from .gamma import (
     eval_mod_p,
     exact_divide,
 )
-from .chevalley import j_class, j_weight, sgamma_mask, sgamma_star
+from .chevalley import j_class, j_weight, sgamma_star
 from .poset import CominusculePoset, build_cominuscule
 
 
@@ -107,7 +110,8 @@ def divisor_matrix(poset: CominusculePoset) -> DivisorOperator:
     index = {m: i for i, m in enumerate(masks)}
     for u, mask in enumerate(masks):
         for wm, poly in sgamma_star(poset, mask).items():
-            assert poly.degree() <= 1, "divisor product exceeded q-degree 1"
+            if poly.degree() > 1:
+                raise QKRingError("divisor product exceeded q-degree 1")
             w = index[wm]
             layer0[w][u] = poly.coeff(0)
             layer1[w][u] = poly.coeff(1)
@@ -115,13 +119,15 @@ def divisor_matrix(poset: CominusculePoset) -> DivisorOperator:
     # diagonal; the J_u are pairwise distinct since u.omega determines u.
     seen = set()
     for u, mask in enumerate(masks):
-        assert layer0[u][u] == one - j_class(poset, mask)
+        if layer0[u][u] != one - j_class(poset, mask):
+            raise QKRingError("divisor diagonal entry is not 1 - J_u")
         jw = j_weight(poset, mask)
-        assert jw not in seen, "coinciding divisor eigenvalues"
+        if jw in seen:
+            raise QKRingError("coinciding divisor eigenvalues")
         seen.add(jw)
         for w in range(k):
-            if not layer0[w][u].is_zero():
-                assert masks[u] & masks[w] == masks[u], "q^0 layer not triangular"
+            if not layer0[w][u].is_zero() and masks[u] & masks[w] != masks[u]:
+                raise QKRingError("q^0 layer not triangular")
     dv = DivisorOperator(poset, layer0, layer1)
     _DIVISOR_CACHE[key] = dv
     return dv
@@ -283,10 +289,6 @@ class _ModPSolver:
                     _mscale_into(fld, M[a + b], c, Pb)
         return M
 
-    def finalize(self, layers: list) -> list:
-        return layers
-
-
 def _montante(rank: int, A: list) -> tuple:
     """Fraction-free Gauss-Jordan on [A | I] over the group ring.
 
@@ -415,9 +417,6 @@ class _ExactSolver:
                 raise NonIntegralConstant(str(exc)) from exc
         return M
 
-    def finalize(self, layers: list) -> list:
-        return layers
-
 
 def _gzero(rank: int, k: int) -> list:
     z = GammaElement.zero(rank)
@@ -458,44 +457,11 @@ def _gadd_into(A: list, B: list) -> None:
                 Ai[j] = Ai[j] + b
 
 
-_SOLVER_CACHE: dict[tuple, object] = {}
-
-
 def _solver_for(poset: CominusculePoset, D: int, fld):
-    key = (str(poset.space), D, json.dumps(fld.descriptor(), sort_keys=True))
-    hit = _SOLVER_CACHE.get(key)
-    if hit is None:
-        dv = divisor_matrix(poset)
-        if isinstance(fld, GammaModPField):
-            hit = _ModPSolver(poset, dv, D, fld)
-        else:
-            hit = _ExactSolver(poset, dv, D)
-        _SOLVER_CACHE[key] = hit
-    return hit
-
-
-def krylov_solve(poset: CominusculePoset, v, D: int | None = None, backend="exact"):
-    """Multiplication matrix of O^v mod q^{D+1}, reconstructed from the divisor.
-
-    Returns a k x k matrix of QPolynomials for the exact backend, or a list
-    of q-degree layers of residues for a mod-p backend.
-    """
-    if D is None:
-        D = poset.d_max + 2
-    fld = make_field(poset, backend)
-    vi = v if isinstance(v, int) and v < len(poset.shape_masks) and v >= 0 else None
-    if vi is None or not isinstance(v, int):
-        vi = poset.index_of(v)
-    solver = _solver_for(poset, D, fld)
-    layers = solver.finalize(solver.column(vi))
+    dv = divisor_matrix(poset)
     if isinstance(fld, GammaModPField):
-        return layers
-    rank = poset.rs.rank
-    k = len(poset.shape_masks)
-    return [
-        [QPolynomial(rank, [layers[d][w][u] for d in range(D + 1)]) for u in range(k)]
-        for w in range(k)
-    ]
+        return _ModPSolver(poset, dv, D, fld)
+    return _ExactSolver(poset, dv, D)
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +541,21 @@ class MultTable:
         )
 
 
+def default_truncation(poset: CominusculePoset) -> int:
+    """Smallest D whose certificate can hold: q-degrees reach d_max, and the
+    certificate needs layers D-1 and D to vanish."""
+    return poset.d_max + 2
+
+
 def full_table(poset: CominusculePoset, D: int | None = None, backend="exact") -> MultTable:
     """Solve all k^2 products mod q^{D+1} and certify q-stabilization.
 
     The certificate requires layers D and D-1 of every entry to vanish; the
-    default D = d_max + 2 always leaves that headroom since products never
-    exceed q-degree d_max on the spaces treated here.
+    default D = d_max + 2 leaves exactly that headroom above the q-degree
+    bound d_max.
     """
     if D is None:
-        D = poset.d_max + 2
+        D = default_truncation(poset)
     if D < 2:
         raise ValueError("truncation must be at least 2 for the certificate")
     fld = make_field(poset, backend)
@@ -601,7 +573,7 @@ def full_table(poset: CominusculePoset, D: int | None = None, backend="exact") -
                         raise TruncationTooSmall(
                             f"nonzero coefficient at q^{d} with truncation {D}"
                         )
-        mats.append(solver.finalize(M))
+        mats.append(M)
     table = MultTable(
         space=str(poset.space),
         D=D,
@@ -628,10 +600,8 @@ def _check_identity_row(table: MultTable) -> None:
         for d, mat in enumerate(table.mats[v]):
             for w in range(k):
                 x = mat[w][0]
-                if d == 0 and w == v:
-                    assert one_like(x), "identity row broken"
-                else:
-                    assert zero_like(x), "identity row broken"
+                if not (one_like(x) if d == 0 and w == v else zero_like(x)):
+                    raise QKRingError("identity row broken")
 
 
 def modp_tables(poset: CominusculePoset, D: int | None = None, primes: int = 2, assignments: int = 2, seed: int = 0) -> list:
@@ -922,22 +892,39 @@ def cache_key(space: str, D: int, backend: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:20]
 
 
+def cache_path(space: str, D: int, backend: dict, cache_dir: str) -> str:
+    return os.path.join(cache_dir, f"qk-{cache_key(space, D, backend)}.json")
+
+
 def save_table(table: MultTable, cache_dir: str) -> str:
+    """Write the table atomically; concurrent writers never share a temp file."""
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"qk-{cache_key(table.space, table.D, table.backend)}.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(table.to_json_obj(), fh)
-    os.replace(tmp, path)
+    path = cache_path(table.space, table.D, table.backend, cache_dir)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".qk-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            # mkstemp makes the file owner-only; a shared cache needs open()'s mode
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            json.dump(table.to_json_obj(), fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
 def load_table(space: str, D: int, backend: dict, cache_dir: str) -> MultTable | None:
-    path = os.path.join(cache_dir, f"qk-{cache_key(space, D, backend)}.json")
-    if not os.path.exists(path):
+    """The cached table, or None when it is missing, undecodable or keyed
+    differently; a basis mismatch raises QKRingError."""
+    try:
+        with open(cache_path(space, D, backend, cache_dir)) as fh:
+            obj = json.load(fh)
+    except (FileNotFoundError, ValueError):
         return None
-    with open(path) as fh:
-        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        return None
     if obj.get("space") != space or obj.get("D") != D or obj.get("backend") != backend:
         return None
     return MultTable.from_json_obj(obj)

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from qkcalc import cli
+from qkcalc import cli, qkring
 from qkcalc.chevalley import sgamma_star
 from qkcalc.gamma import QPolynomial
 from qkcalc.poset import build_cominuscule
@@ -137,3 +138,68 @@ def test_small_qmax_retries(capsys, tmp_path):
     )
     assert code == 0
     assert "q O^(0)" in out
+
+
+def count_builds(monkeypatch):
+    """Record the truncation of every table build the CLI starts."""
+    seen = []
+    build = cli.full_table
+
+    def counted(poset, D=None, backend="exact"):
+        seen.append(D)
+        return build(poset, D=D, backend=backend)
+
+    monkeypatch.setattr(cli, "full_table", counted)
+    return seen
+
+
+@pytest.mark.parametrize("space", ["P1", "Gr(2,4)", "Q(5)"])
+def test_table_builds_once_at_degree_bound(capsys, tmp_path, monkeypatch, space):
+    builds = count_builds(monkeypatch)
+    code, out, _ = run(capsys, "table", space, f"--cache-dir={tmp_path}")
+    qmax = build_cominuscule(space).d_max + 2
+    assert code == 0
+    assert builds == [qmax]
+    assert f"qmax={qmax}," in out
+
+
+def test_fallback_rung_is_served_from_cache(capsys, tmp_path, monkeypatch):
+    builds = count_builds(monkeypatch)
+    argv = ("product", "P1", "1", "1", "--qmax=2", f"--cache-dir={tmp_path}")
+    code, first, _ = run(capsys, *argv)
+    # q-degree 1 reaches layer D-1 at D=2, so the certificate fails once
+    assert code == 0 and builds == [2, 4]
+    code, second, err = run(capsys, *argv)
+    assert code == 0 and builds == [2, 4]
+    assert second == first and err == ""
+
+
+def test_truncated_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch):
+    code, _, _ = run(capsys, "table", "P1", f"--cache-dir={tmp_path}")
+    assert code == 0
+    (path,) = tmp_path.glob("qk-*.json")
+    good = path.read_text()
+    path.write_text(good[: len(good) // 2])
+    builds = count_builds(monkeypatch)
+    code, out, err = run(capsys, "product", "P1", "1", "1", f"--cache-dir={tmp_path}")
+    assert code == 0 and "q O^(0)" in out
+    assert err.count("\n") == 1 and "warning" in err and path.name in err
+    assert builds == [3]
+    assert path.read_text() == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_read_only_cache_dir_still_answers(capsys, tmp_path, monkeypatch):
+    ro = tmp_path / "ro"
+    ro.mkdir()
+    ro.chmod(0o555)
+    if os.geteuid() == 0:
+        # root ignores mode bits: fail the write the way the kernel would
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(ro))
+
+        monkeypatch.setattr(qkring.tempfile, "mkstemp", denied)
+    code, out, err = run(capsys, "product", "P1", "1", "1", f"--cache-dir={ro}")
+    assert code == 0 and "q O^(0)" in out
+    assert "warning" in err and "not cached" in err
+    assert list(ro.iterdir()) == []

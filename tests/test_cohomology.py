@@ -1,9 +1,15 @@
 """Equivariant cohomology solver: hand values on P^1, structural laws of the
 A-classes, and the bridge back to K-theory."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import qkcalc
 
 from qkcalc.chevalley import kt_chevalley
 from qkcalc.cohomology import (
@@ -191,3 +197,30 @@ def test_conjecture_probe_dimensions():
     assert rep["dimension"] == 2 and rep["matches_conjecture"] and rep["stable"]
     rep = conjecture_probe(build_cominuscule("Gr(2,4)"))
     assert rep["dimension"] == 6 and rep["matches_conjecture"]
+
+
+PROBE_SCRIPT = """
+import json
+from qkcalc.cohomology import conjecture_probe, divisor_generation_check
+from qkcalc.poset import build_cominuscule
+
+poset = build_cominuscule("Gr(2,4)")
+print(json.dumps([divisor_generation_check(poset, seed=3), conjecture_probe(poset, seed=3)]))
+"""
+
+
+def test_probe_reports_do_not_depend_on_hash_seed():
+    src = os.path.dirname(os.path.dirname(qkcalc.__file__))
+    reports = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads(proc.stdout))
+    assert reports[0] == reports[1]
+    divgen, probe = reports[0]
+    assert len(divgen["assignment"]) == 3
+    assert len(probe["assignments"]) == 2

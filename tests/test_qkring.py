@@ -1,6 +1,11 @@
 import copy
+import os
+import subprocess
+import sys
 
 import pytest
+
+import qkcalc
 
 from qkcalc.chevalley import j_class, sgamma_mask, sgamma_star
 from qkcalc.gamma import GammaElement, QPolynomial
@@ -238,3 +243,55 @@ def test_exact_solver_adjugate_identity():
         s = _ExactSolver(poset, divisor_matrix(poset), poset.d_max + 2)
         want = [[x * s.det0 for x in row] for row in _gident(s.rank, s.k)]
         assert _gmul(s.adj0, s.K[0], s.rank) == want
+
+
+def test_load_table_treats_undecodable_file_as_miss(tmp_path, gr24_table):
+    table = gr24_table
+    path = save_table(table, str(tmp_path))
+    with open(path) as fh:
+        text = fh.read()
+    for broken in (text[: len(text) // 2], "", "\xff\xfe", "[1, 2]"):
+        with open(path, "w", encoding="latin-1") as fh:
+            fh.write(broken)
+        assert load_table(table.space, table.D, table.backend, str(tmp_path)) is None
+
+
+def test_save_table_leaves_no_temp_file(tmp_path, gr24_table):
+    # a stale temp file of another writer is neither reused nor removed
+    table = gr24_table
+    stray = tmp_path / "stray.tmp"
+    stray.write_text("another writer")
+    path = save_table(table, str(tmp_path))
+    save_table(table, str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([os.path.basename(path), "stray.tmp"])
+    assert stray.read_text() == "another writer"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
+IDENTITY_ROW_SCRIPT = """
+import copy
+from qkcalc.poset import build_cominuscule
+from qkcalc.qkring import QKRingError, _check_identity_row, full_table
+
+assert False, "asserts must be stripped under -O"
+table = full_table(build_cominuscule("P1"))
+bad = copy.deepcopy(table)
+bad.mats[1][0][0][0] = bad.mats[0][0][0][0]
+try:
+    _check_identity_row(bad)
+except QKRingError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_identity_row_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(qkcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", IDENTITY_ROW_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised: identity row broken"
