@@ -474,6 +474,17 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _truncation(text: str) -> int:
+    """--qmax value: the certificate needs layers D-1 and D above q^0."""
+    try:
+        D = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if D < 2:
+        raise argparse.ArgumentTypeError(f"truncation must be at least 2 for the certificate, got {D}")
+    return D
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qkcalc",
@@ -486,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "latex", "json"), default="text")
         p.add_argument("--seed", type=int, default=0)
         if cache:
-            p.add_argument("--qmax", type=int, default=None)
+            p.add_argument("--qmax", type=_truncation, default=None)
             p.add_argument("--backend", choices=("exact", "mod-p"), default=None)
             p.add_argument("--cache-dir", default=None)
 

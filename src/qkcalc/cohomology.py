@@ -21,11 +21,13 @@ import numpy as np
 from .gamma import (
     DEFAULT_PRIMES,
     ChernPolynomial,
+    FractionField,
     GammaFractionField,
+    ModPField,
     ch_character,
 )
 from .poset import CominusculePoset
-from .qkring import MultTable, divisor_matrix
+from .qkring import MultTable, _matmul_mod, _row_reduce_mod, divisor_matrix
 
 
 class CohomologyError(Exception):
@@ -123,7 +125,7 @@ class LambdaFraction:
         return f"({self.num!r})/({self.den!r})"
 
 
-class LambdaFractionField:
+class LambdaFractionField(FractionField):
     """Exact rational functions in the x_beta as a scalar-field object."""
 
     def __init__(self, rank: int):
@@ -137,44 +139,9 @@ class LambdaFractionField:
     def from_poly(self, p: ChernPolynomial) -> LambdaFraction:
         return LambdaFraction.from_poly(p)
 
-    @staticmethod
-    def add(a, b):
-        return a + b
 
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return a.inverse()
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a.is_zero()
-
-    @staticmethod
-    def eq(a, b) -> bool:
-        return a == b
-
-
-class LambdaModPField:
+class LambdaModPField(ModPField):
     """The x_beta sent to fixed residues mod p."""
-
-    def __init__(self, rank: int, p: int, assignment: tuple[int, ...]):
-        self.rank = rank
-        self.p = p
-        self.assignment = tuple(t % p for t in assignment)
-        self.zero = 0
-        self.one = 1
 
     def descriptor(self) -> dict:
         return {
@@ -186,29 +153,6 @@ class LambdaModPField:
 
     def from_poly(self, poly: ChernPolynomial) -> int:
         return poly.evaluate_mod_p(self.assignment, self.p)
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
-    @staticmethod
-    def eq(a, b) -> bool:
-        return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -455,30 +399,6 @@ def ch_bridge_check(table: MultTable, sol: MSSolution) -> dict:
     }
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    m = mat % p
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = m[r] * inv % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % p
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def conjecture_probe(poset: CominusculePoset, assignments: int = 2, prime: int | None = None, seed: int = 0) -> dict:
     """Dimension of the full Molev-Sagan solution space over evaluated Lambda_0.
 
@@ -502,25 +422,21 @@ def conjecture_probe(poset: CominusculePoset, assignments: int = 2, prime: int |
             for mask in masks
         ]
         idx = lambda u, v, w: (u * k + v) * k + w
-        rows = []
+        mat = np.zeros((2 * k**3, k**3), dtype=np.int64)
         for u in range(k):
             for v in range(k):
                 for w in range(k):
-                    r1 = [0] * k**3
-                    r2 = [0] * k**3
+                    r1, r2 = mat[2 * idx(u, v, w)], mat[2 * idx(u, v, w) + 1]
                     for up, c in chev[u].items():
-                        r1[idx(up, v, w)] = (r1[idx(up, v, w)] + c) % p
+                        r1[idx(up, v, w)] += c
                     for vp, c in chev[v].items():
-                        r2[idx(u, vp, w)] = (r2[idx(u, vp, w)] + c) % p
+                        r2[idx(u, vp, w)] += c
                     for wp in range(k):
                         c = chev[wp].get(w)
                         if c:
-                            r1[idx(u, v, wp)] = (r1[idx(u, v, wp)] - c) % p
-                            r2[idx(u, v, wp)] = (r2[idx(u, v, wp)] - c) % p
-                    rows.append(r1)
-                    rows.append(r2)
-        mat = np.array(rows, dtype=np.int64)
-        dims.append(k**3 - _rank_mod_p(mat, p))
+                            r1[idx(u, v, wp)] -= c
+                            r2[idx(u, v, wp)] -= c
+        dims.append(k**3 - _row_reduce_mod(mat, p)[1])
     return {
         "check": "conjecture-probe",
         "space": str(poset.space),
@@ -557,8 +473,8 @@ def divisor_generation_check(poset: CominusculePoset, prime: int | None = None, 
     e[0] = 1
     for i in range(k):
         K[:, i] = e
-        e = L @ e % p
-    invertible = _rank_mod_p(K.copy(), p) == k
+        e = _matmul_mod(L, e, p)
+    invertible = _row_reduce_mod(K, p)[1] == k
     return {
         "check": "divisor-generation",
         "space": str(poset.space),

@@ -468,22 +468,9 @@ def _normalize_fraction(num: GammaElement, den: GammaElement) -> tuple[GammaElem
     return num, den
 
 
-class GammaFractionField:
-    """Exact fraction field of the group ring, as a scalar-field object."""
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        self.zero = GammaFraction.from_gamma(GammaElement.zero(rank))
-        self.one = GammaFraction.from_gamma(GammaElement.from_int(rank, 1))
-
-    def descriptor(self) -> dict:
-        return {"kind": "exact", "rank": self.rank}
-
-    def from_gamma(self, g: GammaElement) -> GammaFraction:
-        return GammaFraction.from_gamma(g)
-
-    def from_int(self, n: int) -> GammaFraction:
-        return GammaFraction.from_gamma(GammaElement.from_int(self.rank, n))
+class FractionField:
+    """Field arithmetic shared by the exact scalar fields: their elements
+    carry the operators and an ``inverse`` method."""
 
     @staticmethod
     def add(a, b):
@@ -514,33 +501,32 @@ class GammaFractionField:
         return a == b
 
 
-class GammaModPField:
-    """F_p scalars with gamma elements mapped through a fixed assignment."""
+class GammaFractionField(FractionField):
+    """Exact fraction field of the group ring, as a scalar-field object."""
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self.zero = GammaFraction.from_gamma(GammaElement.zero(rank))
+        self.one = GammaFraction.from_gamma(GammaElement.from_int(rank, 1))
+
+    def descriptor(self) -> dict:
+        return {"kind": "exact", "rank": self.rank}
+
+    def from_gamma(self, g: GammaElement) -> GammaFraction:
+        return GammaFraction.from_gamma(g)
+
+
+class ModPField:
+    """F_p arithmetic shared by the mod-p scalar fields; residues are ints
+    in [0, p) and the generators go to the residues of ``assignment``."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, rank: int, p: int, assignment: tuple[int, ...]):
-        if len(assignment) != rank:
-            raise GammaError("assignment length does not match rank")
-        if any(t % p == 0 for t in assignment):
-            raise ZeroAssignment("mod-p assignment contains a zero residue")
         self.rank = rank
         self.p = p
         self.assignment = tuple(t % p for t in assignment)
-        self.zero = 0
-        self.one = 1
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "mod-p",
-            "rank": self.rank,
-            "p": self.p,
-            "assignment": list(self.assignment),
-        }
-
-    def from_gamma(self, g: GammaElement) -> int:
-        return eval_mod_p(g, self.assignment, self.p)
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -566,6 +552,28 @@ class GammaModPField:
     @staticmethod
     def eq(a: int, b: int) -> bool:
         return a == b
+
+
+class GammaModPField(ModPField):
+    """F_p scalars with gamma elements mapped through a fixed assignment."""
+
+    def __init__(self, rank: int, p: int, assignment: tuple[int, ...]):
+        if len(assignment) != rank:
+            raise GammaError("assignment length does not match rank")
+        if any(t % p == 0 for t in assignment):
+            raise ZeroAssignment("mod-p assignment contains a zero residue")
+        super().__init__(rank, p, assignment)
+
+    def descriptor(self) -> dict:
+        return {
+            "kind": "mod-p",
+            "rank": self.rank,
+            "p": self.p,
+            "assignment": list(self.assignment),
+        }
+
+    def from_gamma(self, g: GammaElement) -> int:
+        return eval_mod_p(g, self.assignment, self.p)
 
 
 # Fixed default primes for evaluation backends (31-bit).

@@ -83,11 +83,12 @@ class DivisorOperator:
         rank = self.poset.rs.rank
         return QPolynomial(rank, [self.layer0[w][u], self.layer1[w][u]])
 
-    def field_layers(self, fld) -> list:
+    def modp_layers(self, fld) -> list:
+        """layer0 and layer1 evaluated through a mod-p field, as int64 arrays."""
         to = fld.from_gamma
         return [
-            [[to(x) for x in row] for row in self.layer0],
-            [[to(x) for x in row] for row in self.layer1],
+            np.array([[to(x) for x in row] for row in layer], dtype=np.int64)
+            for layer in (self.layer0, self.layer1)
         ]
 
 
@@ -134,7 +135,7 @@ def divisor_matrix(poset: CominusculePoset) -> DivisorOperator:
 
 
 # ---------------------------------------------------------------------------
-# Scalar-field linear algebra (shared by the exact and mod-p backends)
+# Backends
 
 
 def make_field(poset: CominusculePoset, backend="exact", prime=None, assignment=None, seed=0):
@@ -161,133 +162,89 @@ def modp_evaluations(poset: CominusculePoset, primes: int = 2, assignments: int 
     return out
 
 
-def _mzero(fld, k: int) -> list:
-    return [[fld.zero] * k for _ in range(k)]
+# ---------------------------------------------------------------------------
+# Mod-p linear algebra: int64 numpy arrays of residues in [0, p), p < 2^31
 
 
-def _mident(fld, k: int) -> list:
-    out = _mzero(fld, k)
-    for i in range(k):
-        out[i][i] = fld.one
-    return out
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    # 16-bit split keeps every product-sum below 2^63 for 31-bit primes.
+    hi, lo = A >> 16, A & 0xFFFF
+    return ((hi @ B % p << 16) + lo @ B) % p
 
 
-def _mmul(fld, A: list, B: list) -> list:
+def _row_reduce_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """Reduced row echelon form of A mod p, and its rank.
+
+    Each pivot updates only the rows with a nonzero entry in its column,
+    and only from the pivot column on: the systems met here are sparse.
+    """
+    m = A % p
+    rows, cols = m.shape
+    r = 0
+    for c in range(cols):
+        nz = np.flatnonzero(m[r:, c])
+        if not len(nz):
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        hit = np.flatnonzero(m[:, c])
+        hit = hit[hit != r]
+        if len(hit):
+            # rank-one update: a single product of two residues stays below 2^62
+            m[hit, c:] = (m[hit, c:] - m[hit, c:c + 1] * m[r, c:] % p) % p
+        r += 1
+        if r == rows:
+            break
+    return m, r
+
+
+def _inverse_mod(A: np.ndarray, p: int) -> np.ndarray:
+    """A^{-1} mod p from the reduced form of [A | I]; SingularKrylov on failure."""
     k = len(A)
-    add, mul, zero = fld.add, fld.mul, fld.zero
-    is_zero = fld.is_zero
-    out = [[zero] * k for _ in range(k)]
-    for i in range(k):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if is_zero(a):
-                continue
-            Bt = B[t]
-            for j in range(k):
-                b = Bt[j]
-                if not is_zero(b):
-                    Oi[j] = add(Oi[j], mul(a, b))
-    return out
-
-
-def _madd_into(fld, A: list, B: list) -> None:
-    add = fld.add
-    for i, row in enumerate(B):
-        Ai = A[i]
-        for j, b in enumerate(row):
-            if not fld.is_zero(b):
-                Ai[j] = add(Ai[j], b)
-
-
-def _mscale_into(fld, A: list, s, B: list) -> None:
-    add, mul = fld.add, fld.mul
-    for i, row in enumerate(B):
-        Ai = A[i]
-        for j, b in enumerate(row):
-            if not fld.is_zero(b):
-                Ai[j] = add(Ai[j], mul(s, b))
-
-
-def _minvert(fld, A: list) -> tuple:
-    """Gauss-Jordan inverse and determinant; SingularKrylov on failure."""
-    n = len(A)
-    M = [list(A[i]) + [fld.one if j == i else fld.zero for j in range(n)] for i in range(n)]
-    det = fld.one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not fld.is_zero(M[r][col])), None)
-        if piv is None:
-            raise SingularKrylov("Krylov matrix is singular mod q")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = fld.neg(det)
-        det = fld.mul(det, M[col][col])
-        inv = fld.inv(M[col][col])
-        M[col] = [fld.mul(inv, x) for x in M[col]]
-        for r in range(n):
-            if r == col or fld.is_zero(M[r][col]):
-                continue
-            f = M[r][col]
-            Mr, Mc = M[r], M[col]
-            for j in range(col, 2 * n):
-                Mr[j] = fld.sub(Mr[j], fld.mul(f, Mc[j]))
-    return [row[n:] for row in M], det
+    eye = np.eye(k, dtype=np.int64)
+    R, _ = _row_reduce_mod(np.hstack([A, eye]), p)
+    if not np.array_equal(R[:, :k], eye):
+        raise SingularKrylov("Krylov matrix is singular mod q")
+    return R[:, k:]
 
 
 class _ModPSolver:
     """Krylov data for one (space, truncation, mod-p field) combination."""
 
-    def __init__(self, poset: CominusculePoset, dv: DivisorOperator, D: int, fld):
-        self.poset = poset
+    def __init__(self, dv: DivisorOperator, D: int, fld):
         self.D = D
-        self.fld = fld
-        k = dv.k
-        self.k = k
-        L0, L1 = dv.field_layers(fld)
-        # P_i = L^i mod q^{D+1}, kept as trimmed layer lists (length <= min(i,D)+1).
-        powers = [[_mident(fld, k)]]
+        self.p = p = fld.p
+        self.k = k = dv.k
+        L0, L1 = dv.modp_layers(fld)
+        # P[i, d] = layer d of L^i mod q^{D+1}
+        P = np.zeros((k, D + 1, k, k), dtype=np.int64)
+        P[0, 0] = np.eye(k, dtype=np.int64)
         for i in range(1, k):
-            prev = powers[-1]
-            cap = min(i, D)
-            cur = []
-            for d in range(cap + 1):
-                acc = _mmul(fld, L0, prev[d]) if d < len(prev) else _mzero(fld, k)
-                if 0 <= d - 1 < len(prev):
-                    _madd_into(fld, acc, _mmul(fld, L1, prev[d - 1]))
-                cur.append(acc)
-            powers.append(cur)
-        self.powers = powers
+            P[i] = _matmul_mod(L0, P[i - 1], p)
+            P[i, 1:] = (P[i, 1:] + _matmul_mod(L1, P[i - 1, :-1], p)) % p
+        self.P = P
         # Krylov layers: column i of K is L^i e_1 (e_1 = the identity class).
-        K = [_mzero(fld, k) for _ in range(D + 1)]
-        for i, P in enumerate(powers):
-            for a, Pa in enumerate(P):
-                for w in range(k):
-                    K[a][w][i] = Pa[w][0]
-        C0, _ = _minvert(fld, K[0])
+        K = P[:, :, :, 0].transpose(1, 2, 0)
+        C0 = _inverse_mod(K[0], p)
         C = [C0]
         for d in range(1, D + 1):
-            S = _mzero(fld, k)
-            for a in range(1, d + 1):
-                _madd_into(fld, S, _mmul(fld, K[a], C[d - a]))
-            neg = _mmul(fld, C0, S)
-            C.append([[fld.neg(x) for x in row] for row in neg])
+            S = sum(_matmul_mod(K[a], C[d - a], p) for a in range(1, d + 1)) % p
+            C.append(-_matmul_mod(C0, S, p) % p)
         self.C = C
 
-    def column(self, v: int) -> list:
-        """Layers of M_v = sum_i c_i L^i with K c = e_v, mod q^{D+1}."""
-        fld, D, k = self.fld, self.D, self.k
-        M = [_mzero(fld, k) for _ in range(D + 1)]
-        for i, P in enumerate(self.powers):
-            for a in range(D + 1):
-                c = self.C[a][i][v]
-                if fld.is_zero(c):
-                    continue
-                for b, Pb in enumerate(P):
-                    if a + b > D:
-                        break
-                    _mscale_into(fld, M[a + b], c, Pb)
-        return M
+    def columns(self) -> list:
+        """Layers of every M_v = sum_i c_i L^i with K c = e_v, mod q^{D+1},
+        as nested lists of ints: M[v][d][w][u]."""
+        D, k, p = self.D, self.k, self.p
+        P = self.P.reshape(k, D + 1, k * k)
+        M = np.zeros((k, D + 1, k * k), dtype=np.int64)
+        for a in range(D + 1):
+            for b in range(D + 1 - a):
+                M[:, a + b] += _matmul_mod(self.C[a].T, P[:, b], p)
+        return (M % p).reshape(k, D + 1, k, k).tolist()
+
 
 def _montante(rank: int, A: list) -> tuple:
     """Fraction-free Gauss-Jordan on [A | I] over the group ring.
@@ -382,15 +339,17 @@ class _ExactSolver:
         # Schwartz-Zippel guard: adj0 K0 = det0 I at one random evaluation.
         p = DEFAULT_PRIMES[0]
         asg = default_assignments(self.rank, p, 1, seed=0)[0]
-        k = self.k
-        Am = [[eval_mod_p(x, asg, p) for x in row] for row in self.adj0]
-        Km = [[eval_mod_p(x, asg, p) for x in row] for row in self.K[0]]
+        Am, Km = (
+            np.array([[eval_mod_p(x, asg, p) for x in row] for row in mat], dtype=np.int64)
+            for mat in (self.adj0, self.K[0])
+        )
         dm = eval_mod_p(self.det0, asg, p)
-        for i in range(k):
-            for j in range(k):
-                s = sum(Am[i][t] * Km[t][j] for t in range(k)) % p
-                if s != (dm if i == j else 0):
-                    raise SingularKrylov("adjugate identity failed mod p")
+        if not np.array_equal(_matmul_mod(Am, Km, p), dm * np.eye(self.k, dtype=np.int64)):
+            raise SingularKrylov("adjugate identity failed mod p")
+
+    def columns(self):
+        """Lazily, so a failed certificate stops the build at its first column."""
+        return (self.column(v) for v in range(self.k))
 
     def column(self, v: int) -> list:
         """Layers of M_v, already cleared to the group ring."""
@@ -460,7 +419,7 @@ def _gadd_into(A: list, B: list) -> None:
 def _solver_for(poset: CominusculePoset, D: int, fld):
     dv = divisor_matrix(poset)
     if isinstance(fld, GammaModPField):
-        return _ModPSolver(poset, dv, D, fld)
+        return _ModPSolver(dv, D, fld)
     return _ExactSolver(poset, dv, D)
 
 
@@ -559,20 +518,12 @@ def full_table(poset: CominusculePoset, D: int | None = None, backend="exact") -
     if D < 2:
         raise ValueError("truncation must be at least 2 for the certificate")
     fld = make_field(poset, backend)
-    solver = _solver_for(poset, D, fld)
-    k = solver.k
-    modp = isinstance(fld, GammaModPField)
     mats = []
-    for v in range(k):
-        M = solver.column(v)
+    for M in _solver_for(poset, D, fld).columns():
         # certificate: the top two layers vanish identically
         for d in (D - 1, D):
-            for row in M[d]:
-                for x in row:
-                    if (x != 0) if modp else (not x.is_zero()):
-                        raise TruncationTooSmall(
-                            f"nonzero coefficient at q^{d} with truncation {D}"
-                        )
+            if any(x for row in M[d] for x in row):
+                raise TruncationTooSmall(f"nonzero coefficient at q^{d} with truncation {D}")
         mats.append(M)
     table = MultTable(
         space=str(poset.space),
@@ -663,12 +614,6 @@ def specialize(table: MultTable, mode: str) -> MultTable:
 
 def _np_layers(mats_v: list) -> list:
     return [np.array(mat, dtype=np.int64) for mat in mats_v]
-
-
-def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    # 16-bit split keeps every product-sum below 2^63 for 31-bit primes.
-    hi, lo = A >> 16, A & 0xFFFF
-    return ((hi @ B % p << 16) + lo @ B) % p
 
 
 def _lay_mul_mod(A: list, B: list, p: int, cap: int) -> list:
@@ -766,7 +711,7 @@ def verify_ms_equations(table: MultTable) -> dict:
     # products M_v L and L M_v; the v'-sum is a contraction over the stack.
     p = table.backend["p"]
     fld = GammaModPField(poset.rs.rank, p, tuple(table.backend["assignment"]))
-    Lnp = [np.array(mat, dtype=np.int64) for mat in dv.field_layers(fld)]
+    Lnp = dv.modp_layers(fld)
     Ms = [_np_layers(table.mats[v]) for v in range(k)]
     cap = 2 * table.D
     rights = None
@@ -811,7 +756,6 @@ def verify_associativity(table: MultTable, sample: int | None = None, seed: int 
                     if table.entry(u, v, w) != table.entry(v, u, w):
                         failures.append(("symmetry", u, v, w))
         rank = table.poset.rs.rank
-        zero = GammaElement.zero(rank)
         for u, w in pairs:
             AB = _glay_mul(table.mats[u], table.mats[w], rank)
             BA = _glay_mul(table.mats[w], table.mats[u], rank)

@@ -1,0 +1,37 @@
+"""The benchmark's tracer wraps qkcalc names from outside the package
+(`perfbench/tracer.py`).  A refactor that removes or renames a wrapped name
+must fail here instead of silently zeroing the benchmark's layer records."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+TRACED_RUN = """
+import json, sys
+from tracer import Tracer
+from qkcalc import cli
+
+tracer = Tracer()
+tracer.install()
+code = cli.main(["table", "Gr(2,4)", "--backend=mod-p", "--cache-dir=" + sys.argv[1]])
+print(json.dumps(tracer.summary()))
+sys.exit(code)
+"""
+
+
+def test_tracer_installs_and_sees_a_modp_build(tmp_path):
+    paths = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(proc.stdout.splitlines()[-1])
+    assert layers["qkring.full_table.calls"] == 1
+    assert layers.get("qkring.full_table.failed", 0) == 0
+    # the mod-p solve runs in numpy, not through the scalar field
+    assert layers["gamma.modp.mul.calls"] == 0

@@ -140,6 +140,22 @@ def test_small_qmax_retries(capsys, tmp_path):
     assert "q O^(0)" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("product", "P1", "1", "1", "--qmax=1"),
+        ("product", "P1", "1", "1", "--qmax=-3"),
+        ("table", "P1", "--qmax=0"),
+    ],
+)
+def test_qmax_below_two_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    builds = count_builds(monkeypatch)
+    code, out, err = run(capsys, *argv, f"--cache-dir={tmp_path}")
+    assert code == 2
+    assert "truncation must be at least 2" in err
+    assert out == "" and builds == [] and not list(tmp_path.iterdir())
+
+
 def count_builds(monkeypatch):
     """Record the truncation of every table build the CLI starts."""
     seen = []

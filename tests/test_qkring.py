@@ -1,17 +1,28 @@
 import copy
+import hashlib
+import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qkcalc
 
 from qkcalc.chevalley import j_class, sgamma_mask, sgamma_star
-from qkcalc.gamma import GammaElement, QPolynomial
+from qkcalc.gamma import DEFAULT_PRIMES, GammaElement, QPolynomial
 from qkcalc.poset import build_cominuscule
 from qkcalc.qkring import (
+    DivisorOperator,
+    SingularKrylov,
     TruncationTooSmall,
+    _inverse_mod,
+    _matmul_mod,
+    _ModPSolver,
+    _row_reduce_mod,
     full_table,
     load_table,
     make_field,
@@ -295,3 +306,95 @@ def test_identity_row_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised: identity row broken"
+
+
+# sha256(json.dumps(table.to_json_obj(), sort_keys=True))[:16] of the default
+# mod-p table; recorded from the pure-Python solve, which the numpy solve must
+# reproduce residue for residue
+PINNED_MODP_TABLES = {
+    "Gr(2,6)": "2e5433b68502517a",
+    "OG(5,10)": "69244dc0c2a2a3e7",
+    "LG(4,8)": "5de6fb12c3178a8c",
+    "Gr(3,6)": "bbd1635b7b5c33ae",
+    "E6": "bd59c3070f2f84d8",
+}
+
+
+@pytest.mark.parametrize("space", sorted(PINNED_MODP_TABLES))
+def test_modp_table_residues_are_pinned(space):
+    table = full_table(build_cominuscule(space), backend="mod-p")
+    blob = json.dumps(table.to_json_obj(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == PINNED_MODP_TABLES[space]
+
+
+P0 = DEFAULT_PRIMES[0]
+
+
+def _rank_reference(rows: list, p: int) -> int:
+    """Textbook Gaussian elimination over F_p on lists of ints."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _product_mod(A: list, B: list, p: int) -> list:
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
+
+
+# zero-heavy entries and low inner dimensions make rank deficiency common
+residues = st.one_of(st.just(0), st.just(1), st.just(P0 - 1), st.integers(0, P0 - 1))
+
+
+@st.composite
+def matrices_mod_p(draw, square=False):
+    n = draw(st.integers(1, 6))
+    m = n if square else draw(st.integers(1, 6))
+    r = draw(st.integers(1, 6))
+    B = draw(st.lists(st.lists(residues, min_size=r, max_size=r), min_size=n, max_size=n))
+    C = draw(st.lists(st.lists(residues, min_size=m, max_size=m), min_size=r, max_size=r))
+    return B, C
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_mod_p())
+def test_matmul_mod_and_rank_match_reference(BC):
+    B, C = BC
+    A = _product_mod(B, C, P0)
+    got = _matmul_mod(np.array(B, dtype=np.int64), np.array(C, dtype=np.int64), P0)
+    assert got.tolist() == A
+    R, rank = _row_reduce_mod(np.array(A, dtype=np.int64), P0)
+    assert rank == _rank_reference(A, P0)
+    assert not R[rank:].any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_mod_p(square=True))
+def test_inverse_mod_or_singular(BC):
+    A = np.array(_product_mod(*BC, P0), dtype=np.int64)
+    n = len(A)
+    if _rank_reference(A.tolist(), P0) == n:
+        assert np.array_equal(_matmul_mod(_inverse_mod(A, P0), A, P0), np.eye(n, dtype=np.int64))
+    else:
+        with pytest.raises(SingularKrylov):
+            _inverse_mod(A, P0)
+
+
+def test_modp_solver_rejects_singular_krylov_matrix():
+    # with L = 0 every Krylov column past the first vanishes
+    poset = build_cominuscule("Gr(2,4)")
+    zero = GammaElement.zero(poset.rs.rank)
+    k = len(poset.shape_masks)
+    flat = DivisorOperator(poset, [[zero] * k for _ in range(k)], [[zero] * k for _ in range(k)])
+    with pytest.raises(SingularKrylov):
+        _ModPSolver(flat, 4, make_field(poset, "mod-p"))
