@@ -572,9 +572,6 @@ class GammaModPField(ModPField):
             "assignment": list(self.assignment),
         }
 
-    def from_gamma(self, g: GammaElement) -> int:
-        return eval_mod_p(g, self.assignment, self.p)
-
 
 # Fixed default primes for evaluation backends (31-bit).
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483563)

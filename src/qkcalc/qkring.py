@@ -14,6 +14,22 @@ and Perrin, "Finiteness of cominuscule quantum K-theory"), so tables are
 computed mod q^{D+1} with D = d_max + 2 by default.  The bound is not trusted
 blindly: a table is certified by requiring its top two layers to vanish
 identically, and TruncationTooSmall is raised otherwise.
+
+Both backends run one solve: mod p, batched over evaluation points that send
+each x_i = e^{-alpha_i} to a nonzero residue.  The mod-p backend is a single
+point.  The exact backend rebuilds every constant, a polynomial in the x_i
+with small integer coefficients, by dense interpolation (Brown's modular
+method): line probes through a random point find the degree in each x_i,
+doubling their node count until the interpolant's degree falls below it
+(early termination, after Kaltofen and Lee); the solve runs on the tensor grid
+of that many random nonzero nodes per variable; the inverse Vandermonde
+matrix of each axis turns values into coefficients, lifted to the symmetric
+range (-p/2, p/2).  The candidate is then certified exactly: M_v L = L M_v
+(verify_ms_equations) and M_v e_1 = e_v (the identity row).  L is cyclic, so
+its commutant holds exactly one operator sending e_1 to e_v, and a candidate
+that passes is the true table whatever the degree box or the prime.  A failed
+certificate redraws the nodes once with a doubled box; a second failure
+raises QKRingError.
 """
 
 from __future__ import annotations
@@ -21,10 +37,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import tempfile
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -33,11 +50,10 @@ from .gamma import (
     GammaElement,
     GammaFractionField,
     GammaModPField,
-    NotDivisible,
     QPolynomial,
     default_assignments,
     eval_mod_p,
-    exact_divide,
+    exact_divide,  # noqa: F401  perfbench/tracer.py counts calls through this name
 )
 from .chevalley import j_class, j_weight, sgamma_star
 from .poset import CominusculePoset, build_cominuscule
@@ -48,11 +64,11 @@ class QKRingError(Exception):
 
 
 class SingularKrylov(QKRingError):
-    """The q-constant Krylov matrix failed to invert (signals a bug)."""
+    """The q-constant Krylov matrix failed to invert at an evaluation point.
 
-
-class NonIntegralConstant(QKRingError):
-    """A reconstructed constant did not clear to the group ring."""
+    At a fixed mod-p assignment this is an error; at the random nodes of an
+    exact build it means two J_u coincide there, and the nodes are redrawn.
+    """
 
 
 class TruncationTooSmall(QKRingError):
@@ -83,13 +99,28 @@ class DivisorOperator:
         rank = self.poset.rs.rank
         return QPolynomial(rank, [self.layer0[w][u], self.layer1[w][u]])
 
-    def modp_layers(self, fld) -> list:
-        """layer0 and layer1 evaluated through a mod-p field, as int64 arrays."""
-        to = fld.from_gamma
-        return [
-            np.array([[to(x) for x in row] for row in layer], dtype=np.int64)
-            for layer in (self.layer0, self.layer1)
+    def modp_layers(self, p: int, nodes: np.ndarray) -> np.ndarray:
+        """layer0 and layer1 at every row of nodes, the residues of the x_i,
+        as one (n, 2, k, k) int64 array."""
+        terms = [
+            (d, w, u, e, c)
+            for d, entries in enumerate((self.layer0, self.layer1))
+            for w, row in enumerate(entries)
+            for u, g in enumerate(row)
+            for e, c in g.terms.items()
         ]
+        out = np.zeros((len(nodes), 2, self.k, self.k), dtype=np.int64)
+        if not terms:
+            return out
+        d, w, u, lams, coeffs = zip(*terms)
+        val = np.array(coeffs, dtype=np.int64) % p
+        # e^{lam} = prod x_i^{-lam_i}
+        for xs, lam in zip(nodes.T.tolist(), zip(*lams)):
+            exps, at = np.unique(lam, return_inverse=True)
+            powers = np.array([[pow(x, -int(e), p) for e in exps] for x in xs], dtype=np.int64)
+            val = val * powers[:, at] % p
+        np.add.at(out, (slice(None), d, w, u), val)
+        return out % p
 
 
 _DIVISOR_CACHE: dict[str, DivisorOperator] = {}
@@ -201,226 +232,170 @@ def _row_reduce_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, int]:
 
 
 def _inverse_mod(A: np.ndarray, p: int) -> np.ndarray:
-    """A^{-1} mod p from the reduced form of [A | I]; SingularKrylov on failure."""
-    k = len(A)
-    eye = np.eye(k, dtype=np.int64)
-    R, _ = _row_reduce_mod(np.hstack([A, eye]), p)
-    if not np.array_equal(R[:, :k], eye):
-        raise SingularKrylov("Krylov matrix is singular mod q")
-    return R[:, k:]
+    """A^{-1} mod p for every matrix of a stack (..., k, k), by Gauss-Jordan
+    on [A | I]; SingularKrylov when any of them is singular."""
+    shape, k = A.shape, A.shape[-1]
+    A = A.reshape(-1, k, k) % p
+    m = np.concatenate([A, np.broadcast_to(np.eye(k, dtype=np.int64), A.shape)], axis=2)
+    at = np.arange(len(m))
+    for c in range(k):
+        nz = m[:, c:, c] != 0
+        if not nz.any(axis=1).all():
+            raise SingularKrylov("Krylov matrix is singular mod q")
+        piv = c + nz.argmax(axis=1)
+        row = m[at, piv]
+        m[at, piv] = m[:, c]
+        inv = np.array([pow(x, -1, p) for x in row[:, c].tolist()], dtype=np.int64)
+        m[:, c] = row * inv[:, None] % p
+        f = m[:, :, c].copy()
+        f[:, c] = 0
+        m = (m - f[:, :, None] * m[:, None, c] % p) % p
+    return m[:, :, k:].reshape(shape)
 
 
 class _ModPSolver:
-    """Krylov data for one (space, truncation, mod-p field) combination."""
+    """Krylov data of one space and truncation at n evaluation points.
 
-    def __init__(self, dv: DivisorOperator, D: int, fld):
-        self.D = D
-        self.p = p = fld.p
-        self.k = k = dv.k
-        L0, L1 = dv.modp_layers(fld)
-        # P[i, d] = layer d of L^i mod q^{D+1}
-        P = np.zeros((k, D + 1, k, k), dtype=np.int64)
-        P[0, 0] = np.eye(k, dtype=np.int64)
-        for i in range(1, k):
-            P[i] = _matmul_mod(L0, P[i - 1], p)
-            P[i, 1:] = (P[i, 1:] + _matmul_mod(L1, P[i - 1, :-1], p)) % p
-        self.P = P
+    nodes[j] holds the residues of x_1, ..., x_rank at point j; the mod-p
+    backend is the case n = 1.  M_v K = W_v, where column i of W_v is
+    L^i e_v, so M_v = W_v K^{-1}: the solver keeps K^{-1} and builds W_v only
+    for the columns asked for.
+    """
+
+    def __init__(self, dv: DivisorOperator, D: int, p: int, nodes: np.ndarray):
+        self.D, self.p, self.k = D, p, dv.k
+        k, n = dv.k, len(nodes)
+        # rows 0..k-1 hold L's q^0 layer, rows k..2k-1 its q^1 layer
+        self.L = dv.modp_layers(p, nodes).reshape(n, 2 * k, k)
         # Krylov layers: column i of K is L^i e_1 (e_1 = the identity class).
-        K = P[:, :, :, 0].transpose(1, 2, 0)
-        C0 = _inverse_mod(K[0], p)
+        K = self._krylov([0])[:, :, 0].transpose(0, 2, 1, 3)
+        C0 = _inverse_mod(K[:, 0], p)
         C = [C0]
         for d in range(1, D + 1):
-            S = sum(_matmul_mod(K[a], C[d - a], p) for a in range(1, d + 1)) % p
+            S = sum(_matmul_mod(K[:, a], C[d - a], p) for a in range(1, d + 1)) % p
             C.append(-_matmul_mod(C0, S, p) % p)
-        self.C = C
+        # Ct[j, d] = layer d of K^{-1} at point j, transposed
+        self.Ct = np.stack([c.swapaxes(1, 2) for c in C], axis=1)
 
-    def columns(self) -> list:
-        """Layers of every M_v = sum_i c_i L^i with K c = e_v, mod q^{D+1},
-        as nested lists of ints: M[v][d][w][u]."""
-        D, k, p = self.D, self.k, self.p
-        P = self.P.reshape(k, D + 1, k * k)
-        M = np.zeros((k, D + 1, k * k), dtype=np.int64)
+    def _krylov(self, vs) -> np.ndarray:
+        """W[j, w, v, d, i] = layer d of (L^i e_v)_w at point j, mod q^{D+1}."""
+        n, k, D, p = len(self.L), self.k, self.D, self.p
+        W = np.zeros((n, k, len(vs), D + 1, k), dtype=np.int64)
+        W[:, vs, range(len(vs)), 0, 0] = 1
+        for i in range(1, k):
+            Y = _matmul_mod(self.L, W[..., i - 1].reshape(n, k, -1), p).reshape(n, 2, k, len(vs), D + 1)
+            W[..., i] = Y[:, 0]
+            W[..., 1:, i] += Y[:, 1, ..., :-1]
+            W[..., i] %= p
+        return W
+
+    def columns(self, vs) -> np.ndarray:
+        """Layers of M_v = W_v K^{-1} mod q^{D+1} for each v in vs at every
+        point: M[j, v, d, w, u]."""
+        n, k, D, p = len(self.L), self.k, self.D, self.p
+        # transposed, M_v^T = K^{-T} W_v^T with the (w, v) pairs as columns:
+        # one matmul per point and pair of layers, whose left factor is small
+        Wt = self._krylov(vs).transpose(0, 3, 4, 1, 2).reshape(n, D + 1, k, k * len(vs))
+        Mt = np.zeros((n, D + 1, k, k * len(vs)), dtype=np.int64)
         for a in range(D + 1):
             for b in range(D + 1 - a):
-                M[:, a + b] += _matmul_mod(self.C[a].T, P[:, b], p)
-        return (M % p).reshape(k, D + 1, k, k).tolist()
+                Mt[:, a + b] += _matmul_mod(self.Ct[:, b], Wt[:, a], p)
+        return (Mt % p).reshape(n, D + 1, k, k, len(vs)).transpose(0, 4, 1, 3, 2)
 
 
-def _montante(rank: int, A: list) -> tuple:
-    """Fraction-free Gauss-Jordan on [A | I] over the group ring.
-
-    Returns (adj, det) with adj * A = A * adj = det * I, both integral.
-    Every intermediate entry is a minor of the original matrix, so the
-    division by the previous pivot is exact (Sylvester's identity); no
-    group-ring fractions ever appear.
-    """
-    n = len(A)
-    zero = GammaElement.zero(rank)
-    one = GammaElement.from_int(rank, 1)
-    M = [list(A[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    prev = one
-    sign = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not M[r][c].is_zero()), None)
-        if piv is None:
-            raise SingularKrylov("Krylov matrix is singular mod q")
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            sign = -sign
-        p = M[c][c]
-        first = prev == one
-        for r in range(n):
-            if r == c:
-                continue
-            Mr, Mc = M[r], M[c]
-            f = Mr[c]
-            fz = f.is_zero()
-            for j in range(2 * n):
-                if fz or Mc[j].is_zero():
-                    if Mr[j].is_zero():
-                        continue
-                    num = p * Mr[j]
-                elif Mr[j].is_zero():
-                    num = -(f * Mc[j])
-                else:
-                    num = p * Mr[j] - f * Mc[j]
-                Mr[j] = num if first else exact_divide(num, prev)
-        prev = p
-    det = M[n - 1][n - 1]
-    adj = [row[n:] for row in M]
-    if sign < 0:
-        det = -det
-        adj = [[-x for x in row] for row in adj]
-    return adj, det
+# ---------------------------------------------------------------------------
+# Exact tables from mod-p evaluations
 
 
-class _ExactSolver:
-    """Exact Krylov data: everything stays integral at det(K_0) scale.
-
-    M_v K = W_v with W_v(:,i) = L^i e_v, so layer d of M_v solves
-    M_v[d] K_0 = W_v[d] - sum_{b>=1} M_v[d-b] K_b.  Right-multiplying by
-    adj(K_0) and dividing entrywise by det(K_0) lifts one q-degree at a
-    time; the divisions are exact because the structure constants are.
-    Powers of det(K_0) never appear, and free-form fraction sums are
-    avoided on purpose: their denominators compound multiplicatively.
-    """
-
-    def __init__(self, poset: CominusculePoset, dv: DivisorOperator, D: int):
-        self.poset = poset
-        self.D = D
-        rank = poset.rs.rank
-        self.rank = rank
-        k = dv.k
-        self.k = k
-        powers = [[_gident(rank, k)]]
-        for i in range(1, k):
-            prev = powers[-1]
-            cap = min(i, D)
-            cur = []
-            for d in range(cap + 1):
-                acc = _gmul(dv.layer0, prev[d], rank) if d < len(prev) else _gzero(rank, k)
-                if 0 <= d - 1 < len(prev):
-                    _gadd_into(acc, _gmul(dv.layer1, prev[d - 1], rank))
-                cur.append(acc)
-            powers.append(cur)
-        self.powers = powers
-        K = [_gzero(rank, k) for _ in range(D + 1)]
-        for i, P in enumerate(powers):
-            for a, Pa in enumerate(P):
-                for w in range(k):
-                    K[a][w][i] = Pa[w][0]
-        self.K = K
-        self.adj0, self.det0 = _montante(rank, K[0])
-        if self.det0.is_zero():
-            raise SingularKrylov("vanishing Krylov determinant")
-        self._spot_check_adjugate()
-
-    def _spot_check_adjugate(self) -> None:
-        # Schwartz-Zippel guard: adj0 K0 = det0 I at one random evaluation.
-        p = DEFAULT_PRIMES[0]
-        asg = default_assignments(self.rank, p, 1, seed=0)[0]
-        Am, Km = (
-            np.array([[eval_mod_p(x, asg, p) for x in row] for row in mat], dtype=np.int64)
-            for mat in (self.adj0, self.K[0])
-        )
-        dm = eval_mod_p(self.det0, asg, p)
-        if not np.array_equal(_matmul_mod(Am, Km, p), dm * np.eye(self.k, dtype=np.int64)):
-            raise SingularKrylov("adjugate identity failed mod p")
-
-    def columns(self):
-        """Lazily, so a failed certificate stops the build at its first column."""
-        return (self.column(v) for v in range(self.k))
-
-    def column(self, v: int) -> list:
-        """Layers of M_v, already cleared to the group ring."""
-        D, k, rank = self.D, self.k, self.rank
-        W = [_gzero(rank, k) for _ in range(D + 1)]
-        for i, P in enumerate(self.powers):
-            for a, Pa in enumerate(P):
-                for w in range(k):
-                    W[a][w][i] = Pa[w][v]
-        M = []
-        for d in range(D + 1):
-            U = W[d]
-            for b in range(1, d + 1):
-                contrib = _gmul(M[d - b], self.K[b], rank)
-                for w in range(k):
-                    Uw, Cw = U[w], contrib[w]
-                    for i in range(k):
-                        if not Cw[i].is_zero():
-                            Uw[i] = Uw[i] - Cw[i]
-            Y = _gmul(U, self.adj0, rank)
-            try:
-                M.append([[exact_divide(x, self.det0) for x in row] for row in Y])
-            except NotDivisible as exc:
-                raise NonIntegralConstant(str(exc)) from exc
-        return M
+def _interpolation_matrix(xs: list, p: int) -> np.ndarray:
+    """Inverse of the Vandermonde matrix V[a, j] = xs[a]^j: values at the
+    nodes xs to coefficients of 1, x, x^2, ..."""
+    V = np.ones((len(xs), len(xs)), dtype=np.int64)
+    for j in range(1, len(xs)):
+        V[:, j] = V[:, j - 1] * xs % p
+    return _inverse_mod(V, p)
 
 
-def _gzero(rank: int, k: int) -> list:
-    z = GammaElement.zero(rank)
-    return [[z] * k for _ in range(k)]
+def _degree_probe(dv: DivisorOperator, D: int, p: int, rng: random.Random) -> list:
+    """Nodes per variable for dense interpolation: one more than the table's
+    degree in x_i, read off a line through a random point whose node count
+    doubles until the interpolant's degree falls below it."""
+    rank = dv.poset.rs.rank
+    base = [rng.randrange(1, p) for _ in range(rank)]
+    counts = []
+    for i in range(rank):
+        # a constant that is not a polynomial in x_i would never terminate
+        for t in (2, 4, 8, 16, 32, 64, 128):
+            xs = rng.sample(range(1, p), t)
+            nodes = np.array([base[:i] + [x] + base[i + 1:] for x in xs], dtype=np.int64)
+            solver, Vinv = _ModPSolver(dv, D, p, nodes), _interpolation_matrix(xs, p)
+            deg = max(
+                np.flatnonzero(_matmul_mod(Vinv, solver.columns([v]).reshape(t, -1), p).any(axis=1))[-1]
+                for v in range(dv.k)
+            )
+            if deg < t - 1:
+                break
+        else:
+            raise QKRingError(f"table degree in x_{i + 1} exceeds {t - 2}")
+        counts.append(int(deg) + 1)
+    return counts
 
 
-def _gident(rank: int, k: int) -> list:
-    out = _gzero(rank, k)
-    one = GammaElement.from_int(rank, 1)
-    for i in range(k):
-        out[i][i] = one
-    return out
+# The solve keeps a few int64 arrays of (grid points, D+1, k, k) entries;
+# past this many entries each of them would pass 64 MB.
+_GRID_ENTRIES = 1 << 23
 
 
-def _gmul(A: list, B: list, rank: int) -> list:
-    k = len(A)
-    out = _gzero(rank, k)
-    for i in range(k):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a.is_zero():
-                continue
-            Bt = B[t]
-            for j in range(k):
-                b = Bt[j]
-                if not b.is_zero():
-                    Oi[j] = Oi[j] + a * b
-    return out
+def _interpolated_columns(dv: DivisorOperator, D: int, counts: list, p: int, rng: random.Random):
+    """Layers of every M_v over the group ring, interpolated from the solve on
+    a grid of counts[i] random nonzero nodes per variable, one v at a time."""
+    rank, k = dv.poset.rs.rank, dv.k
+    if prod(counts) * (D + 1) * k * k > _GRID_ENTRIES:
+        raise QKRingError(f"exact interpolation needs a grid of {prod(counts)} points; use the mod-p backend")
+    axes = [rng.sample(range(1, p), n) for n in counts]
+    inverses = [_interpolation_matrix(xs, p) for xs in axes]
+    solver = _ModPSolver(dv, D, p, np.array(list(iproduct(*axes)), dtype=np.int64))
+    for v in range(k):
+        # axes (n_1, ..., n_rank, entries); transforming the leading axis and
+        # rotating it to the back ends with (entries, n_1, ..., n_rank)
+        c = solver.columns([v]).reshape(*counts, -1)
+        for n, Vinv in zip(counts, inverses):
+            c = _matmul_mod(Vinv, c.reshape(n, -1), p).T
+        c = c.reshape(-1, prod(counts))
+        c = np.where(c > p // 2, c - p, c)
+        entry, mono = np.nonzero(c)
+        terms = [{} for _ in range(len(c))]
+        # the coefficient of x^j is that of e^{-j}
+        exps = (-np.stack(np.unravel_index(mono, counts), axis=1)).tolist()
+        for t, e, x in zip(entry.tolist(), exps, c[entry, mono].tolist()):
+            terms[t][tuple(e)] = x
+        g = [GammaElement(rank, t) for t in terms]
+        yield [[g[(d * k + w) * k:(d * k + w + 1) * k] for w in range(k)] for d in range(D + 1)]
 
 
-def _gadd_into(A: list, B: list) -> None:
-    for i, row in enumerate(B):
-        Ai = A[i]
-        for j, b in enumerate(row):
-            if not b.is_zero():
-                Ai[j] = Ai[j] + b
+def _certified(table: MultTable) -> bool:
+    """M_v e_1 = e_v and M_v L = L M_v, exactly: only the true table passes."""
+    try:
+        _check_identity_row(table)
+    except QKRingError:
+        return False
+    return verify_ms_equations(table)["status"] == "pass"
 
 
-def _solver_for(poset: CominusculePoset, D: int, fld):
-    dv = divisor_matrix(poset)
-    if isinstance(fld, GammaModPField):
-        return _ModPSolver(dv, D, fld)
-    return _ExactSolver(poset, dv, D)
+def _exact_table(poset: CominusculePoset, dv: DivisorOperator, D: int, fld) -> MultTable:
+    """Probe, interpolate and certify; on failure redraw once with a doubled box."""
+    p = DEFAULT_PRIMES[0]
+    rng = random.Random(f"nodes:{poset.space}:{D}")
+    counts = None
+    for _ in range(2):
+        try:
+            counts = _degree_probe(dv, D, p, rng) if counts is None else [2 * n for n in counts]
+            table = _assemble(poset, D, fld, _interpolated_columns(dv, D, counts, p, rng))
+        except SingularKrylov:
+            continue
+        if _certified(table):
+            return table
+    raise QKRingError("interpolated table failed its exact certificate")
 
 
 # ---------------------------------------------------------------------------
@@ -511,21 +486,32 @@ def full_table(poset: CominusculePoset, D: int | None = None, backend="exact") -
 
     The certificate requires layers D and D-1 of every entry to vanish; the
     default D = d_max + 2 leaves exactly that headroom above the q-degree
-    bound d_max.
+    bound d_max.  An exact table is interpolated from mod-p solves and
+    certified exactly (see the module docstring).
     """
     if D is None:
         D = default_truncation(poset)
     if D < 2:
         raise ValueError("truncation must be at least 2 for the certificate")
     fld = make_field(poset, backend)
+    dv = divisor_matrix(poset)
+    if not isinstance(fld, GammaModPField):
+        return _exact_table(poset, dv, D, fld)
+    solver = _ModPSolver(dv, D, fld.p, np.array([fld.assignment], dtype=np.int64))
+    table = _assemble(poset, D, fld, solver.columns(range(dv.k))[0].tolist())
+    _check_identity_row(table)
+    return table
+
+
+def _assemble(poset: CominusculePoset, D: int, fld, columns) -> MultTable:
+    """The table of the columns M_v, once their top two layers vanish."""
     mats = []
-    for M in _solver_for(poset, D, fld).columns():
-        # certificate: the top two layers vanish identically
+    for M in columns:
         for d in (D - 1, D):
             if any(x for row in M[d] for x in row):
                 raise TruncationTooSmall(f"nonzero coefficient at q^{d} with truncation {D}")
         mats.append(M)
-    table = MultTable(
+    return MultTable(
         space=str(poset.space),
         D=D,
         backend=fld.descriptor(),
@@ -534,8 +520,6 @@ def full_table(poset: CominusculePoset, D: int | None = None, backend="exact") -
         poset=poset,
         flags={"stabilized": True},
     )
-    _check_identity_row(table)
-    return table
 
 
 def _check_identity_row(table: MultTable) -> None:
@@ -710,8 +694,7 @@ def verify_ms_equations(table: MultTable) -> dict:
     # mod-p: the u'- and w'-sums for all (u,w) at fixed v are the layered
     # products M_v L and L M_v; the v'-sum is a contraction over the stack.
     p = table.backend["p"]
-    fld = GammaModPField(poset.rs.rank, p, tuple(table.backend["assignment"]))
-    Lnp = dv.modp_layers(fld)
+    Lnp = dv.modp_layers(p, np.array([table.backend["assignment"]], dtype=np.int64))[0]
     Ms = [_np_layers(table.mats[v]) for v in range(k)]
     cap = 2 * table.D
     rights = None

@@ -16,22 +16,35 @@ from qkcalc import cli
 
 tracer = Tracer()
 tracer.install()
-code = cli.main(["table", "Gr(2,4)", "--backend=mod-p", "--cache-dir=" + sys.argv[1]])
+code = cli.main(["table", "Gr(2,4)", "--backend=" + sys.argv[2], "--cache-dir=" + sys.argv[1]])
 print(json.dumps(tracer.summary()))
 sys.exit(code)
 """
 
 
-def test_tracer_installs_and_sees_a_modp_build(tmp_path):
+def _traced_table(cache_dir, backend: str) -> dict:
     paths = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(tmp_path)],
+        [sys.executable, "-c", TRACED_RUN, str(cache_dir), backend],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    layers = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_tracer_installs_and_sees_a_modp_build(tmp_path):
+    layers = _traced_table(tmp_path, "mod-p")
     assert layers["qkring.full_table.calls"] == 1
     assert layers.get("qkring.full_table.failed", 0) == 0
     # the mod-p solve runs in numpy, not through the scalar field
     assert layers["gamma.modp.mul.calls"] == 0
+
+
+def test_tracer_sees_an_exact_build_without_group_ring_division(tmp_path):
+    # the exact table is interpolated from the mod-p solve: no Montante
+    # elimination, so no exact division through qkring
+    layers = _traced_table(tmp_path, "exact")
+    assert layers["qkring.full_table.calls"] == 1
+    assert layers.get("qkring.full_table.failed", 0) == 0
+    assert layers.get("gamma.exact_divide.calls", 0) == 0

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import qkcalc
 
+from qkcalc import qkring
 from qkcalc.chevalley import j_class, sgamma_mask, sgamma_star
 from qkcalc.gamma import DEFAULT_PRIMES, GammaElement, QPolynomial
 from qkcalc.poset import build_cominuscule
@@ -220,42 +222,6 @@ def test_modp_tables_are_independent():
     assert len(descs) == 4
 
 
-def test_montante_adjugate_on_random_laurent_matrices():
-    import random
-
-    rng = random.Random(11)
-    from qkcalc.qkring import _gident, _gmul, _montante
-
-    rank = 2
-    for n in (1, 2, 3, 4):
-        A = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                g = GammaElement.zero(rank)
-                for _ in range(rng.randrange(1, 4)):
-                    e = (rng.randrange(-2, 3), rng.randrange(-2, 3))
-                    g = g + GammaElement.monomial(e) * GammaElement.from_int(rank, rng.randrange(-3, 4))
-                row.append(g)
-            A.append(row)
-        adj, det = _montante(rank, A)
-        if det.is_zero():
-            continue
-        want = [[x * det for x in row] for row in _gident(rank, n)]
-        assert _gmul(adj, A, rank) == want
-        assert _gmul(A, adj, rank) == want
-
-
-def test_exact_solver_adjugate_identity():
-    from qkcalc.qkring import _ExactSolver, _gident, _gmul, divisor_matrix
-
-    for space in ("Gr(2,4)", "Q(4)"):
-        poset = build_cominuscule(space)
-        s = _ExactSolver(poset, divisor_matrix(poset), poset.d_max + 2)
-        want = [[x * s.det0 for x in row] for row in _gident(s.rank, s.k)]
-        assert _gmul(s.adj0, s.K[0], s.rank) == want
-
-
 def test_load_table_treats_undecodable_file_as_miss(tmp_path, gr24_table):
     table = gr24_table
     path = save_table(table, str(tmp_path))
@@ -283,6 +249,8 @@ def test_save_table_leaves_no_temp_file(tmp_path, gr24_table):
 
 IDENTITY_ROW_SCRIPT = """
 import copy
+from qkcalc import qkring
+from qkcalc.gamma import GammaElement
 from qkcalc.poset import build_cominuscule
 from qkcalc.qkring import QKRingError, _check_identity_row, full_table
 
@@ -292,6 +260,18 @@ bad = copy.deepcopy(table)
 bad.mats[1][0][0][0] = bad.mats[0][0][0][0]
 try:
     _check_identity_row(bad)
+except QKRingError as exc:
+    print("raised:", exc)
+
+# a corrupted interpolant fails the exact certificate on both attempts
+interpolate = qkring._interpolated_columns
+def corrupted(*args):
+    for M in interpolate(*args):
+        M[0][1][1] = M[0][1][1] + GammaElement.from_int(M[0][1][1].rank, 1)
+        yield M
+qkring._interpolated_columns = corrupted
+try:
+    full_table(build_cominuscule("Gr(2,4)"))
 except QKRingError as exc:
     print("raised:", exc)
 """
@@ -305,7 +285,10 @@ def test_identity_row_check_survives_python_O():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised: identity row broken"
+    assert proc.stdout.splitlines() == [
+        "raised: identity row broken",
+        "raised: interpolated table failed its exact certificate",
+    ]
 
 
 # sha256(json.dumps(table.to_json_obj(), sort_keys=True))[:16] of the default
@@ -319,12 +302,80 @@ PINNED_MODP_TABLES = {
     "E6": "bd59c3070f2f84d8",
 }
 
+# the same digest of the default exact table; recorded from the group-ring
+# (Montante) solve, which interpolation must reproduce term for term
+PINNED_EXACT_TABLES = {
+    "P1": "cf7581b7f2ec3ce0",
+    "LG(2,4)": "adc7d113fa5016af",
+    "Q(3)": "aa68cb954421f93e",
+    "Gr(2,4)": "b4d69860d8d5d928",
+    "Q(4)": "7d3e6c3b7fe3e082",
+    "Q(5)": "78a2e860a593d184",
+    "Q(6)": "d9ec84b41c2a9544",
+}
 
-@pytest.mark.parametrize("space", sorted(PINNED_MODP_TABLES))
-def test_modp_table_residues_are_pinned(space):
-    table = full_table(build_cominuscule(space), backend="mod-p")
-    blob = json.dumps(table.to_json_obj(), sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest()[:16] == PINNED_MODP_TABLES[space]
+
+def _digest(table) -> str:
+    return hashlib.sha256(json.dumps(table.to_json_obj(), sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "space, backend, digest",
+    [pytest.param(s, "mod-p", h, id=s) for s, h in sorted(PINNED_MODP_TABLES.items())]
+    + [pytest.param(s, "exact", h, id=f"exact-{s}") for s, h in sorted(PINNED_EXACT_TABLES.items())],
+)
+def test_modp_table_residues_are_pinned(space, backend, digest):
+    table = full_table(build_cominuscule(space), backend=backend)
+    assert _digest(table) == digest
+    if backend == "exact":
+        assert table.backend == {"kind": "exact", "rank": table.poset.rs.rank}
+
+
+@pytest.mark.parametrize("space", ["LG(3,6)", "Gr(2,5)"])
+def test_exact_build_of_larger_spaces(space):
+    # out of reach of the group-ring solve (over 590 s each)
+    poset = build_cominuscule(space)
+    start = time.perf_counter()
+    table = full_table(poset)
+    assert time.perf_counter() - start < 10
+    assert verify_ms_equations(table)["status"] == "pass"
+    assert tables_agree(table, modp_tables(poset, D=table.D, primes=1, assignments=1)[0])
+
+
+def test_exact_build_redraws_after_a_failed_certificate(monkeypatch):
+    # a degree box one short on one axis interpolates the wrong polynomials;
+    # the certificate rejects them and the doubled box gives the true table
+    outcomes = []
+    certified = qkring._certified
+    monkeypatch.setattr(qkring, "_degree_probe", lambda *args: [3, 4, 3])
+    monkeypatch.setattr(qkring, "_certified", lambda t: outcomes.append(certified(t)) or outcomes[-1])
+    table = full_table(build_cominuscule("Gr(2,4)"))
+    assert outcomes == [False, True]
+    assert _digest(table) == PINNED_EXACT_TABLES["Gr(2,4)"]
+
+
+def test_exact_build_refuses_a_grid_out_of_reach(monkeypatch):
+    # 8e6 nodes would take gigabytes; the build stops before allocating them
+    monkeypatch.setattr(qkring, "_degree_probe", lambda *args: [200, 200, 200])
+    with pytest.raises(qkring.QKRingError, match="mod-p backend"):
+        full_table(build_cominuscule("Gr(2,4)"))
+
+
+def test_exact_build_redraws_a_singular_node(monkeypatch):
+    # two J_u may coincide at a random node; the nodes are redrawn
+    interpolate = qkring._interpolated_columns
+    calls = []
+
+    def singular_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise SingularKrylov("Krylov matrix is singular mod q")
+        return interpolate(*args)
+
+    monkeypatch.setattr(qkring, "_interpolated_columns", singular_once)
+    table = full_table(build_cominuscule("Gr(2,4)"))
+    assert len(calls) == 2
+    assert _digest(table) == PINNED_EXACT_TABLES["Gr(2,4)"]
 
 
 P0 = DEFAULT_PRIMES[0]
@@ -384,10 +435,16 @@ def test_inverse_mod_or_singular(BC):
     A = np.array(_product_mod(*BC, P0), dtype=np.int64)
     n = len(A)
     if _rank_reference(A.tolist(), P0) == n:
-        assert np.array_equal(_matmul_mod(_inverse_mod(A, P0), A, P0), np.eye(n, dtype=np.int64))
+        inv = _inverse_mod(A, P0)
+        assert np.array_equal(_matmul_mod(inv, A, P0), np.eye(n, dtype=np.int64))
+        # each matrix of a stack pivots on its own rows
+        both = _inverse_mod(np.stack([A, A[::-1]]), P0)
+        assert np.array_equal(both[0], inv) and np.array_equal(both[1], inv[:, ::-1])
     else:
         with pytest.raises(SingularKrylov):
             _inverse_mod(A, P0)
+        with pytest.raises(SingularKrylov):
+            _inverse_mod(np.stack([np.eye(n, dtype=np.int64), A]), P0)
 
 
 def test_modp_solver_rejects_singular_krylov_matrix():
@@ -396,5 +453,6 @@ def test_modp_solver_rejects_singular_krylov_matrix():
     zero = GammaElement.zero(poset.rs.rank)
     k = len(poset.shape_masks)
     flat = DivisorOperator(poset, [[zero] * k for _ in range(k)], [[zero] * k for _ in range(k)])
+    fld = make_field(poset, "mod-p")
     with pytest.raises(SingularKrylov):
-        _ModPSolver(flat, 4, make_field(poset, "mod-p"))
+        _ModPSolver(flat, 4, fld.p, np.array([fld.assignment]))
