@@ -42,6 +42,7 @@ import tempfile
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import comb, prod
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from .gamma import (
     GammaModPField,
     QPolynomial,
     default_assignments,
-    eval_mod_p,
     exact_divide,  # noqa: F401  perfbench/tracer.py counts calls through this name
 )
 from .chevalley import j_class, j_weight, sgamma_star
@@ -84,7 +84,8 @@ class DivisorOperator:
     """Matrix of O^{s_gamma} * (.) in the Schubert basis, split by q-degree.
 
     layer0/layer1 are k x k nested lists (rows w, columns u) over the group
-    ring; all higher layers vanish by the Chevalley theorem.
+    ring; all higher layers vanish by the Chevalley theorem.  ``layers`` stacks
+    them into the array L[d, w, u].
     """
 
     poset: CominusculePoset
@@ -95,32 +96,34 @@ class DivisorOperator:
     def k(self) -> int:
         return len(self.poset.shape_masks)
 
-    def qpoly(self, w: int, u: int) -> QPolynomial:
-        rank = self.poset.rs.rank
-        return QPolynomial(rank, [self.layer0[w][u], self.layer1[w][u]])
+    @property
+    def layers(self) -> np.ndarray:
+        """layer0 and layer1 as one (2, k, k) object array."""
+        return _object_array([g for lay in (self.layer0, self.layer1) for row in lay for g in row], (2, self.k, self.k))
 
-    def modp_layers(self, p: int, nodes: np.ndarray) -> np.ndarray:
-        """layer0 and layer1 at every row of nodes, the residues of the x_i,
-        as one (n, 2, k, k) int64 array."""
-        terms = [
-            (d, w, u, e, c)
-            for d, entries in enumerate((self.layer0, self.layer1))
-            for w, row in enumerate(entries)
-            for u, g in enumerate(row)
-            for e, c in g.terms.items()
-        ]
-        out = np.zeros((len(nodes), 2, self.k, self.k), dtype=np.int64)
-        if not terms:
-            return out
-        d, w, u, lams, coeffs = zip(*terms)
+
+def _object_array(items: list, shape) -> np.ndarray:
+    # filling a flat array is several times faster than np.array on nested lists
+    out = np.empty(len(items), dtype=object)
+    out[:] = items
+    return out.reshape(shape)
+
+
+def _eval_array(G: np.ndarray, p: int, nodes: np.ndarray) -> np.ndarray:
+    """The group-ring array G at every row of nodes, the residues of the
+    x_i = e^{-alpha_i}: an int64 array of shape (len(nodes), *G.shape)."""
+    terms = [(at, e, c) for at, g in enumerate(G.flat) for e, c in g.terms.items()]
+    out = np.zeros((len(nodes), G.size), dtype=np.int64)
+    if terms:
+        at, lams, coeffs = zip(*terms)
         val = np.array(coeffs, dtype=np.int64) % p
         # e^{lam} = prod x_i^{-lam_i}
         for xs, lam in zip(nodes.T.tolist(), zip(*lams)):
-            exps, at = np.unique(lam, return_inverse=True)
+            exps, inv = np.unique(lam, return_inverse=True)
             powers = np.array([[pow(x, -int(e), p) for e in exps] for x in xs], dtype=np.int64)
-            val = val * powers[:, at] % p
-        np.add.at(out, (slice(None), d, w, u), val)
-        return out % p
+            val = val * powers[:, inv] % p
+        np.add.at(out, (slice(None), at), val)
+    return (out % p).reshape(len(nodes), *G.shape)
 
 
 _DIVISOR_CACHE: dict[str, DivisorOperator] = {}
@@ -169,7 +172,7 @@ def divisor_matrix(poset: CominusculePoset) -> DivisorOperator:
 # Backends
 
 
-def make_field(poset: CominusculePoset, backend="exact", prime=None, assignment=None, seed=0):
+def make_field(poset: CominusculePoset, backend="exact", seed=0):
     """Resolve a backend argument into a scalar-field object."""
     if not isinstance(backend, str):
         return backend
@@ -177,9 +180,8 @@ def make_field(poset: CominusculePoset, backend="exact", prime=None, assignment=
     if backend == "exact":
         return GammaFractionField(rank)
     if backend in ("mod-p", "modp"):
-        p = prime if prime is not None else DEFAULT_PRIMES[0]
-        asg = assignment if assignment is not None else default_assignments(rank, p, 1, seed)[0]
-        return GammaModPField(rank, p, asg)
+        p = DEFAULT_PRIMES[0]
+        return GammaModPField(rank, p, default_assignments(rank, p, 1, seed)[0])
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -266,7 +268,7 @@ class _ModPSolver:
         self.D, self.p, self.k = D, p, dv.k
         k, n = dv.k, len(nodes)
         # rows 0..k-1 hold L's q^0 layer, rows k..2k-1 its q^1 layer
-        self.L = dv.modp_layers(p, nodes).reshape(n, 2 * k, k)
+        self.L = _eval_array(dv.layers, p, nodes).reshape(n, 2 * k, k)
         # Krylov layers: column i of K is L^i e_1 (e_1 = the identity class).
         K = self._krylov([0])[:, :, 0].transpose(0, 2, 1, 3)
         C0 = _inverse_mod(K[:, 0], p)
@@ -335,6 +337,8 @@ def _degree_probe(dv: DivisorOperator, D: int, p: int, rng: random.Random) -> li
             )
             if deg < t - 1:
                 break
+            # x_i needs at least t nodes: stop once that is out of reach
+            _check_grid(counts + [t], D, dv.k)
         else:
             raise QKRingError(f"table degree in x_{i + 1} exceeds {t - 2}")
         counts.append(int(deg) + 1)
@@ -346,12 +350,19 @@ def _degree_probe(dv: DivisorOperator, D: int, p: int, rng: random.Random) -> li
 _GRID_ENTRIES = 1 << 23
 
 
-def _interpolated_columns(dv: DivisorOperator, D: int, counts: list, p: int, rng: random.Random):
-    """Layers of every M_v over the group ring, interpolated from the solve on
-    a grid of counts[i] random nonzero nodes per variable, one v at a time."""
-    rank, k = dv.poset.rs.rank, dv.k
+def _check_grid(counts: list, D: int, k: int) -> None:
+    """Refuse a grid of at least prod(counts) points that is out of reach; the
+    probe checks its lower bounds as it goes, so it stops as soon as it knows."""
     if prod(counts) * (D + 1) * k * k > _GRID_ENTRIES:
-        raise QKRingError(f"exact interpolation needs a grid of {prod(counts)} points; use the mod-p backend")
+        raise QKRingError(f"exact interpolation needs a grid of at least {prod(counts)} points; use the mod-p backend")
+
+
+def _interpolated_columns(dv: DivisorOperator, D: int, counts: list, p: int, rng: random.Random):
+    """Layers C[d, w, u] of every M_v over the group ring, interpolated from
+    the solve on a grid of counts[i] random nonzero nodes per variable, one v
+    at a time."""
+    rank, k = dv.poset.rs.rank, dv.k
+    _check_grid(counts, D, k)
     axes = [rng.sample(range(1, p), n) for n in counts]
     inverses = [_interpolation_matrix(xs, p) for xs in axes]
     solver = _ModPSolver(dv, D, p, np.array(list(iproduct(*axes)), dtype=np.int64))
@@ -369,8 +380,7 @@ def _interpolated_columns(dv: DivisorOperator, D: int, counts: list, p: int, rng
         exps = (-np.stack(np.unravel_index(mono, counts), axis=1)).tolist()
         for t, e, x in zip(entry.tolist(), exps, c[entry, mono].tolist()):
             terms[t][tuple(e)] = x
-        g = [GammaElement(rank, t) for t in terms]
-        yield [[g[(d * k + w) * k:(d * k + w + 1) * k] for w in range(k)] for d in range(D + 1)]
+        yield _object_array([GammaElement(rank, t) for t in terms], (D + 1, k, k))
 
 
 def _certified(table: MultTable) -> bool:
@@ -390,7 +400,7 @@ def _exact_table(poset: CominusculePoset, dv: DivisorOperator, D: int, fld) -> M
     for _ in range(2):
         try:
             counts = _degree_probe(dv, D, p, rng) if counts is None else [2 * n for n in counts]
-            table = _assemble(poset, D, fld, _interpolated_columns(dv, D, counts, p, rng))
+            table = _assemble(poset, D, fld, np.stack(list(_interpolated_columns(dv, D, counts, p, rng))))
         except SingularKrylov:
             continue
         if _certified(table):
@@ -406,15 +416,16 @@ def _exact_table(poset: CominusculePoset, dv: DivisorOperator, D: int, fld) -> M
 class MultTable:
     """All structure constants N^{w,d}_{u,v} of one space, mod q^{D+1}.
 
-    mats[v][d][w][u] holds the coefficient of q^d O^w in O^u * O^v, as a
-    GammaElement (exact backend) or a residue (mod-p backend).
+    mats[v, d, w, u] holds the coefficient of q^d O^w in O^u * O^v, in an
+    array of shape (k, D+1, k, k): GammaElement objects (exact backend) or
+    int64 residues (mod-p backend).
     """
 
     space: str
     D: int
     backend: dict
     masks: tuple
-    mats: list
+    mats: np.ndarray
     poset: CominusculePoset | None = None
     flags: dict = field(default_factory=dict)
 
@@ -427,29 +438,25 @@ class MultTable:
         return self.backend.get("kind") == "exact"
 
     def entry(self, u: int, v: int, w: int):
-        layers = [self.mats[v][d][w][u] for d in range(len(self.mats[v]))]
+        layers = self.mats[v, :, w, u].tolist()
         if self.is_exact:
             rank = self.poset.rs.rank if self.poset else layers[0].rank
             return QPolynomial(rank, layers)
         return tuple(layers)
 
     def classical(self, u: int, v: int, w: int):
-        return self.mats[v][0][w][u]
+        return self.mats[v, 0, w, u]
 
     def to_json_obj(self) -> dict:
+        mats = self.mats.tolist()
         if self.is_exact:
-            ser = lambda x: x.to_json_obj()
-        else:
-            ser = int
+            mats = [[[[x.to_json_obj() for x in row] for row in mat] for mat in layers] for layers in mats]
         return {
             "space": self.space,
             "D": self.D,
             "backend": self.backend,
             "masks": list(self.masks),
-            "mats": [
-                [[[ser(x) for x in row] for row in mat] for mat in layers]
-                for layers in self.mats
-            ],
+            "mats": mats,
             "flags": self.flags,
         }
 
@@ -458,12 +465,14 @@ class MultTable:
         poset = build_cominuscule(obj["space"])
         if tuple(obj["masks"]) != poset.shape_masks:
             raise QKRingError("cached table does not match the space basis")
-        exact = obj["backend"].get("kind") == "exact"
-        de = GammaElement.from_json_obj if exact else int
-        mats = [
-            [[[de(x) for x in row] for row in mat] for mat in layers]
-            for layers in obj["mats"]
-        ]
+        k = len(poset.shape_masks)
+        if obj["backend"].get("kind") == "exact":
+            # looked up per call, so that a wrapper on the class attribute sees it
+            de = GammaElement.from_json_obj
+            flat = [de(x) for layers in obj["mats"] for mat in layers for row in mat for x in row]
+            mats = _object_array(flat, (k, -1, k, k))
+        else:
+            mats = np.array(obj["mats"], dtype=np.int64)
         return MultTable(
             space=obj["space"],
             D=obj["D"],
@@ -498,19 +507,16 @@ def full_table(poset: CominusculePoset, D: int | None = None, backend="exact") -
     if not isinstance(fld, GammaModPField):
         return _exact_table(poset, dv, D, fld)
     solver = _ModPSolver(dv, D, fld.p, np.array([fld.assignment], dtype=np.int64))
-    table = _assemble(poset, D, fld, solver.columns(range(dv.k))[0].tolist())
+    table = _assemble(poset, D, fld, solver.columns(range(dv.k))[0])
     _check_identity_row(table)
     return table
 
 
-def _assemble(poset: CominusculePoset, D: int, fld, columns) -> MultTable:
-    """The table of the columns M_v, once their top two layers vanish."""
-    mats = []
-    for M in columns:
-        for d in (D - 1, D):
-            if any(x for row in M[d] for x in row):
-                raise TruncationTooSmall(f"nonzero coefficient at q^{d} with truncation {D}")
-        mats.append(M)
+def _assemble(poset: CominusculePoset, D: int, fld, mats: np.ndarray) -> MultTable:
+    """The table of the layers mats[v, d, w, u], once its top two layers vanish."""
+    for d in (D - 1, D):
+        if mats[:, d].any():
+            raise TruncationTooSmall(f"nonzero coefficient at q^{d} with truncation {D}")
     return MultTable(
         space=str(poset.space),
         D=D,
@@ -524,19 +530,11 @@ def _assemble(poset: CominusculePoset, D: int, fld, columns) -> MultTable:
 
 def _check_identity_row(table: MultTable) -> None:
     # O^1 is the unit: column u = identity of M_v must be e_v in layer 0.
-    k = table.k
-    zero_like = (lambda x: x.is_zero()) if table.is_exact else (lambda x: x == 0)
-    one_like = (
-        (lambda x: x == GammaElement.from_int(table.poset.rs.rank, 1))
-        if table.is_exact
-        else (lambda x: x == 1)
-    )
-    for v in range(k):
-        for d, mat in enumerate(table.mats[v]):
-            for w in range(k):
-                x = mat[w][0]
-                if not (one_like(x) if d == 0 and w == v else zero_like(x)):
-                    raise QKRingError("identity row broken")
+    col = table.mats[..., 0]
+    unit = np.zeros(col.shape, dtype=bool)
+    unit[:, 0] = np.eye(table.k, dtype=bool)
+    if not (col[unit] == _ring(table).one).all() or col[~unit].astype(bool).any():
+        raise QKRingError("identity row broken")
 
 
 def modp_tables(poset: CominusculePoset, D: int | None = None, primes: int = 2, assignments: int = 2, seed: int = 0) -> list:
@@ -546,46 +544,31 @@ def modp_tables(poset: CominusculePoset, D: int | None = None, primes: int = 2, 
 
 def tables_agree(exact: MultTable, modp: MultTable) -> bool:
     """Evaluate the exact table through the mod-p assignment and compare."""
-    p = modp.backend["p"]
-    asg = tuple(modp.backend["assignment"])
-    for v in range(exact.k):
-        for d, mat in enumerate(exact.mats[v]):
-            other = modp.mats[v][d]
-            for w in range(exact.k):
-                row = mat[w]
-                orow = other[w]
-                for u in range(exact.k):
-                    if eval_mod_p(row[u], asg, p) != orow[u]:
-                        return False
-    return True
+    return bool((_ring(modp).image(exact.mats) == modp.mats).all())
 
 
 def specialize(table: MultTable, mode: str) -> MultTable:
     """Coefficient-wise ring maps: 'q0' kills q, 'nonequivariant' sends e^l to 1."""
     if mode == "q0":
-        mats = [[table.mats[v][0]] for v in range(table.k)]
         return MultTable(
             space=table.space,
             D=0,
             backend=dict(table.backend, specialized="q0"),
             masks=table.masks,
-            mats=mats,
+            mats=table.mats[:, :1],
             poset=table.poset,
             flags={"specialized": "q0"},
         )
     if mode == "nonequivariant":
         if not table.is_exact:
             raise QKRingError("nonequivariant specialization needs the exact backend")
-        mats = [
-            [[[sum(x.terms.values()) for x in row] for row in mat] for mat in layers]
-            for layers in table.mats
-        ]
+        mats = np.array([sum(x.terms.values()) for x in table.mats.flat], dtype=np.int64)
         return MultTable(
             space=table.space,
             D=table.D,
             backend={"kind": "nonequivariant"},
             masks=table.masks,
-            mats=mats,
+            mats=mats.reshape(table.mats.shape),
             poset=table.poset,
             flags={"specialized": "nonequivariant"},
         )
@@ -593,49 +576,52 @@ def specialize(table: MultTable, mode: str) -> MultTable:
 
 
 # ---------------------------------------------------------------------------
-# Verification suites
+# Verification suites: one body each, over the table's coefficient ring
 
 
-def _np_layers(mats_v: list) -> list:
-    return [np.array(mat, dtype=np.int64) for mat in mats_v]
+class _Ring(NamedTuple):
+    one: object
+    image: Callable  # group-ring object array -> array over the ring
+    matmul: Callable  # matrix product of two 2-d arrays over the ring
 
 
-def _lay_mul_mod(A: list, B: list, p: int, cap: int) -> list:
-    k = A[0].shape[0]
-    out = [np.zeros((k, k), dtype=np.int64) for _ in range(cap + 1)]
-    for a, Aa in enumerate(A):
-        if not Aa.any():
-            continue
-        for b, Bb in enumerate(B):
-            if a + b > cap:
-                break
-            if Bb.any():
-                out[a + b] = (out[a + b] + _matmul_mod(Aa, Bb, p)) % p
-    return out
+def _ring(table: MultTable) -> _Ring:
+    """The group ring itself for an exact table; F_p through the table's
+    assignment for a mod-p one."""
+    if table.is_exact:
+        zero = GammaElement.zero(table.poset.rs.rank)
+        return _Ring(GammaElement.from_int(zero.rank, 1), lambda G: G, lambda A, B: _group_ring_matmul(A, B, zero))
+    p = table.backend["p"]
+    node = np.array([table.backend["assignment"]], dtype=np.int64)
+    return _Ring(1, lambda G: _eval_array(G, p, node)[0], lambda A, B: _matmul_mod(A, B, p))
 
 
-def _glay_mul(A: list, B: list, rank: int) -> list:
-    """Layered product over the group ring (dense nested lists)."""
-    k = len(A[0])
-    zero = GammaElement.zero(rank)
-    cap = len(A) + len(B) - 2
-    out = [[[zero] * k for _ in range(k)] for _ in range(cap + 1)]
-    for a, Aa in enumerate(A):
-        for b, Bb in enumerate(B):
-            tgt = out[a + b]
-            for i in range(k):
-                Ai = Aa[i]
-                Ti = tgt[i]
-                for t in range(k):
-                    x = Ai[t]
-                    if x.is_zero():
-                        continue
-                    Bt = Bb[t]
-                    for j in range(k):
-                        y = Bt[j]
-                        if not y.is_zero():
-                            Ti[j] = Ti[j] + x * y
-    return out
+def _group_ring_matmul(A: np.ndarray, B: np.ndarray, zero: GammaElement) -> np.ndarray:
+    """A @ B for object arrays over the group ring, skipping zero entries."""
+    rows = [[(j, y) for j, y in enumerate(brow) if y] for brow in B.tolist()]
+    out = []
+    for arow in A.tolist():
+        acc = [zero] * B.shape[1]
+        for x, brow in zip(arow, rows):
+            if x:
+                for j, y in brow:
+                    acc[j] = x * y if acc[j] is zero else acc[j] + x * y
+        out.extend(acc)
+    return _object_array(out, (A.shape[0], B.shape[1]))
+
+
+def _lay_mul(A: np.ndarray, B: np.ndarray, matmul: Callable) -> np.ndarray:
+    """Product of two matrices over ring[q] given by their layers, A (a, k, m)
+    and B (b, m, n): layer d is [A_i ...] @ [B_{d-i}; ...] over the i with
+    both layers nonzero."""
+    nz_a = np.flatnonzero(A.astype(bool).any(axis=(1, 2)))
+    nz_b = B.astype(bool).any(axis=(1, 2))
+    out = []
+    for d in range(len(A) + len(B) - 1):
+        i = nz_a[(nz_a <= d) & (nz_a > d - len(B))]
+        i = i[nz_b[d - i]]
+        out.append(matmul(A[i].transpose(1, 0, 2).reshape(A.shape[1], -1), B[d - i].reshape(-1, B.shape[2])))
+    return np.stack(out)
 
 
 def _report(check: str, table: MultTable, failures: list, extra: dict | None = None) -> dict:
@@ -652,114 +638,55 @@ def _report(check: str, table: MultTable, failures: list, extra: dict | None = N
     return rep
 
 
+def _rows(X: np.ndarray) -> np.ndarray:
+    """Layers of the stack [M_v; ...] of X[v, d, w, u], rows (v, w)."""
+    return X.transpose(1, 0, 2, 3).reshape(X.shape[1], -1, X.shape[3])
+
+
+def _cols(X: np.ndarray) -> np.ndarray:
+    """Layers of the block row [M_v ...] of X[v, d, w, u], columns (v, u)."""
+    return X.transpose(1, 2, 0, 3).reshape(X.shape[1], X.shape[2], -1)
+
+
 def verify_ms_equations(table: MultTable) -> dict:
     """Check both generalized Molev-Sagan identities on every triple (u,v,w).
 
     With beta = gamma the three sums are, over u', w', v' respectively,
     sum N^{u'}_{s,u} D^w_{u',v} = sum N^w_{s,w'} D^{w'}_{u,v} = sum N^{v'}_{s,v} D^w_{u,v'}.
+    They are three layered products: M_v L and L M_v for all v at once, and
+    S L for the stack S[d][(w, u), v'] = M_v'.
     """
-    poset = table.poset
-    dv = divisor_matrix(poset)
-    k = table.k
-    failures = []
-    if table.is_exact:
-        rank = poset.rs.rank
-        L = [[dv.qpoly(w, u) for u in range(k)] for w in range(k)]
-        E = [
-            [
-                [table.entry(u, v, w) for u in range(k)]
-                for w in range(k)
-            ]
-            for v in range(k)
-        ]
-        zero = QPolynomial.zero(rank)
-        for u in range(k):
-            for v in range(k):
-                for w in range(k):
-                    left = zero
-                    for up in range(k):
-                        if L[up][u]:
-                            left = left + L[up][u].mul(E[v][w][up])
-                    mid = zero
-                    for wp in range(k):
-                        if L[w][wp]:
-                            mid = mid + L[w][wp].mul(E[v][wp][u])
-                    right = zero
-                    for vp in range(k):
-                        if L[vp][v]:
-                            right = right + L[vp][v].mul(E[vp][w][u])
-                    if left != mid or mid != right:
-                        failures.append((u, v, w))
-        return _report("ms-equations", table, failures, {"triples": k**3})
-    # mod-p: the u'- and w'-sums for all (u,w) at fixed v are the layered
-    # products M_v L and L M_v; the v'-sum is a contraction over the stack.
-    p = table.backend["p"]
-    Lnp = dv.modp_layers(p, np.array([table.backend["assignment"]], dtype=np.int64))[0]
-    Ms = [_np_layers(table.mats[v]) for v in range(k)]
-    cap = 2 * table.D
-    rights = None
-    stack = [np.stack([Ms[vp][d] for vp in range(k)]) for d in range(table.D + 1)]
-    for v in range(k):
-        left = _lay_mul_mod(Ms[v], Lnp, p, cap)
-        mid = _lay_mul_mod(Lnp, Ms[v], p, cap)
-        if rights is None:
-            # rights[d][w,u,v] = sum_{v'} L[v'][v] * N^{w,d-b}_{u,v'}
-            rights = [np.zeros((k, k, k), dtype=np.int64) for _ in range(cap + 1)]
-            for a, Xa in enumerate(stack):
-                flat = Xa.reshape(k, k * k)
-                for b, Lb in enumerate(Lnp):
-                    got = _matmul_mod(flat.T, Lb, p).reshape(k, k, k)
-                    rights[a + b] = (rights[a + b] + got) % p
-        for d in range(cap + 1):
-            if not np.array_equal(left[d], mid[d]) or not np.array_equal(
-                mid[d], rights[d][:, :, v]
-            ):
-                bad = np.argwhere(left[d] != mid[d])
-                failures.append((int(bad[0][1]) if len(bad) else -1, v, d))
-    return _report("ms-equations", table, failures, {"triples": k**3})
+    _, image, matmul = _ring(table)
+    L = image(divisor_matrix(table.poset).layers)
+    C, k = table.mats, table.k
+    left = _lay_mul(_rows(C), L, matmul).reshape(-1, k, k, k)
+    mid = _lay_mul(L, _cols(C), matmul).reshape(-1, k, k, k).transpose(0, 2, 1, 3)
+    S = C.transpose(1, 2, 3, 0).reshape(C.shape[1], k * k, k)
+    right = _lay_mul(S, L, matmul).reshape(-1, k, k, k).transpose(0, 3, 1, 2)
+    # bad[u, v, w]: some layer of some identity fails
+    bad = ((left != mid) | (mid != right)).any(axis=0).transpose(2, 0, 1)
+    return _report("ms-equations", table, [tuple(t) for t in np.argwhere(bad).tolist()], {"triples": k**3})
 
 
-def verify_associativity(table: MultTable, sample: int | None = None, seed: int = 0) -> dict:
+def verify_associativity(table: MultTable) -> dict:
     """Symmetry plus commuting multiplication operators.
 
     Once N^w_{u,v} = N^w_{v,u} holds, (O^u * O^v) * O^w = O^u * (O^v * O^w)
     for all triples is equivalent to [M_u, M_w] = 0 for all pairs.
     """
-    k = table.k
-    failures = []
-    pairs = [(u, w) for u in range(k) for w in range(u + 1, k)]
-    if sample is not None and sample < len(pairs):
-        import random
-
-        pairs = random.Random(seed).sample(pairs, sample)
-    if table.is_exact:
-        for u in range(k):
-            for v in range(u + 1, k):
-                for w in range(k):
-                    if table.entry(u, v, w) != table.entry(v, u, w):
-                        failures.append(("symmetry", u, v, w))
-        rank = table.poset.rs.rank
-        for u, w in pairs:
-            AB = _glay_mul(table.mats[u], table.mats[w], rank)
-            BA = _glay_mul(table.mats[w], table.mats[u], rank)
-            if AB != BA:
-                failures.append(("commutator", u, w))
-        return _report("associativity", table, failures, {"pairs": len(pairs)})
-    p = table.backend["p"]
-    Ms = [_np_layers(table.mats[v]) for v in range(k)]
-    for d in range(table.D + 1):
-        X = np.stack([Ms[v][d] for v in range(k)])
-        if not np.array_equal(X, X.transpose(2, 1, 0)):
-            failures.append(("symmetry", d))
-    cap = 2 * table.D
-    for u, w in pairs:
-        AB = _lay_mul_mod(Ms[u], Ms[w], p, cap)
-        BA = _lay_mul_mod(Ms[w], Ms[u], p, cap)
-        for d in range(cap + 1):
-            if not np.array_equal(AB[d], BA[d]):
-                failures.append(("commutator", u, w, d))
-                break
-    return _report("associativity", table, failures, {"pairs": len(pairs)})
+    matmul = _ring(table).matmul
+    C, k = table.mats, table.k
+    # asym[u, v, w]: N^w_{u,v} != N^w_{v,u} in some layer
+    asym = (C != C.transpose(3, 1, 2, 0)).any(axis=1).transpose(2, 0, 1)
+    failures = [("symmetry", u, v, w) for u, v, w in np.argwhere(asym).tolist() if u < v]
+    # M_u against every later M_w at once: M_u [M_w ...] and [M_w; ...] M_u
+    for u in range(k - 1):
+        rest = C[u + 1:]
+        uw = _lay_mul(C[u], _cols(rest), matmul).reshape(-1, k, len(rest), k).transpose(0, 2, 1, 3)
+        wu = _lay_mul(_rows(rest), C[u], matmul).reshape(-1, len(rest), k, k)
+        bad = (uw != wu).any(axis=(0, 2, 3))
+        failures += [("commutator", u, w) for w in (u + 1 + np.flatnonzero(bad)).tolist()]
+    return _report("associativity", table, failures, {"pairs": k * (k - 1) // 2})
 
 
 def _sign_expand(g: GammaElement, sign: int):
@@ -793,8 +720,8 @@ def verify_positivity_signs(table: MultTable) -> dict:
     k = table.k
     failures = []
     checked = 0
-    for v in range(k):
-        for d, mat in enumerate(table.mats[v]):
+    for v, layers in enumerate(table.mats.tolist()):
+        for d, mat in enumerate(layers):
             for w in range(k):
                 for u in range(k):
                     g = mat[w][u]

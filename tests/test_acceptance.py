@@ -203,7 +203,7 @@ def _table_properties(table):
     rank = table.poset.rs.rank
     rep = verify_ms_equations(table)
     assert rep["status"] == "pass", rep
-    rep = verify_associativity(table, sample=None)
+    rep = verify_associativity(table)
     assert rep["status"] == "pass", rep
     k = table.k
     for v in range(k):

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TRACED_RUN = """
@@ -16,21 +18,26 @@ from qkcalc import cli
 
 tracer = Tracer()
 tracer.install()
-code = cli.main(["table", "Gr(2,4)", "--backend=" + sys.argv[2], "--cache-dir=" + sys.argv[1]])
+code = cli.main(sys.argv[1:])
 print(json.dumps(tracer.summary()))
 sys.exit(code)
 """
 
 
-def _traced_table(cache_dir, backend: str) -> dict:
+def _traced(*argv: str) -> dict:
+    """Layer totals of one traced qkcalc command in a fresh process."""
     paths = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(cache_dir), backend],
+        [sys.executable, "-c", TRACED_RUN, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _traced_table(cache_dir, backend: str) -> dict:
+    return _traced("table", "Gr(2,4)", "--backend=" + backend, f"--cache-dir={cache_dir}")
 
 
 def test_tracer_installs_and_sees_a_modp_build(tmp_path):
@@ -48,3 +55,16 @@ def test_tracer_sees_an_exact_build_without_group_ring_division(tmp_path):
     assert layers["qkring.full_table.calls"] == 1
     assert layers.get("qkring.full_table.failed", 0) == 0
     assert layers.get("gamma.exact_divide.calls", 0) == 0
+
+
+@pytest.mark.parametrize("backend", ["exact", "mod-p"])
+def test_tracer_sees_a_warm_product(tmp_path, backend):
+    # a warm query reads its table from the cache; exact coefficients decode
+    # through GammaElement.from_json_obj, so an alias of it bound at import
+    # time would read 0 here
+    _traced_table(tmp_path, backend)
+    layers = _traced("product", "Gr(2,4)", "1", "1", "--backend=" + backend, f"--cache-dir={tmp_path}")
+    assert layers["qkring.load_table.hits"] == 1
+    assert layers.get("qkring.full_table.calls", 0) == 0
+    if backend == "exact":
+        assert layers["gamma.from_json.calls"] > 0

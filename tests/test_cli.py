@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -219,3 +220,40 @@ def test_read_only_cache_dir_still_answers(capsys, tmp_path, monkeypatch):
     assert code == 0 and "q O^(0)" in out
     assert "warning" in err and "not cached" in err
     assert list(ro.iterdir()) == []
+
+
+# mod-p output of `product Gr(2,6) 1 2`, recorded when mod-p tables were still
+# nested lists of Python ints: an int64 array must print the same digits
+GR26_ASSIGNMENT = [318664915, 1510685161, 1301240610, 385068716, 635342210]
+GR26_BACKEND = {"kind": "mod-p", "rank": 5, "p": 2147483647, "assignment": GR26_ASSIGNMENT}
+GR26_PRODUCT = [
+    [3, [1748361873, 0, 0, 0, 0]],
+    [7, [399121775, 0, 0, 0, 0]],
+    [19, [399121775, 0, 0, 0, 0]],
+    [23, [1748361872, 0, 0, 0, 0]],
+]
+GR26_TEXT = (
+    f"# mod-p table {GR26_BACKEND}\n"
+    "O^(2): [1748361873, 0, 0, 0, 0]\n"
+    "O^(3): [399121775, 0, 0, 0, 0]\n"
+    "O^(2,1): [399121775, 0, 0, 0, 0]\n"
+    "O^(3,1): [1748361872, 0, 0, 0, 0]\n"
+)
+GR26_TABLE_JSON_SHA256 = "1a4359f1024e22a2b983a76ab0136bacd50b69d7c21b745d480685dff443e9a7"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_modp_product_output_is_pinned(capsys, tmp_path, fmt):
+    code, out, err = run(capsys, "product", "Gr(2,6)", "1", "2", "--backend=mod-p", f"--format={fmt}", f"--cache-dir={tmp_path}")
+    assert code == 0 and err == ""
+    if fmt == "json":
+        want = {"backend": GR26_BACKEND, "product": GR26_PRODUCT, "space": "Gr(2,6)", "u": "1", "v": "2"}
+        assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    else:
+        assert out == GR26_TEXT
+
+
+def test_modp_table_json_is_pinned(capsys, tmp_path):
+    code, out, _ = run(capsys, "table", "Gr(2,6)", "--backend=mod-p", "--format=json", f"--cache-dir={tmp_path}")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GR26_TABLE_JSON_SHA256

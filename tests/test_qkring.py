@@ -107,7 +107,7 @@ def test_cache_roundtrip(tmp_path, gr24_table):
     back = load_table(table.space, table.D, table.backend, str(tmp_path))
     assert back is not None
     assert back.space == table.space and back.D == table.D
-    assert back.mats == table.mats
+    assert (back.mats == table.mats).all()
     # wrong D or backend must miss
     assert load_table(table.space, table.D + 1, table.backend, str(tmp_path)) is None
     assert load_table(table.space, table.D, {"kind": "exact", "rank": 99}, str(tmp_path)) is None
@@ -189,6 +189,45 @@ def test_tampered_table_fails_associativity(gr24_table):
     table.mats[2][1][4][3] = g + GammaElement.from_int(rank, 1)
     rep = verify_associativity(table)
     assert rep["status"] == "fail"
+
+
+def _bump(table, at):
+    one = GammaElement.from_int(table.poset.rs.rank, 1) if table.is_exact else 1
+    x = table.mats[at] + one
+    table.mats[at] = x if table.is_exact else x % table.backend["p"]
+
+
+@pytest.mark.parametrize(
+    "check, at",
+    [(verify_ms_equations, (3, 0, 2, 1)), (verify_associativity, (2, 1, 4, 3))],
+    ids=["ms-equations", "associativity"],
+)
+def test_tampered_modp_table_fails_checks(check, at):
+    # the same corruptions as above, in a residue table
+    table = full_table(build_cominuscule("Gr(2,4)"), backend="mod-p")
+    assert check(table)["status"] == "pass"
+    _bump(table, at)
+    rep = check(table)
+    assert rep["status"] == "fail"
+    assert rep["failure_count"] > 0
+
+
+@pytest.mark.parametrize("backend", ["exact", "mod-p"])
+def test_swapped_operators_fail_the_vprime_sum(backend):
+    # each M_v still commutes with L, so only the third Molev-Sagan sum sees it
+    table = full_table(build_cominuscule("Gr(2,4)"), backend=backend)
+    table.mats[[1, 2]] = table.mats[[2, 1]]
+    assert verify_ms_equations(table)["status"] == "fail"
+
+
+@pytest.mark.parametrize("backend", ["exact", "mod-p"])
+def test_symmetric_corruption_fails_the_commutators(backend):
+    table = full_table(build_cominuscule("Gr(2,4)"), backend=backend)
+    _bump(table, (2, 1, 4, 3))
+    _bump(table, (3, 1, 4, 2))
+    rep = verify_associativity(table)
+    assert rep["status"] == "fail"
+    assert {f[0] for f in rep["failures"]} == {"commutator"}
 
 
 def test_verify_reports_pass(gr24_table):
@@ -361,6 +400,24 @@ def test_exact_build_refuses_a_grid_out_of_reach(monkeypatch):
         full_table(build_cominuscule("Gr(2,4)"))
 
 
+def test_degree_probe_stops_at_the_grid_guard(monkeypatch):
+    # once the degrees found so far put the grid out of reach, the probe
+    # refuses without probing the remaining variables
+    lines = []
+    solver = qkring._ModPSolver
+
+    def recording(dv, D, p, nodes):
+        lines.append(nodes)
+        return solver(dv, D, p, nodes)
+
+    monkeypatch.setattr(qkring, "_GRID_ENTRIES", 1)
+    monkeypatch.setattr(qkring, "_ModPSolver", recording)
+    with pytest.raises(qkring.QKRingError, match="mod-p backend"):
+        full_table(build_cominuscule("Gr(2,4)"))
+    # every probe line varied x_1 alone
+    assert lines and all(not np.ptp(nodes[:, 1:], axis=0).any() for nodes in lines)
+
+
 def test_exact_build_redraws_a_singular_node(monkeypatch):
     # two J_u may coincide at a random node; the nodes are redrawn
     interpolate = qkring._interpolated_columns
@@ -445,6 +502,54 @@ def test_inverse_mod_or_singular(BC):
             _inverse_mod(A, P0)
         with pytest.raises(SingularKrylov):
             _inverse_mod(np.stack([np.eye(n, dtype=np.int64), A]), P0)
+
+
+# layered matrices over the group ring of rank 1, with zero entries and zero layers
+monomials = st.dictionaries(st.tuples(st.integers(-2, 2)), st.integers(-3, 3), max_size=2)
+
+
+@st.composite
+def layered_matrices(draw):
+    k, m, n = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def layers(rows, cols):
+        count = draw(st.integers(1, 4))
+        nonzero = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        return [
+            [[GammaElement(1, draw(monomials) if nz else {}) for _ in range(cols)] for _ in range(rows)]
+            for nz in nonzero
+        ]
+
+    return layers(k, m), layers(m, n)
+
+
+def _as_array(nested):
+    flat = [g for layer in nested for row in layer for g in row]
+    return qkring._object_array(flat, (len(nested), len(nested[0]), len(nested[0][0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(layered_matrices())
+def test_layered_product_matches_reference(AB):
+    A, B = AB
+    zero = GammaElement.zero(1)
+    want = [
+        [
+            [
+                sum((A[a][i][t] * B[d - a][t][j] for a in range(len(A)) if 0 <= d - a < len(B) for t in range(len(B[0]))), zero)
+                for j in range(len(B[0][0]))
+            ]
+            for i in range(len(A[0]))
+        ]
+        for d in range(len(A) + len(B) - 1)
+    ]
+    got = qkring._lay_mul(_as_array(A), _as_array(B), lambda X, Y: qkring._group_ring_matmul(X, Y, zero))
+    assert got.tolist() == want
+    # the same product of the residues, at one nonzero x = e^{-alpha}
+    node = np.array([[12345]])
+    residues = [qkring._eval_array(_as_array(X), P0, node)[0] for X in (A, B)]
+    got = qkring._lay_mul(*residues, lambda X, Y: _matmul_mod(X, Y, P0))
+    assert np.array_equal(got, qkring._eval_array(_as_array(want), P0, node)[0])
 
 
 def test_modp_solver_rejects_singular_krylov_matrix():
