@@ -62,46 +62,24 @@ def _default_backend(poset: CominusculePoset) -> str:
 # rendering
 
 
-def _gamma_text(g, poset) -> str:
+def _gamma_coeff(g, poset, fmt: str) -> str:
     """Render a Gamma element as a sum of [C_w] characters."""
     if g.is_zero():
         return "0"
+    times = "\\," if fmt == "latex" else "*"
     bits = []
     for e, c in g.sorted_terms():
-        ch = "1" if not any(e) else f"[C_{{{eps_string(poset, e)}}}]"
-        if c == 1:
-            term = ch
-        elif c == -1:
-            term = f"-{ch}"
+        if not any(e):
+            ch = "1"
+        elif fmt == "latex":
+            ch = "[{\\mathbb C}_{%s}]" % _eps_latex_build(eps_string(poset, e))
         else:
-            term = f"{c}*{ch}"
-        if bits and not term.startswith("-"):
-            bits.append("+" + term)
+            ch = f"[C_{{{eps_string(poset, e)}}}]"
+        if c in (1, -1):
+            term = ch if c == 1 else "-" + ch
         else:
-            bits.append(term)
-    return "".join(bits)
-
-
-def _gamma_latex(g, poset) -> str:
-    if g.is_zero():
-        return "0"
-    bits = []
-    for e, c in g.sorted_terms():
-        ch = (
-            "1"
-            if not any(e)
-            else "[{\\mathbb C}_{%s}]" % _eps_latex_build(eps_string(poset, e))
-        )
-        if c == 1:
-            term = ch
-        elif c == -1:
-            term = "-" + ch
-        else:
-            term = f"{c}\\," + ch
-        if bits and not term.startswith("-"):
-            bits.append("+" + term)
-        else:
-            bits.append(term)
+            term = f"{c}{times}{ch}"
+        bits.append(term if not bits or term.startswith("-") else "+" + term)
     return "".join(bits)
 
 
@@ -134,34 +112,21 @@ def _shape_name(poset, mask: int) -> str:
     return "(" + poset.format_shape(Shape(poset, mask)) + ")"
 
 
-def _qkclass_lines(poset, items, factor, fmt: str) -> list[str]:
-    """Render a quantum K class, with the character `factor` divided out of
-    every coefficient when possible."""
-    star = "\\star" if fmt == "latex" else "*"
+def _render_product(poset, lhs: str, items, fmt: str) -> str:
+    """Render `lhs` = the quantum K class `items`, one q^d O^w term a line."""
     basis = "{\\mathcal O}^" if fmt == "latex" else "O^"
-    lines = []
     order = {m: i for i, m in enumerate(poset.shape_masks)}
+    terms = []
     for mask, poly in sorted(items, key=lambda kv: order[kv[0]]):
-        for d in range(poly.degree() + 1):
-            g = poly.coeff(d)
+        name = _shape_name(poset, mask)
+        if fmt == "latex":
+            name = "{%s}" % name
+        for d, g in enumerate(poly.coeffs):
             if g.is_zero():
                 continue
-            g = g.shifted(factor)
-            coeff = _gamma_latex(g, poset) if fmt == "latex" else _gamma_text(g, poset)
             qpart = "" if d == 0 else ("q" if d == 1 else f"q^{d}")
-            name = _shape_name(poset, mask)
-            if fmt == "latex":
-                name = "{(%s)}" % poset.format_shape(Shape(poset, mask))
-            piece = " ".join(x for x in (f"({coeff})", qpart, f"{basis}{name}") if x)
-            lines.append(piece)
-    return lines
-
-
-def _render_product(poset, lhs: str, items, fmt: str) -> str:
-    zero_shift = (0,) * poset.rs.rank
-    terms = _qkclass_lines(poset, items, zero_shift, fmt)
-    joiner = "\n  + " if fmt == "text" else "\n  + "
-    return f"{lhs} =\n  " + (joiner.join(terms) if terms else "0")
+            terms.append(" ".join(x for x in (f"({_gamma_coeff(g, poset, fmt)})", qpart, basis + name) if x))
+    return f"{lhs} =\n  " + ("\n  + ".join(terms) if terms else "0")
 
 
 def _json_qkclass(items) -> list:
@@ -242,8 +207,7 @@ def _load_or_build_table(args, poset) -> MultTable:
     backend = args.backend or _default_backend(poset)
     qmax = args.qmax if args.qmax is not None else default_truncation(poset)
     cache_dir = args.cache_dir or _default_cache_dir()
-    fld = make_field(poset, backend, seed=args.seed)
-    desc = fld.descriptor()
+    desc = make_field(poset, backend, seed=args.seed)
     space = str(poset.space)
     # doubling is only the fallback for a failed certificate; a certified
     # table at any rung of that ladder answers the query, so probe each once
@@ -257,7 +221,7 @@ def _load_or_build_table(args, poset) -> MultTable:
             _warn(f"ignoring unreadable cache file {path}")
     for D in rungs:
         try:
-            table = full_table(poset, D=D, backend=fld)
+            table = full_table(poset, D=D, backend=desc)
             break
         except TruncationTooSmall:
             if D == rungs[-1]:
@@ -371,8 +335,7 @@ def _suite_chevalley(poset, args) -> list[dict]:
 def _suite_ktchev2(poset, args) -> list[dict]:
     from .oracles import verify_ktchev2
 
-    backend = args.backend or _default_backend(poset)
-    return [verify_ktchev2(poset, backend=backend, seed=args.seed)]
+    return [verify_ktchev2(poset)]
 
 
 def _suite_lg_oracle(poset, args) -> list[dict]:

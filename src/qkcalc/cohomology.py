@@ -18,14 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gamma import (
-    DEFAULT_PRIMES,
-    ChernPolynomial,
-    FractionField,
-    GammaFractionField,
-    ModPField,
-    ch_character,
-)
+from .gamma import DEFAULT_PRIMES, ChernPolynomial, GammaElement, GammaFraction, ch_character
 from .poset import CominusculePoset
 from .qkring import MultTable, _matmul_mod, _row_reduce_mod, divisor_matrix
 
@@ -125,36 +118,6 @@ class LambdaFraction:
         return f"({self.num!r})/({self.den!r})"
 
 
-class LambdaFractionField(FractionField):
-    """Exact rational functions in the x_beta as a scalar-field object."""
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        self.zero = LambdaFraction.from_poly(ChernPolynomial.zero(rank))
-        self.one = LambdaFraction.from_poly(ChernPolynomial.from_fraction(rank, 1))
-
-    def descriptor(self) -> dict:
-        return {"kind": "lambda-exact", "rank": self.rank}
-
-    def from_poly(self, p: ChernPolynomial) -> LambdaFraction:
-        return LambdaFraction.from_poly(p)
-
-
-class LambdaModPField(ModPField):
-    """The x_beta sent to fixed residues mod p."""
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "lambda-mod-p",
-            "rank": self.rank,
-            "p": self.p,
-            "assignment": list(self.assignment),
-        }
-
-    def from_poly(self, poly: ChernPolynomial) -> int:
-        return poly.evaluate_mod_p(self.assignment, self.p)
-
-
 # ---------------------------------------------------------------------------
 # Divisor Chevalley constants in H_T
 
@@ -190,12 +153,13 @@ def h_chevalley(poset: CominusculePoset, mask: int) -> dict[int, ChernPolynomial
 class MSSolution:
     """Output of the Molev-Sagan recursion on one space.
 
-    table[u][v][w] are scalars of `field`; avec[w][v][u] is the vector
+    table[u][v][w] are field elements (LambdaFraction or GammaFraction) and
+    `zero` is that field's zero; avec[w][v][u] is the vector
     (A^w_{u,v}(tau))_tau used to assemble them from the diagonal values.
     """
 
     poset: CominusculePoset
-    field: object
+    zero: object
     diag: list
     table: list
     avec: list
@@ -205,23 +169,24 @@ class MSSolution:
 
     def a_value(self, u: int, v: int, w: int, tau: int):
         vec = self.avec[w][v][u]
-        return self.field.zero if vec is None else vec[tau]
+        return self.zero if vec is None else vec[tau]
 
 
-def _ms_recursion(poset: CominusculePoset, chev: list, fld) -> MSSolution:
+def _ms_recursion(poset: CominusculePoset, chev: list, zero, one) -> MSSolution:
     """Solve the Molev-Sagan equations given the divisor row `chev`.
 
     chev[u] maps w to the divisor Chevalley constant on O^w in the product
-    with O^u (diagonal included); support must be Bruhat-triangular.  The
+    with O^u (diagonal included), as elements of a field with the given
+    zero and one; support must be Bruhat-triangular.  The
     induction follows w ascending, then v and u descending, and zeroes any
     A^w_{u,v} with u or v not below w.
     """
     masks = poset.shape_masks
     k = len(masks)
-    diag = [chev[u].get(u, fld.zero) for u in range(k)]
+    diag = [chev[u].get(u, zero) for u in range(k)]
     for u in range(k):
         for w in range(u + 1, k):
-            if fld.eq(diag[u], diag[w]):
+            if diag[u] == diag[w]:
                 raise DiagonalCollision(f"equal divisor restrictions at {u}, {w}")
     up = [sorted((w, c) for w, c in chev[u].items() if w != u) for u in range(k)]
     down = [[] for _ in range(k)]
@@ -237,31 +202,31 @@ def _ms_recursion(poset: CominusculePoset, chev: list, fld) -> MSSolution:
                 if not (leq(u, w) and leq(v, w)):
                     continue
                 if u == v == w:
-                    vec = [fld.zero] * k
-                    vec[w] = fld.one
+                    vec = [zero] * k
+                    vec[w] = one
                 elif v != w:
-                    inv = fld.inv(fld.sub(diag[w], diag[v]))
-                    vec = [fld.zero] * k
+                    inv = (diag[w] - diag[v]).inverse()
+                    vec = [zero] * k
                     for vp, c in up[v]:
                         prev = avec[w][vp][u]
                         if prev is not None:
                             for t in range(k):
-                                vec[t] = fld.add(vec[t], fld.mul(c, prev[t]))
+                                vec[t] = vec[t] + c * prev[t]
                     for wp, c in down[w]:
                         prev = avec[wp][v][u]
                         if prev is not None:
                             for t in range(k):
-                                vec[t] = fld.sub(vec[t], fld.mul(c, prev[t]))
-                    vec = [fld.mul(inv, x) for x in vec]
+                                vec[t] = vec[t] - c * prev[t]
+                    vec = [inv * x for x in vec]
                 else:
-                    inv = fld.inv(fld.sub(diag[w], diag[u]))
-                    vec = [fld.zero] * k
+                    inv = (diag[w] - diag[u]).inverse()
+                    vec = [zero] * k
                     for upx, c in up[u]:
                         prev = avec[w][w][upx]
                         if prev is not None:
                             for t in range(k):
-                                vec[t] = fld.add(vec[t], fld.mul(c, prev[t]))
-                    vec = [fld.mul(inv, x) for x in vec]
+                                vec[t] = vec[t] + c * prev[t]
+                    vec = [inv * x for x in vec]
                 avec[w][v][u] = vec
 
     # Diagonal values from the identity-row seed D^w_{1,w} = 1, then the
@@ -269,66 +234,55 @@ def _ms_recursion(poset: CominusculePoset, chev: list, fld) -> MSSolution:
     ddiag = [None] * k
     for w in range(k):
         vec = avec[w][w][0]
-        rhs = fld.one
+        rhs = one
         for t in range(k):
-            if t != w and ddiag[t] is not None and not fld.is_zero(vec[t]):
-                rhs = fld.sub(rhs, fld.mul(vec[t], ddiag[t]))
-        ddiag[w] = fld.mul(fld.inv(vec[w]), rhs)
-    table = [[[fld.zero] * k for _ in range(k)] for _ in range(k)]
+            if t != w and ddiag[t] is not None and not vec[t].is_zero():
+                rhs = rhs - vec[t] * ddiag[t]
+        ddiag[w] = vec[w].inverse() * rhs
+    table = [[[zero] * k for _ in range(k)] for _ in range(k)]
     for w in range(k):
         for v in range(k):
             for u in range(k):
                 vec = avec[w][v][u]
                 if vec is None:
                     continue
-                acc = fld.zero
+                acc = zero
                 for t in range(k):
-                    if not fld.is_zero(vec[t]):
-                        acc = fld.add(acc, fld.mul(vec[t], ddiag[t]))
+                    if not vec[t].is_zero():
+                        acc = acc + vec[t] * ddiag[t]
                 table[u][v][w] = acc
-    sol = MSSolution(poset=poset, field=fld, diag=ddiag, table=table, avec=avec)
-    _ms_post_checks(sol)
+    sol = MSSolution(poset=poset, zero=zero, diag=ddiag, table=table, avec=avec)
+    _ms_post_checks(sol, one)
     return sol
 
 
-def _ms_post_checks(sol: MSSolution) -> None:
+def _ms_post_checks(sol: MSSolution, one) -> None:
     # Identity row and commutativity are not imposed anywhere above; they
     # must emerge from the solver.
-    fld = sol.field
     k = len(sol.diag)
     for v in range(k):
         for w in range(k):
-            want = fld.one if v == w else fld.zero
-            if not fld.eq(sol.table[0][v][w], want):
+            if sol.table[0][v][w] != (one if v == w else sol.zero):
                 raise CohomologyError("identity row did not emerge")
     for u in range(k):
         for v in range(u + 1, k):
             for w in range(k):
-                if not fld.eq(sol.table[u][v][w], sol.table[v][u][w]):
+                if sol.table[u][v][w] != sol.table[v][u][w]:
                     raise CohomologyError("commutativity did not emerge")
 
 
-def ms_solve_classical(poset: CominusculePoset, backend: str = "exact", prime: int | None = None, assignment: tuple | None = None, seed: int = 0) -> MSSolution:
+def ms_solve_classical(poset: CominusculePoset) -> MSSolution:
     """Full H_T structure-constant table from the divisor row alone."""
     rank = poset.rs.rank
-    if backend == "exact":
-        fld = LambdaFractionField(rank)
-    elif backend in ("mod-p", "modp"):
-        p = prime if prime is not None else DEFAULT_PRIMES[0]
-        if assignment is None:
-            import random
-
-            rng = random.Random(f"lambda:{seed}:{p}:{rank}")
-            assignment = tuple(rng.randrange(1, p) for _ in range(rank))
-        fld = LambdaModPField(rank, p, assignment)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     masks = poset.shape_masks
     index = {m: i for i, m in enumerate(masks)}
-    chev = []
-    for u, mask in enumerate(masks):
-        chev.append({index[wm]: fld.from_poly(c) for wm, c in h_chevalley(poset, mask).items()})
-    return _ms_recursion(poset, chev, fld)
+    chev = [
+        {index[wm]: LambdaFraction.from_poly(c) for wm, c in h_chevalley(poset, mask).items()}
+        for mask in masks
+    ]
+    zero = LambdaFraction.from_poly(ChernPolynomial.zero(rank))
+    one = LambdaFraction.from_poly(ChernPolynomial.from_fraction(rank, 1))
+    return _ms_recursion(poset, chev, zero, one)
 
 
 def ms_solve_classical_kt(poset: CominusculePoset) -> MSSolution:
@@ -337,18 +291,15 @@ def ms_solve_classical_kt(poset: CominusculePoset) -> MSSolution:
     Independent of the Krylov reconstruction; used as the oracle for the
     q = 0 layer of the quantum table.
     """
-    fld = GammaFractionField(poset.rs.rank)
+    rank = poset.rs.rank
     dv = divisor_matrix(poset)
-    k = dv.k
-    chev = []
-    for u in range(k):
-        row = {}
-        for w in range(k):
-            g = dv.layer0[w][u]
-            if not g.is_zero():
-                row[w] = fld.from_gamma(g)
-        chev.append(row)
-    return _ms_recursion(poset, chev, fld)
+    chev = [
+        {w: GammaFraction.from_gamma(row[u]) for w, row in enumerate(dv.layer0) if not row[u].is_zero()}
+        for u in range(dv.k)
+    ]
+    zero = GammaFraction.from_gamma(GammaElement.zero(rank))
+    one = GammaFraction.from_gamma(GammaElement.from_int(rank, 1))
+    return _ms_recursion(poset, chev, zero, one)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +367,8 @@ def conjecture_probe(poset: CominusculePoset, assignments: int = 2, prime: int |
     points = [tuple(rng.randrange(1, p) for _ in range(rank)) for _ in range(assignments)]
     dims = []
     for asg in points:
-        fld = LambdaModPField(rank, p, asg)
         chev = [
-            {index[wm]: fld.from_poly(c) for wm, c in h_chevalley(poset, mask).items()}
+            {index[wm]: c.evaluate_mod_p(asg, p) for wm, c in h_chevalley(poset, mask).items()}
             for mask in masks
         ]
         idx = lambda u, v, w: (u * k + v) * k + w
@@ -462,12 +412,11 @@ def divisor_generation_check(poset: CominusculePoset, prime: int | None = None, 
 
     rng = random.Random(f"divgen:{seed}:{p}:{rank}")
     asg = tuple(rng.randrange(1, p) for _ in range(rank))
-    fld = LambdaModPField(rank, p, asg)
     index = {m: i for i, m in enumerate(masks)}
     L = np.zeros((k, k), dtype=np.int64)
     for u, mask in enumerate(masks):
         for wm, c in h_chevalley(poset, mask).items():
-            L[index[wm], u] = fld.from_poly(c)
+            L[index[wm], u] = c.evaluate_mod_p(asg, p)
     K = np.zeros((k, k), dtype=np.int64)
     e = np.zeros(k, dtype=np.int64)
     e[0] = 1

@@ -11,10 +11,11 @@ The module also provides
   ``GammaElement`` coefficients, truncated at an explicit degree bound;
 * ``exact_divide`` - exact multivariate division, the only way this codebase
   ever "divides" group-ring elements;
-* ``eval_mod_p`` - ring homomorphisms to F_p given by assigning a nonzero
-  residue to each generator ``e^{-alpha_i}``;
-* ``GammaFraction`` and the scalar-field wrappers used by the linear-algebra
-  layers (exact fraction field of the group ring, and its mod-p shadows);
+* ``GammaFraction`` - the exact fraction field of the group ring, with the
+  field operators the Molev-Sagan recursion runs on;
+* ``DEFAULT_PRIMES`` and ``default_assignments`` - the primes and nonzero
+  residues of the generators ``e^{-alpha_i}`` that mod-p backends evaluate at
+  (the evaluation itself is ``qkring._eval_array``);
 * ``ChernPolynomial`` and ``ch_leading`` - the graded pieces of the Chern
   character ``e^lam -> exp(c(lam))``, with exact rational coefficients.
 """
@@ -231,28 +232,6 @@ def exact_divide(a: GammaElement, b: GammaElement) -> GammaElement:
     return GammaElement(a.rank, quot).shifted(offset)
 
 
-def eval_mod_p(a: GammaElement, assignment: tuple[int, ...], p: int) -> int:
-    """Ring homomorphism to F_p sending ``e^{-alpha_i}`` to assignment[i].
-
-    Every residue must be nonzero mod p; negative powers use the modular
-    inverse, so eval(e^{beta}) is the inverse of eval(e^{-beta})'s value.
-    """
-    if len(assignment) != a.rank:
-        raise GammaError("assignment length does not match rank")
-    vals = [t % p for t in assignment]
-    if any(v == 0 for v in vals):
-        raise ZeroAssignment("mod-p assignment contains a zero residue")
-    total = 0
-    for e, c in a.terms.items():
-        m = 1
-        for v, k in zip(vals, e):
-            if k:
-                # e^{-alpha_i} -> v, hence e^{alpha_i} -> v^{-1}.
-                m = m * pow(v, -k, p) % p
-        total = (total + c * m) % p
-    return total
-
-
 # ---------------------------------------------------------------------------
 # q-truncated polynomials over the group ring
 
@@ -364,7 +343,7 @@ class QPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Scalar fields: exact fractions of group-ring elements, and mod-p shadows.
+# The fraction field of the group ring
 
 
 _NORMALIZE_TERM_CAP = 400
@@ -468,109 +447,22 @@ def _normalize_fraction(num: GammaElement, den: GammaElement) -> tuple[GammaElem
     return num, den
 
 
-class FractionField:
-    """Field arithmetic shared by the exact scalar fields: their elements
-    carry the operators and an ``inverse`` method."""
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return a.inverse()
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a.is_zero()
-
-    @staticmethod
-    def eq(a, b) -> bool:
-        return a == b
+# ---------------------------------------------------------------------------
+# Mod-p evaluation points
 
 
-class GammaFractionField(FractionField):
-    """Exact fraction field of the group ring, as a scalar-field object."""
+# No solver calls these two: the mod-p solve runs on int64 arrays.  They stay
+# because perfbench/tracer.py wraps both methods to count calls.
+class GammaModPField:
+    """Sum and product of residues mod ``p``."""
 
-    def __init__(self, rank: int):
-        self.rank = rank
-        self.zero = GammaFraction.from_gamma(GammaElement.zero(rank))
-        self.one = GammaFraction.from_gamma(GammaElement.from_int(rank, 1))
-
-    def descriptor(self) -> dict:
-        return {"kind": "exact", "rank": self.rank}
-
-    def from_gamma(self, g: GammaElement) -> GammaFraction:
-        return GammaFraction.from_gamma(g)
-
-
-class ModPField:
-    """F_p arithmetic shared by the mod-p scalar fields; residues are ints
-    in [0, p) and the generators go to the residues of ``assignment``."""
-
-    zero = 0
-    one = 1
-
-    def __init__(self, rank: int, p: int, assignment: tuple[int, ...]):
-        self.rank = rank
-        self.p = p
-        self.assignment = tuple(t % p for t in assignment)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
+    p: int
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverting zero mod p")
-        return pow(a, -1, self.p)
-
-    @staticmethod
-    def is_zero(a: int) -> bool:
-        return a == 0
-
-    @staticmethod
-    def eq(a: int, b: int) -> bool:
-        return a == b
-
-
-class GammaModPField(ModPField):
-    """F_p scalars with gamma elements mapped through a fixed assignment."""
-
-    def __init__(self, rank: int, p: int, assignment: tuple[int, ...]):
-        if len(assignment) != rank:
-            raise GammaError("assignment length does not match rank")
-        if any(t % p == 0 for t in assignment):
-            raise ZeroAssignment("mod-p assignment contains a zero residue")
-        super().__init__(rank, p, assignment)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "mod-p",
-            "rank": self.rank,
-            "p": self.p,
-            "assignment": list(self.assignment),
-        }
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
 
 
 # Fixed default primes for evaluation backends (31-bit).

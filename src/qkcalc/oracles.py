@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chevalley import j_class, kt_chevalley
-from .gamma import DEFAULT_PRIMES, GammaElement, default_assignments, eval_mod_p
+from .gamma import GammaElement
 from .poset import CominusculePoset, NotContained, Shape
 from .rootsys import build_root_system, eps_to_root
 
@@ -111,34 +111,18 @@ def ktchev2_closed(poset: CominusculePoset, u_mask: int, w_mask: int) -> GammaEl
     )
 
 
-def verify_ktchev2(poset: CominusculePoset, backend: str = "exact", primes: int = 2, assignments: int = 2, seed: int = 0) -> dict:
+def verify_ktchev2(poset: CominusculePoset) -> dict:
     """chi(J . O^u . O_w) computed through the dual-basis solve must match
-    the closed form on every pair."""
+    the closed form on every pair, exactly."""
     masks = poset.shape_masks
     k = len(masks)
-    rank = poset.rs.rank
-    evals = None
-    if backend in ("mod-p", "modp"):
-        evals = [
-            (p, a)
-            for p in DEFAULT_PRIMES[:primes]
-            for a in default_assignments(rank, p, count=assignments, seed=seed)
-        ]
-    elif backend != "exact":
-        raise ValueError(f"unknown backend {backend!r}")
     failures = []
     for u in range(k):
         b = theta0_coefficients(poset, dict(kt_chevalley(poset, masks[u])))
         for w in range(k):
             want = ktchev2_closed(poset, masks[u], masks[w])
             got = b[w]
-            if evals is None:
-                ok = got == want
-            else:
-                ok = all(
-                    eval_mod_p(got, a, p) == eval_mod_p(want, a, p) for p, a in evals
-                )
-            if not ok:
+            if got != want:
                 failures.append(
                     {"pair": [str(poset.shape(masks[u])), str(poset.shape(masks[w]))],
                      "lhs": repr(got), "rhs": repr(want)}
@@ -146,7 +130,7 @@ def verify_ktchev2(poset: CominusculePoset, backend: str = "exact", primes: int 
     return {
         "check": "ktchev2",
         "space": str(poset.space),
-        "backend": backend,
+        "backend": "exact",
         "pairs": k * k,
         "status": "pass" if not failures else "fail",
         "failures": failures[:20],

@@ -49,9 +49,9 @@ import numpy as np
 from .gamma import (
     DEFAULT_PRIMES,
     GammaElement,
-    GammaFractionField,
-    GammaModPField,
+    GammaError,
     QPolynomial,
+    ZeroAssignment,
     default_assignments,
     exact_divide,  # noqa: F401  perfbench/tracer.py counts calls through this name
 )
@@ -172,27 +172,28 @@ def divisor_matrix(poset: CominusculePoset) -> DivisorOperator:
 # Backends
 
 
-def make_field(poset: CominusculePoset, backend="exact", seed=0):
-    """Resolve a backend argument into a scalar-field object."""
-    if not isinstance(backend, str):
-        return backend
+def make_field(poset: CominusculePoset, backend="exact", seed=0) -> dict:
+    """Resolve a backend name ("exact", "mod-p") or check a descriptor dict.
+
+    The result is the descriptor a table carries and its cache key is made
+    of: {"kind": "exact", "rank": r} or {"kind": "mod-p", "rank": r, "p": p,
+    "assignment": [...]}, the residues of the x_i = e^{-alpha_i}.
+    """
     rank = poset.rs.rank
-    if backend == "exact":
-        return GammaFractionField(rank)
     if backend in ("mod-p", "modp"):
         p = DEFAULT_PRIMES[0]
-        return GammaModPField(rank, p, default_assignments(rank, p, 1, seed)[0])
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def modp_evaluations(poset: CominusculePoset, primes: int = 2, assignments: int = 2, seed: int = 0):
-    """Independent mod-p scalar fields: first `primes` defaults, `assignments` each."""
-    rank = poset.rs.rank
-    out = []
-    for p in DEFAULT_PRIMES[:primes]:
-        for asg in default_assignments(rank, p, assignments, seed):
-            out.append(GammaModPField(rank, p, asg))
-    return out
+        backend = {"kind": "mod-p", "p": p, "assignment": default_assignments(rank, p, 1, seed)[0]}
+    if backend == "exact" or isinstance(backend, dict) and backend.get("kind") == "exact":
+        return {"kind": "exact", "rank": rank}
+    if not isinstance(backend, dict) or backend.get("kind") != "mod-p":
+        raise ValueError(f"unknown backend {backend!r}")
+    p, assignment = backend["p"], backend["assignment"]
+    if len(assignment) != rank:
+        raise GammaError("assignment length does not match rank")
+    if any(t % p == 0 for t in assignment):
+        raise ZeroAssignment("mod-p assignment contains a zero residue")
+    # cache files write the keys in this order
+    return {"kind": "mod-p", "rank": rank, "p": p, "assignment": [t % p for t in assignment]}
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +393,7 @@ def _certified(table: MultTable) -> bool:
     return verify_ms_equations(table)["status"] == "pass"
 
 
-def _exact_table(poset: CominusculePoset, dv: DivisorOperator, D: int, fld) -> MultTable:
+def _exact_table(poset: CominusculePoset, dv: DivisorOperator, D: int, backend: dict) -> MultTable:
     """Probe, interpolate and certify; on failure redraw once with a doubled box."""
     p = DEFAULT_PRIMES[0]
     rng = random.Random(f"nodes:{poset.space}:{D}")
@@ -400,7 +401,7 @@ def _exact_table(poset: CominusculePoset, dv: DivisorOperator, D: int, fld) -> M
     for _ in range(2):
         try:
             counts = _degree_probe(dv, D, p, rng) if counts is None else [2 * n for n in counts]
-            table = _assemble(poset, D, fld, np.stack(list(_interpolated_columns(dv, D, counts, p, rng))))
+            table = _assemble(poset, D, backend, np.stack(list(_interpolated_columns(dv, D, counts, p, rng))))
         except SingularKrylov:
             continue
         if _certified(table):
@@ -502,17 +503,17 @@ def full_table(poset: CominusculePoset, D: int | None = None, backend="exact") -
         D = default_truncation(poset)
     if D < 2:
         raise ValueError("truncation must be at least 2 for the certificate")
-    fld = make_field(poset, backend)
+    backend = make_field(poset, backend)
     dv = divisor_matrix(poset)
-    if not isinstance(fld, GammaModPField):
-        return _exact_table(poset, dv, D, fld)
-    solver = _ModPSolver(dv, D, fld.p, np.array([fld.assignment], dtype=np.int64))
-    table = _assemble(poset, D, fld, solver.columns(range(dv.k))[0])
+    if backend["kind"] == "exact":
+        return _exact_table(poset, dv, D, backend)
+    solver = _ModPSolver(dv, D, backend["p"], np.array([backend["assignment"]], dtype=np.int64))
+    table = _assemble(poset, D, backend, solver.columns(range(dv.k))[0])
     _check_identity_row(table)
     return table
 
 
-def _assemble(poset: CominusculePoset, D: int, fld, mats: np.ndarray) -> MultTable:
+def _assemble(poset: CominusculePoset, D: int, backend: dict, mats: np.ndarray) -> MultTable:
     """The table of the layers mats[v, d, w, u], once its top two layers vanish."""
     for d in (D - 1, D):
         if mats[:, d].any():
@@ -520,7 +521,7 @@ def _assemble(poset: CominusculePoset, D: int, fld, mats: np.ndarray) -> MultTab
     return MultTable(
         space=str(poset.space),
         D=D,
-        backend=fld.descriptor(),
+        backend=backend,
         masks=poset.shape_masks,
         mats=mats,
         poset=poset,
@@ -538,8 +539,14 @@ def _check_identity_row(table: MultTable) -> None:
 
 
 def modp_tables(poset: CominusculePoset, D: int | None = None, primes: int = 2, assignments: int = 2, seed: int = 0) -> list:
-    """One table per (prime, assignment) evaluation; checks must agree on all."""
-    return [full_table(poset, D, fld) for fld in modp_evaluations(poset, primes, assignments, seed)]
+    """One table per evaluation: `assignments` default assignments for each of
+    the first `primes` default primes; checks must agree on all."""
+    rank = poset.rs.rank
+    return [
+        full_table(poset, D, {"kind": "mod-p", "p": p, "assignment": asg})
+        for p in DEFAULT_PRIMES[:primes]
+        for asg in default_assignments(rank, p, assignments, seed)
+    ]
 
 
 def tables_agree(exact: MultTable, modp: MultTable) -> bool:
@@ -587,13 +594,17 @@ class _Ring(NamedTuple):
 
 def _ring(table: MultTable) -> _Ring:
     """The group ring itself for an exact table; F_p through the table's
-    assignment for a mod-p one."""
-    if table.is_exact:
+    assignment for a mod-p one.  Other tables (a nonequivariant
+    specialization, say) have no divisor image to check against."""
+    kind = table.backend.get("kind")
+    if kind == "exact":
         zero = GammaElement.zero(table.poset.rs.rank)
         return _Ring(GammaElement.from_int(zero.rank, 1), lambda G: G, lambda A, B: _group_ring_matmul(A, B, zero))
-    p = table.backend["p"]
-    node = np.array([table.backend["assignment"]], dtype=np.int64)
-    return _Ring(1, lambda G: _eval_array(G, p, node)[0], lambda A, B: _matmul_mod(A, B, p))
+    if kind == "mod-p":
+        p = table.backend["p"]
+        node = np.array([table.backend["assignment"]], dtype=np.int64)
+        return _Ring(1, lambda G: _eval_array(G, p, node)[0], lambda A, B: _matmul_mod(A, B, p))
+    raise QKRingError(f"no coefficient ring to verify a {kind!r} table over")
 
 
 def _group_ring_matmul(A: np.ndarray, B: np.ndarray, zero: GammaElement) -> np.ndarray:

@@ -23,12 +23,13 @@ from qkcalc.chevalley import (
     theta1_op,
 )
 from qkcalc.cohomology import (
+    LambdaFraction,
     ch_bridge_check,
     conjecture_probe,
     ms_solve_classical,
     ms_solve_classical_kt,
 )
-from qkcalc.gamma import GammaElement, QPolynomial
+from qkcalc.gamma import ChernPolynomial, GammaElement, GammaFraction, QPolynomial
 from qkcalc.oracles import verify_ktchev2, verify_lg_oracle
 from qkcalc.poset import build_cominuscule
 from qkcalc.qkring import (
@@ -183,7 +184,7 @@ def test_criterion_04_ktchev2():
         for space in CLASSICAL_TEN:
             rep = verify_ktchev2(P(space))
             assert rep["status"] == "pass", rep
-        rep = verify_ktchev2(P("E6"), backend="mod-p", primes=2, assignments=2)
+        rep = verify_ktchev2(P("E6"))
         assert rep["status"] == "pass", rep
         assert rep["pairs"] == 27 * 27
 
@@ -242,13 +243,12 @@ def test_criterion_07_specialization_chain():
             poset = P(space)
             q0 = specialize(exact_table(space), "q0")
             sol = ms_solve_classical_kt(poset)
-            fld = sol.field
             k = q0.k
             for u in range(k):
                 for v in range(k):
                     for w in range(k):
-                        want = fld.from_gamma(q0.entry(u, v, w).coeff(0))
-                        assert fld.eq(sol.value(u, v, w), want), (space, u, v, w)
+                        want = GammaFraction.from_gamma(q0.entry(u, v, w).coeff(0))
+                        assert sol.value(u, v, w) == want, (space, u, v, w)
             hsol = ms_solve_classical(poset)
             rep = ch_bridge_check(q0, hsol)
             assert rep["status"] == "pass", rep
@@ -271,12 +271,11 @@ def test_criterion_08_p1_end_to_end():
         assert star[0].truncate(table.D) == table.entry(1, 1, 0)
 
         sol = ms_solve_classical(poset)
-        fld = sol.field
-        inv_a = fld.inv(sol.diag[1])
-        assert fld.eq(sol.a_value(0, 1, 1, 1), inv_a)
-        assert fld.eq(sol.a_value(0, 0, 1, 1), fld.mul(inv_a, inv_a))
-        assert fld.eq(sol.a_value(0, 0, 1, 0), fld.neg(inv_a))
-        assert fld.eq(sol.a_value(0, 0, 0, 0), fld.one)
+        inv_a = sol.diag[1].inverse()
+        assert sol.a_value(0, 1, 1, 1) == inv_a
+        assert sol.a_value(0, 0, 1, 1) == inv_a * inv_a
+        assert sol.a_value(0, 0, 1, 0) == -inv_a
+        assert sol.a_value(0, 0, 0, 0) == LambdaFraction.from_poly(ChernPolynomial.from_fraction(rank, 1))
 
         probe = conjecture_probe(poset)
         assert probe["dimension"] == 2 and probe["matches_conjecture"]

@@ -2,6 +2,9 @@
 (`perfbench/tracer.py`).  A refactor that removes or renames a wrapped name
 must fail here instead of silently zeroing the benchmark's layer records."""
 
+import ast
+import glob
+import importlib
 import json
 import os
 import subprocess
@@ -68,3 +71,26 @@ def test_tracer_sees_a_warm_product(tmp_path, backend):
     assert layers.get("qkring.full_table.calls", 0) == 0
     if backend == "exact":
         assert layers["gamma.from_json.calls"] > 0
+
+
+def test_benchmark_imports_from_qkcalc_resolve():
+    # every `from qkcalc... import name` under perfbench/, also those inside
+    # functions that run only in some modes (selfcheck's make_field, say)
+    missing = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qkcalc":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):
+                        try:
+                            importlib.import_module(f"{node.module}.{alias.name}")
+                        except ImportError:
+                            missing.append((os.path.basename(path), node.module, alias.name))
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "qkcalc":
+                        importlib.import_module(alias.name)
+    assert missing == []

@@ -257,3 +257,28 @@ def test_modp_table_json_is_pinned(capsys, tmp_path):
     code, out, _ = run(capsys, "table", "Gr(2,6)", "--backend=mod-p", "--format=json", f"--cache-dir={tmp_path}")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GR26_TABLE_JSON_SHA256
+
+
+# sha256 of `product Gr(2,4) 2,2 2,2`: q, q^2, a constant term and a
+# coefficient 2 take every branch of the coefficient renderer
+GR24_PRODUCT_SHA256 = {
+    "text": "7e6d4ff028508a3d1a680f38155e1b66cb03c4ad81b6c8535dbfc873a48537eb",
+    "latex": "e3365f89089f1f78cab12954f66c23e99e27b015048d669246df82eb7b0c7ba2",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_exact_product_output_is_pinned(capsys, tmp_path, fmt):
+    code, out, err = run(capsys, "product", "Gr(2,4)", "2,2", "2,2", f"--format={fmt}", f"--cache-dir={tmp_path}")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GR24_PRODUCT_SHA256[fmt]
+
+
+def test_ktchev2_is_exact_under_the_modp_backend(capsys, tmp_path):
+    # the oracle compares both sides exactly whatever --backend says
+    code, out, _ = run(capsys, "verify", "LG(3,6)", "--suite=ktchev2", "--backend=mod-p", "--format=json", f"--cache-dir={tmp_path}")
+    assert code == 0
+    rep = json.loads(out.splitlines()[1])
+    assert rep["check"] == "ktchev2" and rep["status"] == "pass"
+    assert rep["backend"] == "exact"
+    assert rep["pairs"] == 8 * 8

@@ -22,7 +22,7 @@ from qkcalc.cohomology import (
     ms_solve_classical,
     ms_solve_classical_kt,
 )
-from qkcalc.gamma import ChernPolynomial
+from qkcalc.gamma import ChernPolynomial, GammaFraction
 from qkcalc.poset import build_cominuscule
 from qkcalc.qkring import full_table, specialize
 
@@ -41,22 +41,21 @@ def test_p1_solution_parametrization():
     # the w = 1 row vanishes off the identity, and A^1_{1,1}(1) = 1
     poset = build_cominuscule("P1")
     sol = ms_solve_classical(poset)
-    fld = sol.field
     a = sol.diag[1]
-    one = fld.one
-    inv_a = fld.inv(a)
-    assert fld.eq(sol.a_value(0, 1, 1, 1), inv_a)
-    assert fld.eq(sol.a_value(1, 0, 1, 1), inv_a)
-    assert fld.eq(sol.a_value(0, 0, 1, 1), fld.mul(inv_a, inv_a))
-    assert fld.eq(sol.a_value(0, 0, 1, 0), fld.neg(inv_a))
-    assert fld.eq(sol.a_value(0, 0, 0, 0), one)
+    one = LambdaFraction.from_poly(ChernPolynomial.from_fraction(1, 1))
+    inv_a = a.inverse()
+    assert sol.a_value(0, 1, 1, 1) == inv_a
+    assert sol.a_value(1, 0, 1, 1) == inv_a
+    assert sol.a_value(0, 0, 1, 1) == inv_a * inv_a
+    assert sol.a_value(0, 0, 1, 0) == -inv_a
+    assert sol.a_value(0, 0, 0, 0) == one
     for u in range(2):
         for v in range(2):
             if (u, v) != (0, 0):
-                assert fld.is_zero(sol.a_value(u, v, 0, 0))
+                assert sol.a_value(u, v, 0, 0).is_zero()
     # the Chevalley solution itself: C^s_{s,s} = a and C^s_{1,1} = 0
-    assert fld.eq(sol.value(1, 1, 1), a)
-    assert fld.is_zero(sol.value(0, 0, 1))
+    assert sol.value(1, 1, 1) == a
+    assert sol.value(0, 0, 1).is_zero()
 
 
 def test_p1_diagonal_is_linear_and_positive():
@@ -107,7 +106,7 @@ def test_a_classes_vanish_above_w_and_are_positive_at_w(space):
                 for tau in range(k):
                     aval = sol.a_value(u, v, w, tau)
                     if not below or (masks[tau] & ~masks[w]):
-                        assert sol.field.is_zero(aval)
+                        assert aval.is_zero()
                 if below:
                     top = sol.a_value(u, v, w, w)
                     assert frac_at_ones(top) > 0
@@ -117,35 +116,18 @@ def test_identity_row_and_commutativity_emerge():
     poset = build_cominuscule("LG(2,4)")
     sol = ms_solve_classical(poset)
     k = len(poset.shape_masks)
-    fld = sol.field
+    one = LambdaFraction.from_poly(ChernPolynomial.from_fraction(poset.rs.rank, 1))
     for v in range(k):
         for w in range(k):
             cvw = sol.value(0, v, w)
             if v == w:
-                assert fld.eq(cvw, fld.one)
+                assert cvw == one
             else:
-                assert fld.is_zero(cvw)
+                assert cvw.is_zero()
     for u in range(k):
         for v in range(u):
             for w in range(k):
-                assert fld.eq(sol.value(u, v, w), sol.value(v, u, w))
-
-
-def test_modp_solver_agrees_with_exact():
-    poset = build_cominuscule("Gr(2,4)")
-    exact = ms_solve_classical(poset)
-    evaluated = ms_solve_classical(poset, backend="mod-p", seed=11)
-    p = evaluated.field.p
-    asg = evaluated.field.assignment
-    k = len(poset.shape_masks)
-    for u in range(k):
-        for v in range(k):
-            for w in range(k):
-                ex = exact.value(u, v, w)
-                num = ex.num.evaluate_mod_p(asg, p)
-                den = ex.den.evaluate_mod_p(asg, p)
-                assert den != 0
-                assert evaluated.value(u, v, w) == num * pow(den, p - 2, p) % p
+                assert sol.value(u, v, w) == sol.value(v, u, w)
 
 
 def test_kt_recursion_matches_chevalley_derived_table():
@@ -155,13 +137,12 @@ def test_kt_recursion_matches_chevalley_derived_table():
     sol = ms_solve_classical_kt(poset)
     table = specialize(full_table(poset), "q0")
     k = len(poset.shape_masks)
-    fld = sol.field
     for u in range(k):
         for v in range(k):
             for w in range(k):
                 got = sol.value(u, v, w)
                 want = table.entry(u, v, w).coeff(0)
-                assert fld.eq(got, fld.from_gamma(want))
+                assert got == GammaFraction.from_gamma(want)
 
 
 def test_kt_p1_diagonal():
@@ -170,11 +151,10 @@ def test_kt_p1_diagonal():
 
     poset = build_cominuscule("P1")
     sol = ms_solve_classical_kt(poset)
-    fld = sol.field
-    want = fld.from_gamma(
+    want = GammaFraction.from_gamma(
         GammaElement.from_int(1, 1) - j_class(poset, poset.full_mask)
     )
-    assert fld.eq(sol.diag[1], want)
+    assert sol.diag[1] == want
 
 
 @pytest.mark.parametrize("space", ["Q(3)", "LG(2,4)"])

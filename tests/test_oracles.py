@@ -58,16 +58,10 @@ def test_theta0_coefficients_reconstruct():
     assert rebuilt == xi
 
 
-@pytest.mark.parametrize("space", ["Gr(2,4)", "LG(2,4)", "Q(5)"])
+@pytest.mark.parametrize("space", ["Gr(2,4)", "LG(2,4)", "Q(5)", "LG(3,6)"])
 def test_ktchev2_exact(space):
     rep = verify_ktchev2(build_cominuscule(space))
     assert rep["status"] == "pass", rep
-
-
-def test_ktchev2_modp_on_lg36():
-    rep = verify_ktchev2(build_cominuscule("LG(3,6)"), backend="mod-p")
-    assert rep["status"] == "pass"
-    assert rep["pairs"] == 8 * 8
 
 
 def test_ktchev2_closed_values():

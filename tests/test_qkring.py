@@ -15,7 +15,7 @@ import qkcalc
 
 from qkcalc import qkring
 from qkcalc.chevalley import j_class, sgamma_mask, sgamma_star
-from qkcalc.gamma import DEFAULT_PRIMES, GammaElement, QPolynomial
+from qkcalc.gamma import DEFAULT_PRIMES, GammaElement, GammaError, QPolynomial, ZeroAssignment
 from qkcalc.poset import build_cominuscule
 from qkcalc.qkring import (
     DivisorOperator,
@@ -238,10 +238,9 @@ def test_verify_reports_pass(gr24_table):
 
 def test_modp_field_roundtrip():
     poset = build_cominuscule("LG(2,4)")
-    fld = make_field(poset, "mod-p", seed=3)
-    d = fld.descriptor()
+    d = make_field(poset, "mod-p", seed=3)
     assert d["kind"] == "mod-p"
-    table = full_table(poset, backend=fld)
+    table = full_table(poset, backend=d)
     assert table.backend == d
     assert not table.is_exact
     # identity row survives in the evaluated table
@@ -249,6 +248,30 @@ def test_modp_field_roundtrip():
         for w in range(table.k):
             t = table.entry(0, v, w)
             assert t == tuple((1 if (v == w and i == 0) else 0) for i in range(len(t)))
+
+
+@pytest.mark.parametrize("check", [verify_ms_equations, verify_associativity], ids=["ms-equations", "associativity"])
+def test_checks_refuse_a_table_without_a_divisor_ring(check):
+    # a nonequivariant table is neither exact nor mod-p
+    table = specialize(full_table(build_cominuscule("P1")), "nonequivariant")
+    with pytest.raises(qkring.QKRingError, match="nonequivariant"):
+        check(table)
+
+
+def test_modp_descriptors_are_checked():
+    poset = build_cominuscule("Gr(2,4)")
+    p = DEFAULT_PRIMES[0]
+    with pytest.raises(ZeroAssignment):
+        full_table(poset, backend={"kind": "mod-p", "p": p, "assignment": [2, p, 3]})
+    with pytest.raises(GammaError, match="length"):
+        make_field(poset, {"kind": "mod-p", "p": p, "assignment": [2, 3]})
+    with pytest.raises(ValueError):
+        make_field(poset, {"kind": "nonequivariant"})
+    # a resolved backend resolves to itself, keys in cache-file order
+    d = make_field(poset, "mod-p", seed=5)
+    assert list(d) == ["kind", "rank", "p", "assignment"]
+    assert make_field(poset, d) == d
+    assert make_field(poset, "exact") == {"kind": "exact", "rank": poset.rs.rank}
 
 
 def test_modp_tables_are_independent():
@@ -558,6 +581,6 @@ def test_modp_solver_rejects_singular_krylov_matrix():
     zero = GammaElement.zero(poset.rs.rank)
     k = len(poset.shape_masks)
     flat = DivisorOperator(poset, [[zero] * k for _ in range(k)], [[zero] * k for _ in range(k)])
-    fld = make_field(poset, "mod-p")
+    d = make_field(poset, "mod-p")
     with pytest.raises(SingularKrylov):
-        _ModPSolver(flat, 4, fld.p, np.array([fld.assignment]))
+        _ModPSolver(flat, 4, d["p"], np.array([d["assignment"]]))
