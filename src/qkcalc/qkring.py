@@ -452,17 +452,22 @@ class MultTable:
         mats = self.mats.tolist()
         if self.is_exact:
             mats = [[[[x.to_json_obj() for x in row] for row in mat] for mat in layers] for layers in mats]
+        return self._json_obj(mats=mats)
+
+    def _json_obj(self, **payload) -> dict:
         return {
             "space": self.space,
             "D": self.D,
             "backend": self.backend,
             "masks": list(self.masks),
-            "mats": mats,
+            **payload,
             "flags": self.flags,
         }
 
     @staticmethod
     def from_json_obj(obj: dict) -> "MultTable":
+        """The table of to_json_obj's output; a mod-p "mats" may also be an
+        int64 array, which is used as it is, without a copy."""
         poset = build_cominuscule(obj["space"])
         if tuple(obj["masks"]) != poset.shape_masks:
             raise QKRingError("cached table does not match the space basis")
@@ -473,7 +478,9 @@ class MultTable:
             flat = [de(x) for layers in obj["mats"] for mat in layers for row in mat for x in row]
             mats = _object_array(flat, (k, -1, k, k))
         else:
-            mats = np.array(obj["mats"], dtype=np.int64)
+            mats = np.asarray(obj["mats"], dtype=np.int64)
+        if mats.shape != (k, obj["D"] + 1, k, k):
+            raise ValueError(f"table array of shape {mats.shape} for k={k}, D={obj['D']}")
         return MultTable(
             space=obj["space"],
             D=obj["D"],
@@ -668,7 +675,8 @@ def verify_ms_equations(table: MultTable) -> dict:
     S L for the stack S[d][(w, u), v'] = M_v'.
     """
     _, image, matmul = _ring(table)
-    L = image(divisor_matrix(table.poset).layers)
+    # the divisor mod q^{D+1}: a q = 0 specialization (D = 0) keeps only L_0
+    L = image(divisor_matrix(table.poset).layers)[: table.D + 1]
     C, k = table.mats, table.k
     left = _lay_mul(_rows(C), L, matmul).reshape(-1, k, k, k)
     mid = _lay_mul(L, _cols(C), matmul).reshape(-1, k, k, k).transpose(0, 2, 1, 3)
@@ -750,29 +758,43 @@ def verify_positivity_signs(table: MultTable) -> dict:
 
 # ---------------------------------------------------------------------------
 # Table cache
+#
+# A cache file starts with one line of JSON, the table's to_json_obj().  An
+# exact table is that line alone.  A mod-p table's line has "shape" in place
+# of "mats", and the array follows the newline as raw little-endian int64.
+
+# part of every cache key, so that no reader opens a file of another format
+_CACHE_FORMAT = 2
 
 
 def cache_key(space: str, D: int, backend: dict) -> str:
-    blob = json.dumps([space, D, backend], sort_keys=True).encode()
+    blob = json.dumps([space, D, backend, _CACHE_FORMAT], sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:20]
 
 
 def cache_path(space: str, D: int, backend: dict, cache_dir: str) -> str:
+    # perfbench/tracer.py recomputes this name to size the file a hit read
     return os.path.join(cache_dir, f"qk-{cache_key(space, D, backend)}.json")
 
 
 def save_table(table: MultTable, cache_dir: str) -> str:
     """Write the table atomically; concurrent writers never share a temp file."""
+    if table.is_exact:
+        head, payload = table.to_json_obj(), b""
+    else:
+        head = table._json_obj(shape=list(table.mats.shape))
+        payload = b"\n" + np.ascontiguousarray(table.mats, dtype="<i8").tobytes()
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(table.space, table.D, table.backend, cache_dir)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".qk-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             # mkstemp makes the file owner-only; a shared cache needs open()'s mode
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            json.dump(table.to_json_obj(), fh)
+            fh.write(json.dumps(head).encode())
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -781,15 +803,21 @@ def save_table(table: MultTable, cache_dir: str) -> str:
 
 
 def load_table(space: str, D: int, backend: dict, cache_dir: str) -> MultTable | None:
-    """The cached table, or None when it is missing, undecodable or keyed
-    differently; a basis mismatch raises QKRingError."""
+    """The cached table, or None when it is missing, unreadable, cut short,
+    malformed or keyed differently; a basis mismatch raises QKRingError."""
     try:
-        with open(cache_path(space, D, backend, cache_dir)) as fh:
-            obj = json.load(fh)
-    except (FileNotFoundError, ValueError):
+        with open(cache_path(space, D, backend, cache_dir), "rb") as fh:
+            obj = json.loads(fh.readline())
+            if not isinstance(obj, dict):
+                return None
+            if obj.get("space") != space or obj.get("D") != D or obj.get("backend") != backend:
+                return None
+            if backend["kind"] != "exact":
+                shape = obj["shape"]
+                payload = fh.read()
+                if len(payload) != 8 * prod(shape):
+                    return None
+                obj["mats"] = np.frombuffer(payload, dtype="<i8").reshape(shape)
+        return MultTable.from_json_obj(obj)
+    except (OSError, KeyError, TypeError, ValueError):
         return None
-    if not isinstance(obj, dict):
-        return None
-    if obj.get("space") != space or obj.get("D") != D or obj.get("backend") != backend:
-        return None
-    return MultTable.from_json_obj(obj)

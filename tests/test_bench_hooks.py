@@ -68,6 +68,9 @@ def test_tracer_sees_a_warm_product(tmp_path, backend):
     _traced_table(tmp_path, backend)
     layers = _traced("product", "Gr(2,4)", "1", "1", "--backend=" + backend, f"--cache-dir={tmp_path}")
     assert layers["qkring.load_table.hits"] == 1
+    # the tracer recomputes the cache path to size the file it read
+    (path,) = glob.glob(os.path.join(tmp_path, "qk-*.json"))
+    assert layers["qkring.load_table.bytes"] == os.path.getsize(path)
     assert layers.get("qkring.full_table.calls", 0) == 0
     if backend == "exact":
         assert layers["gamma.from_json.calls"] > 0

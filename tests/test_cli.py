@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from qkcalc import cli, qkring
@@ -206,7 +207,7 @@ def test_truncated_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-def test_read_only_cache_dir_still_answers(capsys, tmp_path, monkeypatch):
+def _read_only_product(capsys, tmp_path, monkeypatch, *argv):
     ro = tmp_path / "ro"
     ro.mkdir()
     ro.chmod(0o555)
@@ -216,10 +217,37 @@ def test_read_only_cache_dir_still_answers(capsys, tmp_path, monkeypatch):
             raise PermissionError(13, "Permission denied", str(ro))
 
         monkeypatch.setattr(qkring.tempfile, "mkstemp", denied)
-    code, out, err = run(capsys, "product", "P1", "1", "1", f"--cache-dir={ro}")
-    assert code == 0 and "q O^(0)" in out
+    code, out, err = run(capsys, "product", *argv, f"--cache-dir={ro}")
+    assert code == 0
     assert "warning" in err and "not cached" in err
     assert list(ro.iterdir()) == []
+    return out
+
+
+def test_read_only_cache_dir_still_answers(capsys, tmp_path, monkeypatch):
+    out = _read_only_product(capsys, tmp_path, monkeypatch, "P1", "1", "1")
+    assert "q O^(0)" in out
+
+
+@pytest.mark.parametrize("damage", ["no-masks", "directory"])
+def test_malformed_cache_file_is_a_warned_miss(capsys, tmp_path, monkeypatch, damage):
+    # a decodable header without a field, or no file at all, is rebuilt
+    code, _, _ = run(capsys, "table", "P1", f"--cache-dir={tmp_path}")
+    assert code == 0
+    (path,) = tmp_path.glob("qk-*.json")
+    if damage == "no-masks":
+        obj = json.loads(path.read_text())
+        del obj["masks"]
+        path.write_text(json.dumps(obj))
+    else:
+        path.unlink()
+        path.mkdir()
+    builds = count_builds(monkeypatch)
+    code, out, err = run(capsys, "product", "P1", "1", "1", f"--cache-dir={tmp_path}")
+    assert code == 0 and "q O^(0)" in out
+    assert "ignoring unreadable cache file" in err and builds == [3]
+    code, again, _ = run(capsys, "product", "P1", "1", "1", f"--cache-dir={tmp_path}")
+    assert code == 0 and again == out
 
 
 # mod-p output of `product Gr(2,6) 1 2`, recorded when mod-p tables were still
@@ -282,3 +310,80 @@ def test_ktchev2_is_exact_under_the_modp_backend(capsys, tmp_path):
     assert rep["check"] == "ktchev2" and rep["status"] == "pass"
     assert rep["backend"] == "exact"
     assert rep["pairs"] == 8 * 8
+
+
+# mod-p tables are cached as a JSON header line and the raw int64 array
+
+
+def _modp_cache(capsys, tmp_path) -> tuple:
+    code, _, _ = run(capsys, "table", "Gr(2,6)", "--backend=mod-p", f"--cache-dir={tmp_path}")
+    assert code == 0
+    (path,) = tmp_path.glob("qk-*.json")
+    return path, path.read_bytes()
+
+
+def _v1_file(good: bytes) -> bytes:
+    # the previous format: the whole table as one JSON object, nested lists
+    head, payload = good.split(b"\n", 1)
+    obj = json.loads(head)
+    shape = obj.pop("shape")
+    obj["mats"] = np.frombuffer(payload, dtype="<i8").reshape(shape).tolist()
+    return json.dumps(obj).encode()
+
+
+@pytest.mark.parametrize("damage", ["header-cut", "payload-cut", "v1-file"])
+def test_damaged_modp_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch, damage):
+    path, good = _modp_cache(capsys, tmp_path)
+    if damage == "header-cut":
+        path.write_bytes(good[: good.index(b"\n") // 2])
+    elif damage == "payload-cut":
+        path.write_bytes(good[:-1])
+    else:
+        path.write_bytes(_v1_file(good))
+    builds = count_builds(monkeypatch)
+    code, out, err = run(capsys, "product", "Gr(2,6)", "1", "2", "--backend=mod-p", f"--cache-dir={tmp_path}")
+    assert code == 0 and out == GR26_TEXT
+    assert err.count("\n") == 1 and "warning" in err and path.name in err
+    assert builds == [qkring.default_truncation(build_cominuscule("Gr(2,6)"))]
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_read_only_cache_dir_answers_modp(capsys, tmp_path, monkeypatch):
+    out = _read_only_product(capsys, tmp_path, monkeypatch, "Gr(2,6)", "1", "2", "--backend=mod-p")
+    assert out == GR26_TEXT
+
+
+@pytest.mark.parametrize("space", ["Gr(2,6)", "OG(5,10)", "LG(4,8)"])
+def test_warm_modp_output_matches_cold(capsys, tmp_path, space):
+    commands = [
+        ("product", space, "1", "1", "--format=text"),
+        ("product", space, "1", "1", "--format=json"),
+        ("table", space, "--format=json"),
+    ]
+    for i, argv in enumerate(commands):
+        cache = f"--cache-dir={tmp_path / str(i)}"
+        cold = run(capsys, *argv, "--backend=mod-p", cache)
+        warm = run(capsys, *argv, "--backend=mod-p", cache)
+        assert cold[0] == 0 and warm == cold
+
+
+def test_loaded_modp_table_is_the_read_only_array(capsys, tmp_path, monkeypatch):
+    poset = build_cominuscule("Gr(2,6)")
+    D = qkring.default_truncation(poset)
+    path, good = _modp_cache(capsys, tmp_path)
+    table = qkring.load_table("Gr(2,6)", D, qkring.make_field(poset, "mod-p"), str(tmp_path))
+    k = len(poset.shape_masks)
+    assert table.mats.dtype == np.int64 and table.mats.shape == (k, D + 1, k, k)
+    assert not table.mats.flags.writeable
+    builds = count_builds(monkeypatch)
+    argv = ("verify", "Gr(2,6)", "--suite=table", "--backend=mod-p", f"--cache-dir={tmp_path}")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.count("[  pass]") == 2 and builds == []
+    # the checks read the payload: one changed residue fails them
+    head, payload = good.split(b"\n", 1)
+    mats = np.frombuffer(payload, dtype="<i8").copy()
+    mats[np.flatnonzero(mats)[7]] += 1
+    path.write_bytes(head + b"\n" + mats.tobytes())
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and "fail" in out and builds == []

@@ -182,6 +182,17 @@ def test_tampered_table_fails_ms_equations(gr24_table):
     assert rep["failure_count"] > 0
 
 
+@pytest.mark.parametrize("space, at", [("P1", (1, 0, 1, 1)), ("Gr(2,4)", (3, 0, 2, 1))], ids=["P1", "Gr(2,4)"])
+def test_q0_specialization_passes_ms_equations(space, at):
+    # D = 0: the table is checked against the classical divisor L_0 alone
+    table = specialize(full_table(build_cominuscule(space)), "q0")
+    assert verify_ms_equations(table)["status"] == "pass"
+    table = copy.deepcopy(table)
+    _bump(table, at)
+    rep = verify_ms_equations(table)
+    assert rep["status"] == "fail" and rep["failure_count"] > 0
+
+
 def test_tampered_table_fails_associativity(gr24_table):
     table = copy.deepcopy(gr24_table)
     rank = table.poset.rs.rank
@@ -293,6 +304,48 @@ def test_load_table_treats_undecodable_file_as_miss(tmp_path, gr24_table):
         with open(path, "w", encoding="latin-1") as fh:
             fh.write(broken)
         assert load_table(table.space, table.D, table.backend, str(tmp_path)) is None
+
+
+def _rewrite_header(path, **fields):
+    with open(path, "rb") as fh:
+        head, sep, payload = fh.read().partition(b"\n")
+    obj = json.loads(head)
+    for name, value in fields.items():
+        if value is None:
+            del obj[name]
+        else:
+            obj[name] = value
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(obj).encode() + sep + payload)
+
+
+@pytest.mark.parametrize("backend", ["exact", "mod-p"])
+def test_load_table_treats_malformed_file_as_miss(tmp_path, backend):
+    table = full_table(build_cominuscule("Gr(2,4)"), backend=backend)
+    args = (table.space, table.D, table.backend, str(tmp_path))
+    k = table.k
+    damages = [{"masks": None}, {"masks": 7}, {"flags": 7}]
+    if table.is_exact:
+        damages += [{"mats": None}, {"mats": 7}, {"mats": [[[]]]}]
+    else:
+        damages += [{"shape": None}, {"shape": 7}, {"shape": "x"}, {"shape": [k, table.D + 1, k, -k]}]
+        # the payload read as an array of another shape
+        damages += [{"shape": [k, table.D + 1, k * k]}, {"shape": [k, table.D, k, k]}]
+    for damage in damages:
+        _rewrite_header(save_table(table, str(tmp_path)), **damage)
+        assert load_table(*args) is None, damage
+    if not table.is_exact:
+        path = save_table(table, str(tmp_path))
+        with open(path, "rb") as fh:
+            good = fh.read()
+        for broken in (good[:-1], good + b"\0", good[:-8]):
+            with open(path, "wb") as fh:
+                fh.write(broken)
+            assert load_table(*args) is None
+    path = save_table(table, str(tmp_path))
+    os.unlink(path)
+    os.mkdir(path)
+    assert load_table(*args) is None
 
 
 def test_save_table_leaves_no_temp_file(tmp_path, gr24_table):
