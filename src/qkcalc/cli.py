@@ -8,6 +8,7 @@ verification failure, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ from .poset import (
     eps_string,
 )
 from .qkring import (
+    GridOutOfReach,
     MultTable,
     TruncationTooSmall,
     cache_path,
@@ -54,8 +56,10 @@ def _default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "qkcalc")
 
 
-def _default_backend(poset: CominusculePoset) -> str:
-    return "exact" if len(poset.shape_masks) <= 20 else "mod-p"
+def _default_backends(poset: CominusculePoset) -> list:
+    """Backends to try without --backend: exact up to 20 classes, then mod-p
+    for a space whose exact grid is out of reach."""
+    return ["exact", "mod-p"] if len(poset.shape_masks) <= 20 else ["mod-p"]
 
 
 # ---------------------------------------------------------------------------
@@ -204,33 +208,44 @@ def _warn(msg: str) -> None:
 
 
 def _load_or_build_table(args, poset) -> MultTable:
-    backend = args.backend or _default_backend(poset)
     qmax = args.qmax if args.qmax is not None else default_truncation(poset)
     cache_dir = args.cache_dir or _default_cache_dir()
-    desc = make_field(poset, backend, seed=args.seed)
+    names = [args.backend] if args.backend else _default_backends(poset)
+    descs = [make_field(poset, b, seed=args.seed) for b in names]
     space = str(poset.space)
     # doubling is only the fallback for a failed certificate; a certified
     # table at any rung of that ladder answers the query, so probe each once
     rungs = [qmax << i for i in range(4)]
-    for D in rungs:
-        cached = load_table(space, D, desc, cache_dir)
-        if cached is not None:
-            return cached
-        path = cache_path(space, D, desc, cache_dir)
-        if os.path.exists(path):
-            _warn(f"ignoring unreadable cache file {path}")
-    for D in rungs:
+    for desc in descs:
+        for D in rungs:
+            cached = load_table(space, D, desc, cache_dir)
+            if cached is not None:
+                return cached
+            path = cache_path(space, D, desc, cache_dir)
+            if os.path.exists(path):
+                _warn(f"ignoring unreadable cache file {path}")
+    for desc in descs:
         try:
-            table = full_table(poset, D=D, backend=desc)
+            table = _build_table(poset, desc, rungs)
             break
-        except TruncationTooSmall:
-            if D == rungs[-1]:
+        except GridOutOfReach as e:
+            if desc is descs[-1]:
                 raise
+            _warn(f"exact table out of reach, building mod-p: {e}")
     try:
         save_table(table, cache_dir)
     except OSError as e:
         _warn(f"table not cached: {e}")
     return table
+
+
+def _build_table(poset, desc: dict, rungs: list) -> MultTable:
+    for D in rungs:
+        try:
+            return full_table(poset, D=D, backend=desc)
+        except TruncationTooSmall:
+            if D == rungs[-1]:
+                raise
 
 
 def _cmd_product(args) -> int:
@@ -309,7 +324,7 @@ def _cmd_nbhd(args) -> int:
 # verify
 
 
-def _suite_chevalley(poset, args) -> list[dict]:
+def _suite_chevalley(poset, args, table) -> list[dict]:
     from .chevalley import chev_constants_closed
 
     failures = 0
@@ -332,20 +347,20 @@ def _suite_chevalley(poset, args) -> list[dict]:
     ]
 
 
-def _suite_ktchev2(poset, args) -> list[dict]:
+def _suite_ktchev2(poset, args, table) -> list[dict]:
     from .oracles import verify_ktchev2
 
     return [verify_ktchev2(poset)]
 
 
-def _suite_lg_oracle(poset, args) -> list[dict]:
+def _suite_lg_oracle(poset, args, table) -> list[dict]:
     from .oracles import verify_lg_oracle
 
     return [verify_lg_oracle(poset)]
 
 
-def _suite_table(poset, args) -> list[dict]:
-    table = _load_or_build_table(args, poset)
+def _suite_table(poset, args, table) -> list[dict]:
+    table = table()
     reports = [
         verify_ms_equations(table),
         verify_associativity(table),
@@ -365,8 +380,8 @@ def _suite_table(poset, args) -> list[dict]:
     return reports
 
 
-def _suite_positivity(poset, args) -> list[dict]:
-    table = _load_or_build_table(args, poset)
+def _suite_positivity(poset, args, table) -> list[dict]:
+    table = table()
     if not table.is_exact:
         return [
             {
@@ -378,7 +393,7 @@ def _suite_positivity(poset, args) -> list[dict]:
     return [verify_positivity_signs(table)]
 
 
-def _suite_probe(poset, args) -> list[dict]:
+def _suite_probe(poset, args, table) -> list[dict]:
     from .cohomology import conjecture_probe, divisor_generation_check
 
     return [divisor_generation_check(poset, seed=args.seed), conjecture_probe(poset, seed=args.seed)]
@@ -404,9 +419,11 @@ def _cmd_verify(args) -> int:
             names.insert(2, "lg-oracle")
     else:
         names = [args.suite]
+    # the table suites share one table, loaded or built when first asked for
+    table = functools.cache(lambda: _load_or_build_table(args, poset))
     reports = []
     for name in names:
-        reports.extend(_SUITES[name](poset, args))
+        reports.extend(_SUITES[name](poset, args, table))
     hard_fail = False
     for rep in reports:
         status = rep.get("status", "?")

@@ -30,6 +30,12 @@ its commutant holds exactly one operator sending e_1 to e_v, and a candidate
 that passes is the true table whatever the degree box or the prime.  A failed
 certificate redraws the nodes once with a doubled box; a second failure
 raises QKRingError.
+
+The certificate and the verify checks multiply exactly, with Python-int
+coefficients, on packed polynomials: each entry of the table and of L
+becomes a dict keyed by one int, a Kronecker index of q and the exponents
+over their common box with widths that leave room for a product (_packing),
+so a product of two entries adds keys and never merges distinct terms.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import tempfile
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import comb, prod
+from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,6 +80,10 @@ class SingularKrylov(QKRingError):
 
 class TruncationTooSmall(QKRingError):
     """Stabilization certificate failed; rerun with a larger truncation."""
+
+
+class GridOutOfReach(QKRingError):
+    """The exact build's interpolation grid would pass _GRID_ENTRIES."""
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +343,12 @@ def _degree_probe(dv: DivisorOperator, D: int, p: int, rng: random.Random) -> li
             xs = rng.sample(range(1, p), t)
             nodes = np.array([base[:i] + [x] + base[i + 1:] for x in xs], dtype=np.int64)
             solver, Vinv = _ModPSolver(dv, D, p, nodes), _interpolation_matrix(xs, p)
-            deg = max(
-                np.flatnonzero(_matmul_mod(Vinv, solver.columns([v]).reshape(t, -1), p).any(axis=1))[-1]
-                for v in range(dv.k)
-            )
+            # all columns at once, in chunks only where they would hold more
+            # entries than the grid may
+            step = max(1, _GRID_ENTRIES // (t * (D + 1) * dv.k**2))
+            chunks = [range(v, min(v + step, dv.k)) for v in range(0, dv.k, step)]
+            coeffs = (_matmul_mod(Vinv, solver.columns(vs).reshape(t, -1), p) for vs in chunks)
+            deg = max(np.flatnonzero(c.any(axis=1))[-1] for c in coeffs)
             if deg < t - 1:
                 break
             # x_i needs at least t nodes: stop once that is out of reach
@@ -355,7 +368,8 @@ def _check_grid(counts: list, D: int, k: int) -> None:
     """Refuse a grid of at least prod(counts) points that is out of reach; the
     probe checks its lower bounds as it goes, so it stops as soon as it knows."""
     if prod(counts) * (D + 1) * k * k > _GRID_ENTRIES:
-        raise QKRingError(f"exact interpolation needs a grid of at least {prod(counts)} points; use the mod-p backend")
+        points = prod(counts)
+        raise GridOutOfReach(f"exact interpolation needs a grid of at least {points} points; use the mod-p backend")
 
 
 def _interpolated_columns(dv: DivisorOperator, D: int, counts: list, p: int, rng: random.Random):
@@ -541,7 +555,8 @@ def _check_identity_row(table: MultTable) -> None:
     col = table.mats[..., 0]
     unit = np.zeros(col.shape, dtype=bool)
     unit[:, 0] = np.eye(table.k, dtype=bool)
-    if not (col[unit] == _ring(table).one).all() or col[~unit].astype(bool).any():
+    one = GammaElement.from_int(table.poset.rs.rank, 1) if table.is_exact else 1
+    if not (col[unit] == one).all() or col[~unit].astype(bool).any():
         raise QKRingError("identity row broken")
 
 
@@ -558,7 +573,8 @@ def modp_tables(poset: CominusculePoset, D: int | None = None, primes: int = 2, 
 
 def tables_agree(exact: MultTable, modp: MultTable) -> bool:
     """Evaluate the exact table through the mod-p assignment and compare."""
-    return bool((_ring(modp).image(exact.mats) == modp.mats).all())
+    node = np.array([modp.backend["assignment"]], dtype=np.int64)
+    return bool((_eval_array(exact.mats, modp.backend["p"], node)[0] == modp.mats).all())
 
 
 def specialize(table: MultTable, mode: str) -> MultTable:
@@ -594,38 +610,86 @@ def specialize(table: MultTable, mode: str) -> MultTable:
 
 
 class _Ring(NamedTuple):
-    one: object
-    image: Callable  # group-ring object array -> array over the ring
-    matmul: Callable  # matrix product of two 2-d arrays over the ring
+    """The table mats[v, d, w, u] and the divisor L[d, w, u] over a ring, and
+    its matrix product.  Over F_p there are D+1 layers; a packed ring keeps
+    q in its keys, so its arrays have one layer."""
+
+    mats: np.ndarray
+    L: np.ndarray
+    matmul: Callable
 
 
 def _ring(table: MultTable) -> _Ring:
-    """The group ring itself for an exact table; F_p through the table's
+    """The table and the divisor mod q^{D+1} over the table's coefficient
+    ring: packed polynomials for an exact table, F_p through the table's
     assignment for a mod-p one.  Other tables (a nonequivariant
     specialization, say) have no divisor image to check against."""
     kind = table.backend.get("kind")
+    # a q = 0 specialization (D = 0) keeps only L_0
+    layers = divisor_matrix(table.poset).layers[: table.D + 1]
     if kind == "exact":
-        zero = GammaElement.zero(table.poset.rs.rank)
-        return _Ring(GammaElement.from_int(zero.rank, 1), lambda G: G, lambda A, B: _group_ring_matmul(A, B, zero))
+        pack = _packing(table.poset.rs.rank, (table.mats, layers))
+        return _Ring(pack(table.mats), pack(layers), _packed_matmul)
     if kind == "mod-p":
         p = table.backend["p"]
         node = np.array([table.backend["assignment"]], dtype=np.int64)
-        return _Ring(1, lambda G: _eval_array(G, p, node)[0], lambda A, B: _matmul_mod(A, B, p))
+        return _Ring(table.mats, _eval_array(layers, p, node)[0], lambda A, B: _matmul_mod(A, B, p))
     raise QKRingError(f"no coefficient ring to verify a {kind!r} table over")
 
 
-def _group_ring_matmul(A: np.ndarray, B: np.ndarray, zero: GammaElement) -> np.ndarray:
-    """A @ B for object arrays over the group ring, skipping zero entries."""
-    rows = [[(j, y) for j, y in enumerate(brow) if y] for brow in B.tolist()]
+def _packing(rank: int, arrays) -> Callable:
+    """Packer of layered group-ring arrays (..., layers, k, m) into arrays
+    (..., 1, k, m) of dicts {key: coefficient}, the coefficients Python ints.
+
+    The key of q^d e^lam is sum_i lam_i B_i + d B_rank, a Kronecker index over
+    a box [lo, hi] that holds 0 and every exponent in arrays: B_0 = 1 and
+    B_{i+1} = B_i * (2(hi_i - lo_i) + 1).  The exponents of two products of
+    two entries differ by less than that width in each variable, so the key
+    stays injective on them, and the key of a product is the sum of its
+    factors'.  q comes last, so its degree needs no width.
+    """
+    exps = np.array([e for G in arrays for g in G.flat for e in g.terms], dtype=np.int64).reshape(-1, rank)
+    strides = [1]
+    for lo, hi in zip(exps.min(axis=0, initial=0).tolist(), exps.max(axis=0, initial=0).tolist()):
+        strides.append(strides[-1] * (2 * (hi - lo) + 1))
+    qstride = strides.pop()
+
+    def pack(G: np.ndarray) -> np.ndarray:
+        G = np.moveaxis(G, -3, -1)
+        flat = [
+            {sum(map(mul, e, strides)) + d * qstride: c for d, g in enumerate(layers) for e, c in g.terms.items()}
+            for layers in G.reshape(-1, G.shape[-1]).tolist()
+        ]
+        return _object_array(flat, G.shape[:-1])[..., None, :, :]
+
+    return pack
+
+
+def _packed_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for object arrays of packed entries, skipping zero entries; the
+    coefficients are Python ints and zero terms are dropped, so equal
+    products are equal dicts."""
+    n = B.shape[1]
+    rows = [[(j, y.items()) for j, y in enumerate(brow) if y] for brow in B.tolist()]
     out = []
     for arow in A.tolist():
-        acc = [zero] * B.shape[1]
+        acc = {}
         for x, brow in zip(arow, rows):
             if x:
+                x = x.items()
                 for j, y in brow:
-                    acc[j] = x * y if acc[j] is zero else acc[j] + x * y
-        out.extend(acc)
-    return _object_array(out, (A.shape[0], B.shape[1]))
+                    a = acc.get(j)
+                    if a is None:
+                        a = acc[j] = {}
+                    for e1, c1 in x:
+                        for e2, c2 in y:
+                            e = e1 + e2
+                            a[e] = a.get(e, 0) + c1 * c2
+        row = [{} for _ in range(n)]
+        for j, a in acc.items():
+            row[j] = {e: c for e, c in a.items() if c}
+        out += row
+    return _object_array(out, (A.shape[0], n))
 
 
 def _lay_mul(A: np.ndarray, B: np.ndarray, matmul: Callable) -> np.ndarray:
@@ -674,10 +738,8 @@ def verify_ms_equations(table: MultTable) -> dict:
     They are three layered products: M_v L and L M_v for all v at once, and
     S L for the stack S[d][(w, u), v'] = M_v'.
     """
-    _, image, matmul = _ring(table)
-    # the divisor mod q^{D+1}: a q = 0 specialization (D = 0) keeps only L_0
-    L = image(divisor_matrix(table.poset).layers)[: table.D + 1]
-    C, k = table.mats, table.k
+    C, L, matmul = _ring(table)
+    k = table.k
     left = _lay_mul(_rows(C), L, matmul).reshape(-1, k, k, k)
     mid = _lay_mul(L, _cols(C), matmul).reshape(-1, k, k, k).transpose(0, 2, 1, 3)
     S = C.transpose(1, 2, 3, 0).reshape(C.shape[1], k * k, k)
@@ -693,8 +755,8 @@ def verify_associativity(table: MultTable) -> dict:
     Once N^w_{u,v} = N^w_{v,u} holds, (O^u * O^v) * O^w = O^u * (O^v * O^w)
     for all triples is equivalent to [M_u, M_w] = 0 for all pairs.
     """
-    matmul = _ring(table).matmul
-    C, k = table.mats, table.k
+    C, _, matmul = _ring(table)
+    k = table.k
     # asym[u, v, w]: N^w_{u,v} != N^w_{v,u} in some layer
     asym = (C != C.transpose(3, 1, 2, 0)).any(axis=1).transpose(2, 0, 1)
     failures = [("symmetry", u, v, w) for u, v, w in np.argwhere(asym).tolist() if u < v]

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -387,3 +389,61 @@ def test_loaded_modp_table_is_the_read_only_array(capsys, tmp_path, monkeypatch)
     path.write_bytes(head + b"\n" + mats.tobytes())
     code, out, _ = run(capsys, *argv)
     assert code == 1 and "fail" in out and builds == []
+
+
+@pytest.mark.parametrize("space", ["Gr(3,6)", "LG(4,8)", "Gr(1,8)"])
+def test_default_backend_falls_back_to_modp(capsys, tmp_path, monkeypatch, space):
+    # at most 20 classes, but the exact grid is out of reach: mod-p, with one
+    # line on stderr saying so
+    cache = f"--cache-dir={tmp_path}"
+    code, out, err = run(capsys, "table", space, cache)
+    assert code == 0 and "backend=mod-p" in out
+    assert len(err.splitlines()) == 1 and "building mod-p" in err
+    assert run(capsys, "table", space, "--backend=mod-p", cache) == (0, out, "")
+
+    # a warm query reads the mod-p file without probing the exact grid
+    def refuse(*args):
+        raise AssertionError("a warm query probed the exact grid")
+
+    monkeypatch.setattr(qkring, "_degree_probe", refuse)
+    monkeypatch.setattr(cli, "full_table", refuse)
+    assert run(capsys, "table", space, cache) == (0, out, "")
+    code, _, err = run(capsys, "product", space, "1", "1", cache)
+    assert code == 0 and err == ""
+
+
+def test_default_backend_reads_the_exact_file_first(capsys, tmp_path, monkeypatch):
+    cache = f"--cache-dir={tmp_path}"
+    assert run(capsys, "table", "Q(3)", "--backend=mod-p", cache)[0] == 0
+    code, exact, _ = run(capsys, "table", "Q(3)", "--backend=exact", cache)
+    builds = count_builds(monkeypatch)
+    assert run(capsys, "table", "Q(3)", cache) == (0, exact, "") and builds == []
+
+
+def test_verify_decodes_the_table_once(capsys, tmp_path, monkeypatch):
+    cache = f"--cache-dir={tmp_path}"
+    assert run(capsys, "table", "Q(4)", cache)[0] == 0
+    decoded = []
+    decode = qkring.MultTable.from_json_obj
+    monkeypatch.setattr(qkring.MultTable, "from_json_obj", staticmethod(lambda obj: decoded.append(1) or decode(obj)))
+    code, out, _ = run(capsys, "verify", "Q(4)", "--suite=all", cache)
+    # the table and positivity suites share it
+    assert code == 0 and "positivity-signs" in out and "ms-equations" in out
+    assert len(decoded) == 1
+
+
+def test_output_does_not_depend_on_hash_seed(tmp_path):
+    # the packed checks keep int-keyed dicts: their order must not reach the output
+    src = os.path.dirname(os.path.dirname(qkring.__file__))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        cache = f"--cache-dir={tmp_path / hash_seed}"
+        for argv in (["table", "Q(4)", "--format", "json"], ["verify", "Q(4)", "--suite=all", "--format", "json"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qkcalc.cli", *argv, cache],
+                env=env, capture_output=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+    assert outputs[:2] == outputs[2:]

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -200,6 +201,25 @@ def test_tampered_table_fails_associativity(gr24_table):
     table.mats[2][1][4][3] = g + GammaElement.from_int(rank, 1)
     rep = verify_associativity(table)
     assert rep["status"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda e, c: {(e[0], e[1], e[2] - 1): c}, lambda e, c: {e: c + 1}],
+    ids=["exponent", "coefficient"],
+)
+def test_packed_checks_see_one_changed_term(gr24_table, change):
+    # N^w_{u,v} with u = v is its own transpose, so only the products of
+    # packed entries can see the change: the Molev-Sagan sums and [M_u, M_w]
+    table = copy.deepcopy(gr24_table)
+    at = (1, 0, 2, 1)
+    ((e, c),) = table.mats[at].terms.items()
+    table.mats[at] = GammaElement(3, change(e, c))
+    rep = verify_ms_equations(table)
+    assert rep["status"] == "fail" and rep["failure_count"] > 0
+    rep = verify_associativity(table)
+    assert rep["status"] == "fail"
+    assert rep["failure_count"] > 0 and {f[0] for f in rep["failures"]} == {"commutator"}
 
 
 def _bump(table, at):
@@ -494,6 +514,30 @@ def test_degree_probe_stops_at_the_grid_guard(monkeypatch):
     assert lines and all(not np.ptp(nodes[:, 1:], axis=0).any() for nodes in lines)
 
 
+@pytest.mark.parametrize("entries", [qkring._GRID_ENTRIES, 8100], ids=["one-call", "chunked"])
+def test_degree_probe_solves_a_line_in_few_calls(monkeypatch, entries):
+    # all columns of a probe line in one call, split only where a call would
+    # hold more than the grid may: Gr(2,4)'s grid of 45 points holds 8100
+    # entries, and its lines of 8 nodes 8640
+    calls = {}
+    columns = qkring._ModPSolver.columns
+
+    def recording(solver, vs):
+        calls.setdefault(solver, []).append(len(vs))
+        return columns(solver, vs)
+
+    monkeypatch.setattr(qkring, "_GRID_ENTRIES", entries)
+    monkeypatch.setattr(qkring._ModPSolver, "columns", recording)
+    poset = build_cominuscule("Gr(2,4)")
+    dv, D, k = qkring.divisor_matrix(poset), qkring.default_truncation(poset), len(poset.shape_masks)
+    assert qkring._degree_probe(dv, D, P0, random.Random(f"nodes:{poset.space}:{D}")) == [3, 5, 3]
+    assert all(sum(sizes) == k for sizes in calls.values())
+    assert all(len(solver.L) * n * (D + 1) * k * k <= entries for solver, sizes in calls.items() for n in sizes)
+    split = [len(sizes) > 1 for sizes in calls.values()]
+    assert any(split) if entries == 8100 else not any(split)
+    assert _digest(full_table(poset)) == PINNED_EXACT_TABLES["Gr(2,4)"]
+
+
 def test_exact_build_redraws_a_singular_node(monkeypatch):
     # two J_u may coincide at a random node; the nodes are redrawn
     interpolate = qkring._interpolated_columns
@@ -580,8 +624,9 @@ def test_inverse_mod_or_singular(BC):
             _inverse_mod(np.stack([np.eye(n, dtype=np.int64), A]), P0)
 
 
-# layered matrices over the group ring of rank 1, with zero entries and zero layers
-monomials = st.dictionaries(st.tuples(st.integers(-2, 2)), st.integers(-3, 3), max_size=2)
+# layered matrices over the group ring of rank 2, with zero entries and zero
+# layers; the exponents often sit at both ends of the box [-2, 2]^2
+monomials = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-3, 3), max_size=2)
 
 
 @st.composite
@@ -592,7 +637,7 @@ def layered_matrices(draw):
         count = draw(st.integers(1, 4))
         nonzero = draw(st.lists(st.booleans(), min_size=count, max_size=count))
         return [
-            [[GammaElement(1, draw(monomials) if nz else {}) for _ in range(cols)] for _ in range(rows)]
+            [[GammaElement(2, draw(monomials) if nz else {}) for _ in range(cols)] for _ in range(rows)]
             for nz in nonzero
         ]
 
@@ -604,11 +649,19 @@ def _as_array(nested):
     return qkring._object_array(flat, (len(nested), len(nested[0]), len(nested[0][0])))
 
 
+def _packed_product(A, B, *more):
+    """The packed product of the layered matrices A and B, and the packed
+    form of each of more, all packed over the box of A and B."""
+    arrays = [_as_array(A), _as_array(B)]
+    pack = qkring._packing(2, arrays)
+    return [qkring._lay_mul(*map(pack, arrays), qkring._packed_matmul)] + [pack(_as_array(X)) for X in more]
+
+
 @settings(max_examples=100, deadline=None)
 @given(layered_matrices())
 def test_layered_product_matches_reference(AB):
     A, B = AB
-    zero = GammaElement.zero(1)
+    zero = GammaElement.zero(2)
     want = [
         [
             [
@@ -619,13 +672,32 @@ def test_layered_product_matches_reference(AB):
         ]
         for d in range(len(A) + len(B) - 1)
     ]
-    got = qkring._lay_mul(_as_array(A), _as_array(B), lambda X, Y: qkring._group_ring_matmul(X, Y, zero))
-    assert got.tolist() == want
-    # the same product of the residues, at one nonzero x = e^{-alpha}
-    node = np.array([[12345]])
+    # q and both exponents in one key: a single layer
+    got, packed_want = _packed_product(A, B, want)
+    assert got.shape == packed_want.shape == (1, len(A[0]), len(B[0][0]))
+    assert got.tolist() == packed_want.tolist()
+    # no two terms of the reference share a key
+    terms = [sum(len(layer[i][j].terms) for layer in want) for i in range(len(A[0])) for j in range(len(B[0][0]))]
+    assert [len(x) for x in packed_want.flat] == terms
+    # the same product of the residues, at one point with nonzero x_1, x_2
+    node = np.array([[12345, 678]])
     residues = [qkring._eval_array(_as_array(X), P0, node)[0] for X in (A, B)]
     got = qkring._lay_mul(*residues, lambda X, Y: _matmul_mod(X, Y, P0))
     assert np.array_equal(got, qkring._eval_array(_as_array(want), P0, node)[0])
+
+
+def test_packed_keys_keep_the_ends_of_the_box_apart():
+    # exponents at both ends of the box [-2, 2]^2.  Widths of hi - lo + 1 = 5
+    # would give e^(4,-4) and e^(-1,-3) one key, and the product would cancel
+    # to 0; the widths 2(hi - lo) + 1 = 9 keep them apart.
+    def g(*e, c=1):
+        return GammaElement(2, {e: c})
+
+    A = [[[g(2, -2), g(-1, -2), g(-2, 2)]]]
+    B = [[[g(2, -2)], [g(0, -1, c=-1)], [GammaElement.zero(2)]]]
+    got, want = _packed_product(A, B, [[[GammaElement(2, {(4, -4): 1, (-1, -3): -1})]]])
+    assert got.tolist() == want.tolist()
+    assert len(got[0, 0, 0]) == 2
 
 
 def test_modp_solver_rejects_singular_krylov_matrix():
