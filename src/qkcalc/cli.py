@@ -207,7 +207,15 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _load_or_build_table(args, poset) -> MultTable:
+# set in the flags of a mod-p table that the default rule built because the
+# exact build was out of reach
+_FALLBACK_FLAG = "exact_out_of_reach"
+
+
+def _load_or_build_table(args, poset, column=None) -> tuple:
+    """The table's backend descriptor and the table, or with column=v only
+    the layers (D+1, k, k) of M_v: read from the cache when a file there
+    answers, else built, saved and sliced."""
     qmax = args.qmax if args.qmax is not None else default_truncation(poset)
     cache_dir = args.cache_dir or _default_cache_dir()
     names = [args.backend] if args.backend else _default_backends(poset)
@@ -217,12 +225,16 @@ def _load_or_build_table(args, poset) -> MultTable:
     # table at any rung of that ladder answers the query, so probe each once
     rungs = [qmax << i for i in range(4)]
     for desc in descs:
+        # under the default rule a mod-p file answers a space of at most 20
+        # classes only if its exact build was out of reach; a file without
+        # that mark is passed over, not unreadable
+        flag = None if desc is descs[0] else _FALLBACK_FLAG
         for D in rungs:
-            cached = load_table(space, D, desc, cache_dir)
+            cached = load_table(space, D, desc, cache_dir, column=column, flag=flag)
             if cached is not None:
-                return cached
+                return desc, cached
             path = cache_path(space, D, desc, cache_dir)
-            if os.path.exists(path):
+            if flag is None and os.path.exists(path):
                 _warn(f"ignoring unreadable cache file {path}")
     for desc in descs:
         try:
@@ -232,11 +244,13 @@ def _load_or_build_table(args, poset) -> MultTable:
             if desc is descs[-1]:
                 raise
             _warn(f"exact table out of reach, building mod-p: {e}")
+    if desc is not descs[0]:
+        table.flags[_FALLBACK_FLAG] = True
     try:
         save_table(table, cache_dir)
     except OSError as e:
         _warn(f"table not cached: {e}")
-    return table
+    return desc, table if column is None else table.mats[column]
 
 
 def _build_table(poset, desc: dict, rungs: list) -> MultTable:
@@ -252,32 +266,32 @@ def _cmd_product(args) -> int:
     poset = build_cominuscule(args.space)
     u = poset.parse_shape(args.shape_u)
     v = poset.parse_shape(args.shape_v)
-    table = _load_or_build_table(args, poset)
-    ui, vi = poset.index_of(u), poset.index_of(v)
-    k = table.k
+    ui = poset.index_of(u)
+    backend, layers = _load_or_build_table(args, poset, column=poset.index_of(v))
+    exact = backend["kind"] == "exact"
     items = []
-    for w in range(k):
-        val = table.entry(ui, vi, w)
-        if table.is_exact:
+    # layers[d, w, u] is the coefficient of q^d O^w in O^u * O^v
+    for mask, val in zip(poset.shape_masks, layers[:, :, ui].T.tolist()):
+        if exact:
+            val = QPolynomial(poset.rs.rank, val)
             if not val.is_zero():
-                items.append((poset.shape_masks[w], val))
-        else:
-            if any(val):
-                items.append((poset.shape_masks[w], val))
+                items.append((mask, val))
+        elif any(val):
+            items.append((mask, tuple(val)))
     if args.format == "json":
         obj = {
             "space": str(poset.space),
             "u": poset.format_shape(u),
             "v": poset.format_shape(v),
-            "backend": table.backend,
+            "backend": backend,
             "product": _json_qkclass(items)
-            if table.is_exact
+            if exact
             else [[m, list(t)] for m, t in sorted(items)],
         }
         print(json.dumps(obj, indent=2, sort_keys=True))
         return EXIT_OK
-    if not table.is_exact:
-        print(f"# mod-p table {table.backend}")
+    if not exact:
+        print(f"# mod-p table {backend}")
         for m, t in items:
             print(f"O^{_shape_name(poset, m)}: {list(t)}")
         return EXIT_OK
@@ -293,11 +307,15 @@ def _cmd_product(args) -> int:
 
 def _cmd_table(args) -> int:
     poset = build_cominuscule(args.space)
-    table = _load_or_build_table(args, poset)
+    _, table = _load_or_build_table(args, poset)
     k = table.k
     nonzero = int(table.mats.astype(bool).any(axis=1).sum())
     if args.format == "json":
-        print(json.dumps(table.to_json_obj(), sort_keys=True))
+        obj = table.to_json_obj()
+        # which query built the table is the cache's business: a marked and
+        # an unmarked mod-p table print the same
+        obj["flags"] = {f: x for f, x in table.flags.items() if f != _FALLBACK_FLAG}
+        print(json.dumps(obj, sort_keys=True))
     else:
         print(
             f"table {poset.space}: k={k}, qmax={table.D}, "
@@ -420,7 +438,7 @@ def _cmd_verify(args) -> int:
     else:
         names = [args.suite]
     # the table suites share one table, loaded or built when first asked for
-    table = functools.cache(lambda: _load_or_build_table(args, poset))
+    table = functools.cache(lambda: _load_or_build_table(args, poset)[1])
     reports = []
     for name in names:
         reports.extend(_SUITES[name](poset, args, table))

@@ -46,7 +46,7 @@ import os
 import random
 import tempfile
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 from math import comb, prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -343,9 +343,9 @@ def _degree_probe(dv: DivisorOperator, D: int, p: int, rng: random.Random) -> li
             xs = rng.sample(range(1, p), t)
             nodes = np.array([base[:i] + [x] + base[i + 1:] for x in xs], dtype=np.int64)
             solver, Vinv = _ModPSolver(dv, D, p, nodes), _interpolation_matrix(xs, p)
-            # all columns at once, in chunks only where they would hold more
-            # entries than the grid may
-            step = max(1, _GRID_ENTRIES // (t * (D + 1) * dv.k**2))
+            # the columns in chunks of about _PROBE_ENTRIES entries: larger
+            # arrays cost more in memory traffic than they save in calls
+            step = max(1, _PROBE_ENTRIES // (t * (D + 1) * dv.k**2))
             chunks = [range(v, min(v + step, dv.k)) for v in range(0, dv.k, step)]
             coeffs = (_matmul_mod(Vinv, solver.columns(vs).reshape(t, -1), p) for vs in chunks)
             deg = max(np.flatnonzero(c.any(axis=1))[-1] for c in coeffs)
@@ -362,6 +362,8 @@ def _degree_probe(dv: DivisorOperator, D: int, p: int, rng: random.Random) -> li
 # The solve keeps a few int64 arrays of (grid points, D+1, k, k) entries;
 # past this many entries each of them would pass 64 MB.
 _GRID_ENTRIES = 1 << 23
+# measured level from 2^16 to 2^18 on E6 and on the small spaces
+_PROBE_ENTRIES = 1 << 17
 
 
 def _check_grid(counts: list, D: int, k: int) -> None:
@@ -482,28 +484,40 @@ class MultTable:
     def from_json_obj(obj: dict) -> "MultTable":
         """The table of to_json_obj's output; a mod-p "mats" may also be an
         int64 array, which is used as it is, without a copy."""
-        poset = build_cominuscule(obj["space"])
-        if tuple(obj["masks"]) != poset.shape_masks:
-            raise QKRingError("cached table does not match the space basis")
+        poset = _space_of(obj)
         k = len(poset.shape_masks)
-        if obj["backend"].get("kind") == "exact":
-            # looked up per call, so that a wrapper on the class attribute sees it
-            de = GammaElement.from_json_obj
-            flat = [de(x) for layers in obj["mats"] for mat in layers for row in mat for x in row]
-            mats = _object_array(flat, (k, -1, k, k))
-        else:
-            mats = np.asarray(obj["mats"], dtype=np.int64)
-        if mats.shape != (k, obj["D"] + 1, k, k):
-            raise ValueError(f"table array of shape {mats.shape} for k={k}, D={obj['D']}")
         return MultTable(
             space=obj["space"],
             D=obj["D"],
             backend=obj["backend"],
             masks=tuple(obj["masks"]),
-            mats=mats,
+            mats=_table_array(obj["backend"], obj["mats"], (k, obj["D"] + 1, k, k)),
             poset=poset,
             flags=dict(obj.get("flags", {})),
         )
+
+
+def _space_of(obj: dict) -> CominusculePoset:
+    """The space of a table's JSON object, once the table's basis matches it."""
+    poset = build_cominuscule(obj["space"])
+    if tuple(obj["masks"]) != poset.shape_masks:
+        raise QKRingError("cached table does not match the space basis")
+    return poset
+
+
+def _table_array(backend: dict, mats, shape: tuple) -> np.ndarray:
+    """An array of table layers of the given shape from its JSON form: nested
+    lists of GammaElement objects (exact) or of residues (mod-p; an int64
+    array is used as it is)."""
+    if backend.get("kind") == "exact":
+        # looked up per call, so that a wrapper on the class attribute sees it
+        de = GammaElement.from_json_obj
+        mats = _object_array([de(x) for layers in mats for mat in layers for row in mat for x in row], shape)
+    else:
+        mats = np.asarray(mats, dtype=np.int64)
+    if mats.shape != shape:
+        raise ValueError(f"table array of shape {mats.shape}, expected {shape}")
+    return mats
 
 
 def default_truncation(poset: CominusculePoset) -> int:
@@ -821,12 +835,16 @@ def verify_positivity_signs(table: MultTable) -> dict:
 # ---------------------------------------------------------------------------
 # Table cache
 #
-# A cache file starts with one line of JSON, the table's to_json_obj().  An
-# exact table is that line alone.  A mod-p table's line has "shape" in place
-# of "mats", and the array follows the newline as raw little-endian int64.
+# A cache file starts with one line of JSON, the table's to_json_obj()
+# without "mats", and the table's columns M_v follow it, v = 0, ..., k-1, so
+# that a query reads only the column it needs.  An exact table's header has
+# "columns", the payload offsets of the k columns and of the payload's end;
+# column v is the JSON line of mats[v], the (D+1, k, k) layers of M_v.  A
+# mod-p table's header has "shape", and the array follows as raw
+# little-endian int64, column v in the v-th slab of 8(D+1)k^2 bytes.
 
 # part of every cache key, so that no reader opens a file of another format
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 
 
 def cache_key(space: str, D: int, backend: dict) -> str:
@@ -842,10 +860,12 @@ def cache_path(space: str, D: int, backend: dict, cache_dir: str) -> str:
 def save_table(table: MultTable, cache_dir: str) -> str:
     """Write the table atomically; concurrent writers never share a temp file."""
     if table.is_exact:
-        head, payload = table.to_json_obj(), b""
+        lines = [json.dumps(col).encode() + b"\n" for col in table.to_json_obj()["mats"]]
+        head = table._json_obj(columns=list(accumulate(map(len, lines), initial=0)))
+        payload = b"".join(lines)
     else:
         head = table._json_obj(shape=list(table.mats.shape))
-        payload = b"\n" + np.ascontiguousarray(table.mats, dtype="<i8").tobytes()
+        payload = np.ascontiguousarray(table.mats, dtype="<i8").tobytes()
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(table.space, table.D, table.backend, cache_dir)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".qk-", suffix=".tmp")
@@ -855,7 +875,7 @@ def save_table(table: MultTable, cache_dir: str) -> str:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(json.dumps(head).encode())
+            fh.write(json.dumps(head).encode() + b"\n")
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
@@ -864,9 +884,13 @@ def save_table(table: MultTable, cache_dir: str) -> str:
     return path
 
 
-def load_table(space: str, D: int, backend: dict, cache_dir: str) -> MultTable | None:
-    """The cached table, or None when it is missing, unreadable, cut short,
-    malformed or keyed differently; a basis mismatch raises QKRingError."""
+def load_table(
+    space: str, D: int, backend: dict, cache_dir: str, *, column: int | None = None, flag: str | None = None
+) -> MultTable | np.ndarray | None:
+    """The cached table, or with column=v only its layers mats[v] of M_v,
+    read and decoded alone.  None when the file is missing, unreadable, cut
+    short, malformed or keyed differently, or when the table's flags do not
+    set `flag`; a basis mismatch raises QKRingError."""
     try:
         with open(cache_path(space, D, backend, cache_dir), "rb") as fh:
             obj = json.loads(fh.readline())
@@ -874,12 +898,29 @@ def load_table(space: str, D: int, backend: dict, cache_dir: str) -> MultTable |
                 return None
             if obj.get("space") != space or obj.get("D") != D or obj.get("backend") != backend:
                 return None
-            if backend["kind"] != "exact":
-                shape = obj["shape"]
-                payload = fh.read()
-                if len(payload) != 8 * prod(shape):
+            flags = dict(obj.get("flags", {}))
+            if flag is not None and not flags.get(flag):
+                return None
+            k = len(_space_of(obj).shape_masks)
+            if column is not None and not 0 <= column < k:
+                raise IndexError(f"no column {column} in a table of {k} classes")
+            vs = range(k) if column is None else range(column, column + 1)
+            start, size = fh.tell(), os.fstat(fh.fileno()).st_size
+            if backend["kind"] == "exact":
+                # k nonempty lines from the header to the end of the file
+                ends = obj.pop("columns")
+                if len(ends) != k + 1 or ends != sorted(set(ends)) or ends[0] != 0 or start + ends[-1] != size:
                     return None
-                obj["mats"] = np.frombuffer(payload, dtype="<i8").reshape(shape)
-        return MultTable.from_json_obj(obj)
+                fh.seek(start + ends[vs[0]])
+                mats = [json.loads(fh.read(ends[v + 1] - ends[v])) for v in vs]
+            else:
+                slab = 8 * (D + 1) * k * k
+                if obj.pop("shape") != [k, D + 1, k, k] or size - start != k * slab:
+                    return None
+                fh.seek(start + vs[0] * slab)
+                mats = np.frombuffer(fh.read(len(vs) * slab), dtype="<i8").reshape(len(vs), D + 1, k, k)
+        if column is None:
+            return MultTable.from_json_obj(dict(obj, mats=mats))
+        return _table_array(backend, mats, (1, D + 1, k, k))[0]
     except (OSError, KeyError, TypeError, ValueError):
         return None

@@ -76,6 +76,15 @@ def test_tracer_sees_a_warm_product(tmp_path, backend):
         assert layers["gamma.from_json.calls"] > 0
 
 
+def test_warm_exact_product_decodes_one_column(tmp_path):
+    # an exact query decodes only M_v: (D+1) k^2 coefficients, not the table
+    _traced_table(tmp_path, "exact")
+    layers = _traced("product", "Gr(2,4)", "1", "2,1", "--backend=exact", f"--cache-dir={tmp_path}")
+    assert layers["qkring.load_table.hits"] == 1
+    D, k = 4, 6  # Gr(2,4): qmax = d_max + 2 = 4, six classes
+    assert layers["gamma.from_json.calls"] == (D + 1) * k * k
+
+
 def test_benchmark_imports_from_qkcalc_resolve():
     # every `from qkcalc... import name` under perfbench/, also those inside
     # functions that run only in some modes (selfcheck's make_field, say)

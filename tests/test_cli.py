@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -17,6 +18,13 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _exact_file(head: dict, cols: list) -> bytes:
+    """An exact cache file of a header and the JSON of its columns M_v."""
+    lines = [json.dumps(col).encode() + b"\n" for col in cols]
+    head = dict(head, columns=list(accumulate(map(len, lines), initial=0)))
+    return json.dumps(head).encode() + b"\n" + b"".join(lines)
 
 
 def test_describe_text(capsys):
@@ -94,7 +102,8 @@ def test_verify_detects_corrupt_table(capsys, tmp_path):
     code, _, _ = run(capsys, "table", "Q(3)", f"--cache-dir={tmp_path}")
     assert code == 0
     (path,) = tmp_path.glob("qk-*.json")
-    obj = json.loads(path.read_text())
+    head, lines = path.read_bytes().split(b"\n", 1)
+    cols = [json.loads(line) for line in lines.splitlines()]
     # flip the first nonzero coefficient found in the stored matrices
     def corrupt(node):
         if isinstance(node, dict) and "terms" in node and node["terms"]:
@@ -104,8 +113,8 @@ def test_verify_detects_corrupt_table(capsys, tmp_path):
             return any(corrupt(x) for x in node)
         return False
 
-    assert corrupt(obj["mats"])
-    path.write_text(json.dumps(obj))
+    assert corrupt(cols)
+    path.write_bytes(_exact_file(json.loads(head), cols))
     code, out, _ = run(
         capsys, "verify", "Q(3)", "--suite=table", f"--cache-dir={tmp_path}"
     )
@@ -238,9 +247,10 @@ def test_malformed_cache_file_is_a_warned_miss(capsys, tmp_path, monkeypatch, da
     assert code == 0
     (path,) = tmp_path.glob("qk-*.json")
     if damage == "no-masks":
-        obj = json.loads(path.read_text())
+        head, payload = path.read_bytes().split(b"\n", 1)
+        obj = json.loads(head)
         del obj["masks"]
-        path.write_text(json.dumps(obj))
+        path.write_bytes(json.dumps(obj).encode() + b"\n" + payload)
     else:
         path.unlink()
         path.mkdir()
@@ -302,6 +312,94 @@ def test_exact_product_output_is_pinned(capsys, tmp_path, fmt):
     code, out, err = run(capsys, "product", "Gr(2,4)", "2,2", "2,2", f"--format={fmt}", f"--cache-dir={tmp_path}")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == GR24_PRODUCT_SHA256[fmt]
+
+
+# sha256 of the `product` outputs of every (u, v) of a space, in basis order
+# for u and then v, recorded at commit c5f6f76, before exact cache files
+# were read by column
+ALL_PRODUCTS_SHA256 = {
+    ("LG(2,4)", "exact"): {
+        "text": "5b7015108ffc5a77ebb347b9c0609eefe9deac68ec27581e4d32cf1b0f1ef2a0",
+        "json": "847d8748a84e715f26f791d0a59be489563d50ccce7202d61234c0a3534bfb3b",
+        "latex": "8bc0b516eab97109f512faad8b88886a868907f644daeae7f7effaffb9d09bd2",
+    },
+    ("LG(2,4)", "mod-p"): {
+        "text": "b940b29f312dddc1ef96125720e8461803ef77754e17828a8b96a37eac96db1a",
+        "json": "325e8d8492511324feaf5631230a953cb7fc199a5525224ea937732b57dbbc5c",
+        "latex": "b940b29f312dddc1ef96125720e8461803ef77754e17828a8b96a37eac96db1a",
+    },
+    ("Gr(2,4)", "exact"): {
+        "text": "a7e2d25a918fd93204a2ea1b8495ece82a9100900c3aade87b73c5048dfc8d3b",
+        "json": "2ba77dffd4c0b8b99abdea9edd181aed10658898e617d49c9f85d7f206bed4a3",
+        "latex": "bdb7c26f38f5c32779274a4c11ebde38bf7d791fa421be78a8349e628811ba97",
+    },
+    ("Gr(2,4)", "mod-p"): {
+        "text": "995d12828e42f79490c55a830b3e50147a1358f44af9eb7f468fe7afd00c39a7",
+        "json": "9b6e8061bdb02ccb8c11fbf612a7aeb209077618b91d04acc63bcfdd1b2e4fbe",
+        "latex": "995d12828e42f79490c55a830b3e50147a1358f44af9eb7f468fe7afd00c39a7",
+    },
+    ("Q(4)", "exact"): {
+        "text": "65f66d3a90b7e55bde589090e6b18e47bf0235d8b447de6f4bc4ba7e14e3744c",
+        "json": "911b72593564823be9994c0cbad40d089e262ac3bbf7faa9eb7aad0733c8d181",
+        "latex": "3432c3b187b7ec288ba17a68c1e4aa1857e5a159258aa2abca85e17d149bfc21",
+    },
+    ("Q(4)", "mod-p"): {
+        "text": "965ee1bbbf5da36259272fe5bcb738ad500fc47fb7848889b9fad49c2c2945e1",
+        "json": "87ec897c6534d521f42577ed33658ba96f44db84f9dee0358f3da1ed85fe1416",
+        "latex": "965ee1bbbf5da36259272fe5bcb738ad500fc47fb7848889b9fad49c2c2945e1",
+    },
+}
+
+
+@pytest.mark.parametrize("space, backend", sorted(ALL_PRODUCTS_SHA256))
+def test_every_product_output_is_pinned(capsys, tmp_path, space, backend):
+    # the first query builds the table, every later one reads one column
+    poset = build_cominuscule(space)
+    names = [poset.format_shape(s) for s in poset.shapes()]
+    for fmt, want in ALL_PRODUCTS_SHA256[space, backend].items():
+        digest = hashlib.sha256()
+        for u in names:
+            for v in names:
+                code, out, err = run(capsys, "product", space, u, v, f"--backend={backend}", f"--format={fmt}", f"--cache-dir={tmp_path}")
+                assert code == 0 and err == ""
+                digest.update(out.encode())
+        assert digest.hexdigest() == want, fmt
+
+
+# damages that leave an exact file's header decodable
+EXACT_DAMAGES = ["cut-last-column", "columns-short", "columns-not-increasing", "columns-past-eof", "column-shape"]
+
+
+@pytest.mark.parametrize("damage", EXACT_DAMAGES)
+def test_damaged_exact_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch, damage):
+    code, _, _ = run(capsys, "table", "Gr(2,4)", f"--cache-dir={tmp_path}")
+    assert code == 0
+    (path,) = tmp_path.glob("qk-*.json")
+    good = path.read_bytes()
+    head, lines = good.split(b"\n", 1)
+    head = json.loads(head)
+    cols = [json.loads(line) for line in lines.splitlines()]
+    ends = head["columns"]
+    if damage == "cut-last-column":
+        path.write_bytes(good[: len(good) - (ends[-1] - ends[-2]) // 2])
+    elif damage == "column-shape":
+        # the queried column, O^(2,2), loses its top layer
+        path.write_bytes(_exact_file(head, cols[:-1] + [cols[-1][:-1]]))
+    else:
+        if damage == "columns-short":
+            ends = ends[:-1]
+        elif damage == "columns-not-increasing":
+            ends = [ends[0], ends[2], ends[1], *ends[3:]]
+        else:
+            ends = [*ends[:-1], ends[-1] + 1]
+        path.write_bytes(json.dumps(dict(head, columns=ends)).encode() + b"\n" + lines)
+    builds = count_builds(monkeypatch)
+    code, out, err = run(capsys, "product", "Gr(2,4)", "2,2", "2,2", f"--cache-dir={tmp_path}")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GR24_PRODUCT_SHA256["text"]
+    assert err.count("\n") == 1 and "ignoring unreadable cache file" in err and path.name in err
+    assert builds == [qkring.default_truncation(build_cominuscule("Gr(2,4)"))]
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_ktchev2_is_exact_under_the_modp_backend(capsys, tmp_path):
@@ -420,6 +518,28 @@ def test_default_backend_reads_the_exact_file_first(capsys, tmp_path, monkeypatc
     assert run(capsys, "table", "Q(3)", cache) == (0, exact, "") and builds == []
 
 
+def test_explicit_modp_file_does_not_answer_a_default_query(capsys, tmp_path):
+    # only the default rule's own fallback marks a mod-p table as its answer
+    cache = f"--cache-dir={tmp_path}"
+    code, out, _ = run(capsys, "table", "Q(3)", "--backend=mod-p", cache)
+    assert code == 0 and "backend=mod-p" in out
+    code, out, err = run(capsys, "table", "Q(3)", cache)
+    assert code == 0 and "backend=exact" in out and err == ""
+    code, out, err = run(capsys, "product", "Q(3)", "1", "1", "--format=json", cache)
+    assert code == 0 and json.loads(out)["backend"]["kind"] == "exact" and err == ""
+
+
+def test_default_fallback_marks_its_modp_table(capsys, tmp_path):
+    argv = ("table", "Gr(1,8)", "--format=json")
+    code, out, _ = run(capsys, *argv, f"--cache-dir={tmp_path / 'default'}")
+    assert code == 0 and json.loads(out)["backend"]["kind"] == "mod-p"
+    (path,) = (tmp_path / "default").glob("qk-*.json")
+    assert json.loads(path.read_bytes().split(b"\n", 1)[0])["flags"]["exact_out_of_reach"] is True
+    # the marker stays in the cache: the output does not depend on who built the file
+    for cache in ("default", "explicit"):
+        assert run(capsys, *argv, "--backend=mod-p", f"--cache-dir={tmp_path / cache}") == (0, out, "")
+
+
 def test_verify_decodes_the_table_once(capsys, tmp_path, monkeypatch):
     cache = f"--cache-dir={tmp_path}"
     assert run(capsys, "table", "Q(4)", cache)[0] == 0
@@ -430,6 +550,22 @@ def test_verify_decodes_the_table_once(capsys, tmp_path, monkeypatch):
     # the table and positivity suites share it
     assert code == 0 and "positivity-signs" in out and "ms-equations" in out
     assert len(decoded) == 1
+
+
+def test_exact_cache_file_does_not_depend_on_hash_seed(tmp_path):
+    src = os.path.dirname(os.path.dirname(qkring.__file__))
+    files = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        cache = tmp_path / hash_seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "qkcalc.cli", "table", "Q(4)", "--backend=exact", f"--cache-dir={cache}"],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (path,) = cache.glob("qk-*.json")
+        files.append((path.name, path.read_bytes()))
+    assert files[0] == files[1]
 
 
 def test_output_does_not_depend_on_hash_seed(tmp_path):

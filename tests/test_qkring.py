@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -116,20 +117,15 @@ def test_cache_roundtrip(tmp_path, gr24_table):
 
 
 def test_cache_rejects_basis_mismatch(tmp_path, gr24_table):
-    import json
-    import os
+    from qkcalc.qkring import QKRingError
 
     table = gr24_table
     path = save_table(table, str(tmp_path))
-    with open(path) as fh:
-        obj = json.load(fh)
-    obj["masks"] = list(reversed(obj["masks"]))
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-    from qkcalc.qkring import QKRingError
-
+    _rewrite_header(path, masks=list(reversed(table.masks)))
     with pytest.raises(QKRingError):
         load_table(table.space, table.D, table.backend, str(tmp_path))
+    with pytest.raises(QKRingError):
+        load_table(table.space, table.D, table.backend, str(tmp_path), column=0)
 
 
 def test_q0_specialization_is_classical(gr24_table):
@@ -339,6 +335,24 @@ def _rewrite_header(path, **fields):
         fh.write(json.dumps(obj).encode() + sep + payload)
 
 
+def _exact_lines(path) -> tuple:
+    """Header and column lines of an exact cache file."""
+    with open(path, "rb") as fh:
+        return json.loads(fh.readline()), fh.read().splitlines(keepends=True)
+
+
+def _write_exact(path, head: dict, lines: list) -> None:
+    # the header's offsets follow the lines, so only their content is damaged
+    head["columns"] = list(accumulate(map(len, lines), initial=0))
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(head).encode() + b"\n" + b"".join(lines))
+
+
+def _misses(args, columns) -> bool:
+    """A full read and the column reads of `columns` all miss."""
+    return load_table(*args) is None and all(load_table(*args, column=v) is None for v in columns)
+
+
 @pytest.mark.parametrize("backend", ["exact", "mod-p"])
 def test_load_table_treats_malformed_file_as_miss(tmp_path, backend):
     table = full_table(build_cominuscule("Gr(2,4)"), backend=backend)
@@ -346,26 +360,67 @@ def test_load_table_treats_malformed_file_as_miss(tmp_path, backend):
     k = table.k
     damages = [{"masks": None}, {"masks": 7}, {"flags": 7}]
     if table.is_exact:
-        damages += [{"mats": None}, {"mats": 7}, {"mats": [[[]]]}]
+        head, lines = _exact_lines(save_table(table, str(tmp_path)))
+        ends = head["columns"]
+        assert len(lines) == k and ends == list(accumulate(map(len, lines), initial=0))
+        damages += [{"columns": None}, {"columns": 7}, {"columns": "x"}]
+        # of the wrong length, not increasing, or past the end of the file
+        damages += [{"columns": ends[:-1]}, {"columns": ends + [ends[-1]]}, {"columns": [0] + ends}]
+        damages += [{"columns": ends[:1] + ends[2:3] + ends[1:2] + ends[3:]}, {"columns": ends[:1] + ends[1:2] * 2 + ends[3:]}]
+        damages += [{"columns": ends[:-1] + [ends[-1] + 1]}, {"columns": [x + 1 for x in ends]}]
     else:
         damages += [{"shape": None}, {"shape": 7}, {"shape": "x"}, {"shape": [k, table.D + 1, k, -k]}]
         # the payload read as an array of another shape
         damages += [{"shape": [k, table.D + 1, k * k]}, {"shape": [k, table.D, k, k]}]
     for damage in damages:
         _rewrite_header(save_table(table, str(tmp_path)), **damage)
-        assert load_table(*args) is None, damage
-    if not table.is_exact:
-        path = save_table(table, str(tmp_path))
-        with open(path, "rb") as fh:
-            good = fh.read()
-        for broken in (good[:-1], good + b"\0", good[:-8]):
-            with open(path, "wb") as fh:
-                fh.write(broken)
-            assert load_table(*args) is None
+        assert _misses(args, range(k)), damage
+    path = save_table(table, str(tmp_path))
+    with open(path, "rb") as fh:
+        good = fh.read()
+    # cut inside the last column, or grown past it
+    for broken in (good[:-1], good + b"\0", good[:-8]):
+        with open(path, "wb") as fh:
+            fh.write(broken)
+        assert _misses(args, range(k))
+    if table.is_exact:
+        # a column line of the wrong shape misses on a full read and on its own
+        head, lines = _exact_lines(save_table(table, str(tmp_path)))
+        col = json.loads(lines[2])
+        for wrong in (col[:-1], [mat[:-1] for mat in col], [[row[:-1] for row in mat] for mat in col], [[[]]], 7):
+            _write_exact(path, head, lines[:2] + [json.dumps(wrong).encode() + b"\n"] + lines[3:])
+            assert _misses(args, [2]), wrong
+            assert (load_table(*args, column=3) == table.mats[3]).all()
     path = save_table(table, str(tmp_path))
     os.unlink(path)
     os.mkdir(path)
-    assert load_table(*args) is None
+    assert _misses(args, range(k))
+
+
+@pytest.mark.parametrize("space", ["Gr(2,4)", "Q(4)"])
+@pytest.mark.parametrize("backend", ["exact", "mod-p"])
+def test_column_read_is_the_table_column(tmp_path, space, backend):
+    table = full_table(build_cominuscule(space), backend=backend)
+    save_table(table, str(tmp_path))
+    args = (table.space, table.D, table.backend, str(tmp_path))
+    full = load_table(*args)
+    assert (full.mats == table.mats).all()
+    for v in range(table.k):
+        col = load_table(*args, column=v)
+        assert col.shape == (table.D + 1, table.k, table.k) and col.dtype == table.mats.dtype
+        assert (col == full.mats[v]).all()
+    for v in (-1, table.k):
+        with pytest.raises(IndexError):
+            load_table(*args, column=v)
+
+
+def test_load_table_flag_filters_the_header(tmp_path, gr24_table):
+    table = gr24_table
+    args = (table.space, table.D, table.backend, str(tmp_path))
+    save_table(table, str(tmp_path))
+    assert load_table(*args, flag="stabilized") is not None
+    assert load_table(*args, flag="exact_out_of_reach") is None
+    assert load_table(*args, column=1, flag="exact_out_of_reach") is None
 
 
 def test_save_table_leaves_no_temp_file(tmp_path, gr24_table):
@@ -514,11 +569,11 @@ def test_degree_probe_stops_at_the_grid_guard(monkeypatch):
     assert lines and all(not np.ptp(nodes[:, 1:], axis=0).any() for nodes in lines)
 
 
-@pytest.mark.parametrize("entries", [qkring._GRID_ENTRIES, 8100], ids=["one-call", "chunked"])
+@pytest.mark.parametrize("entries", [qkring._PROBE_ENTRIES, 8100], ids=["one-call", "chunked"])
 def test_degree_probe_solves_a_line_in_few_calls(monkeypatch, entries):
     # all columns of a probe line in one call, split only where a call would
-    # hold more than the grid may: Gr(2,4)'s grid of 45 points holds 8100
-    # entries, and its lines of 8 nodes 8640
+    # hold more than _PROBE_ENTRIES entries: Gr(2,4)'s lines of 8 nodes hold
+    # 8640
     calls = {}
     columns = qkring._ModPSolver.columns
 
@@ -526,7 +581,7 @@ def test_degree_probe_solves_a_line_in_few_calls(monkeypatch, entries):
         calls.setdefault(solver, []).append(len(vs))
         return columns(solver, vs)
 
-    monkeypatch.setattr(qkring, "_GRID_ENTRIES", entries)
+    monkeypatch.setattr(qkring, "_PROBE_ENTRIES", entries)
     monkeypatch.setattr(qkring._ModPSolver, "columns", recording)
     poset = build_cominuscule("Gr(2,4)")
     dv, D, k = qkring.divisor_matrix(poset), qkring.default_truncation(poset), len(poset.shape_masks)
