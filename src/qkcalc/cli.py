@@ -29,6 +29,7 @@ from .qkring import (
     GridOutOfReach,
     MultTable,
     TruncationTooSmall,
+    cache_flags,
     cache_path,
     default_truncation,
     full_table,
@@ -76,7 +77,7 @@ def _gamma_coeff(g, poset, fmt: str) -> str:
         if not any(e):
             ch = "1"
         elif fmt == "latex":
-            ch = "[{\\mathbb C}_{%s}]" % _eps_latex_build(eps_string(poset, e))
+            ch = "[{\\mathbb C}_{%s}]" % eps_string(poset, e, fmt)
         else:
             ch = f"[C_{{{eps_string(poset, e)}}}]"
         if c in (1, -1):
@@ -85,31 +86,6 @@ def _gamma_coeff(g, poset, fmt: str) -> str:
             term = f"{c}{times}{ch}"
         bits.append(term if not bits or term.startswith("-") else "+" + term)
     return "".join(bits)
-
-
-def _eps_latex_build(s: str) -> str:
-    if s == "0":
-        return "0"
-    out = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c in "+-":
-            out.append(c)
-            i += 1
-        elif c == "e":
-            j = i + 1
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            out.append("\\varepsilon_{%s}" % s[i + 1 : j])
-            i = j
-        else:
-            j = i
-            while j < len(s) and (s[j].isdigit() or s[j] == "*"):
-                j += 1
-            out.append(s[i:j].replace("*", "\\,"))
-            i = j
-    return "".join(out)
 
 
 def _shape_name(poset, mask: int) -> str:
@@ -181,7 +157,7 @@ def _cmd_chevalley(args) -> int:
         header = "%% %s, u = (%s), J_u = [{\\mathbb C}_{%s}]" % (
             poset.space,
             uname,
-            _eps_latex_build(eps_string(poset, tuple(-x for x in jw))),
+            eps_string(poset, tuple(-x for x in jw), fmt),
         )
         lhs1 = "J \\star {\\mathcal O}^{(%s)}" % uname
         lhs2 = "{\\mathcal O}^{s_\\gamma} \\star {\\mathcal O}^{(%s)}" % uname
@@ -226,15 +202,18 @@ def _load_or_build_table(args, poset, column=None) -> tuple:
     rungs = [qmax << i for i in range(4)]
     for desc in descs:
         # under the default rule a mod-p file answers a space of at most 20
-        # classes only if its exact build was out of reach; a file without
-        # that mark is passed over, not unreadable
+        # classes only if its exact build was out of reach; a readable file
+        # without that mark is passed over, not unreadable
         flag = None if desc is descs[0] else _FALLBACK_FLAG
         for D in rungs:
             cached = load_table(space, D, desc, cache_dir, column=column, flag=flag)
             if cached is not None:
                 return desc, cached
             path = cache_path(space, D, desc, cache_dir)
-            if flag is None and os.path.exists(path):
+            if not os.path.exists(path):
+                continue
+            flags = None if flag is None else cache_flags(space, D, desc, cache_dir)
+            if flags is None or flags.get(flag):
                 _warn(f"ignoring unreadable cache file {path}")
     for desc in descs:
         try:
@@ -399,16 +378,7 @@ def _suite_table(poset, args, table) -> list[dict]:
 
 
 def _suite_positivity(poset, args, table) -> list[dict]:
-    table = table()
-    if not table.is_exact:
-        return [
-            {
-                "check": "positivity-signs",
-                "space": str(poset.space),
-                "status": "not-applicable",
-            }
-        ]
-    return [verify_positivity_signs(table)]
+    return [verify_positivity_signs(table())]
 
 
 def _suite_probe(poset, args, table) -> list[dict]:

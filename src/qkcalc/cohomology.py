@@ -18,7 +18,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gamma import DEFAULT_PRIMES, ChernPolynomial, GammaElement, GammaFraction, ch_character
+from .gamma import (
+    DEFAULT_PRIMES,
+    ChernPolynomial,
+    GammaElement,
+    GammaFraction,
+    PolynomialFraction,
+    ch_character,
+)
 from .poset import CominusculePoset
 from .qkring import MultTable, _matmul_mod, _row_reduce_mod, divisor_matrix
 
@@ -53,69 +60,31 @@ def _poly_divide(num: ChernPolynomial, den: ChernPolynomial) -> ChernPolynomial 
     return ChernPolynomial(num.rank, out)
 
 
-class LambdaFraction:
-    """num/den with polynomial parts; equality by cross multiplication."""
+class LambdaFraction(PolynomialFraction):
+    """The fraction field of the Chern side.
 
-    __slots__ = ("num", "den")
+    Normalization: exact division when it succeeds, else a monic
+    denominator.
+    """
 
-    def __init__(self, num: ChernPolynomial, den: ChernPolynomial, normalize: bool = True):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if normalize:
-            if num.is_zero():
-                den = ChernPolynomial.from_fraction(num.rank, 1)
-            else:
-                q = _poly_divide(num, den)
-                if q is not None:
-                    num, den = q, ChernPolynomial.from_fraction(num.rank, 1)
-                else:
-                    lc = den.leading()[1]
-                    if lc != 1:
-                        inv = Fraction(1) / lc
-                        num, den = num * inv, den * inv
-        self.num = num
-        self.den = den
+    __slots__ = ()
 
     @staticmethod
     def from_poly(p: ChernPolynomial) -> "LambdaFraction":
         return LambdaFraction(p, ChernPolynomial.from_fraction(p.rank, 1), normalize=False)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "LambdaFraction") -> "LambdaFraction":
-        if self.den == other.den:
-            return LambdaFraction(self.num + other.num, self.den)
-        return LambdaFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "LambdaFraction") -> "LambdaFraction":
-        return self + (-other)
-
-    def __neg__(self) -> "LambdaFraction":
-        return LambdaFraction(-self.num, self.den, normalize=False)
-
-    def __mul__(self, other: "LambdaFraction") -> "LambdaFraction":
-        return LambdaFraction(self.num * other.num, self.den * other.den)
-
-    def inverse(self) -> "LambdaFraction":
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverting zero")
-        return LambdaFraction(self.den, self.num)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LambdaFraction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):  # pragma: no cover - not used as a key
-        raise TypeError("LambdaFraction is unhashable")
-
-    def __repr__(self) -> str:
-        if self.den == ChernPolynomial.from_fraction(self.den.rank, 1):
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
+    @staticmethod
+    def _normalize(num: ChernPolynomial, den: ChernPolynomial) -> tuple[ChernPolynomial, ChernPolynomial]:
+        if num.is_zero():
+            return num, ChernPolynomial.from_fraction(num.rank, 1)
+        q = _poly_divide(num, den)
+        if q is not None:
+            return q, ChernPolynomial.from_fraction(num.rank, 1)
+        lc = den.leading()[1]
+        if lc != 1:
+            inv = Fraction(1) / lc
+            return num * inv, den * inv
+        return num, den
 
 
 # ---------------------------------------------------------------------------

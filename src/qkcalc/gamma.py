@@ -3,7 +3,10 @@
 ``GammaElement`` is a finite integer combination of formal exponentials
 ``e^lam`` indexed by root-lattice vectors ``lam`` (tuples of integers over the
 simple-root basis).  This is a Laurent ring: exponents may be negative.  All
-arithmetic is exact over the integers; there are no floats anywhere.
+arithmetic is exact over the integers; there are no floats anywhere.  Its
+ring operations live in ``SparsePolynomial``, which ``ChernPolynomial``
+shares, and the field operations of its fractions in ``PolynomialFraction``,
+which ``cohomology.LambdaFraction`` shares.
 
 The module also provides
 
@@ -40,31 +43,27 @@ class ZeroAssignment(GammaError):
     """A mod-p assignment must send every generator to a nonzero residue."""
 
 
-class GammaElement:
-    """Sparse Laurent element: dict from exponent tuple to nonzero int."""
+class SparsePolynomial:
+    """Sparse polynomial in ``rank`` variables: a dict from exponent tuple to
+    nonzero coefficient.
 
-    __slots__ = ("terms", "rank", "_hash")
+    The ring operations of ``GammaElement`` and ``ChernPolynomial``, written
+    once.  A subclass fixes its coefficients: ``_scalars`` are the types that
+    multiply an element coefficient-wise.  Operands of different rank raise
+    ``GammaError``.
+    """
 
-    def __init__(self, rank: int, terms: dict[Exponent, int] | None = None):
+    __slots__ = ("rank", "terms", "_hash")
+    _scalars: tuple[type, ...] = (int,)
+
+    def __init__(self, rank: int, terms: dict | None = None):
         self.rank = rank
         self.terms = {e: c for e, c in (terms or {}).items() if c}
         self._hash: int | None = None
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(rank: int) -> "GammaElement":
-        return GammaElement(rank)
-
-    @staticmethod
-    def from_int(rank: int, n: int) -> "GammaElement":
-        return GammaElement(rank, {(0,) * rank: n})
-
-    @staticmethod
-    def monomial(exponent: Exponent, coeff: int = 1) -> "GammaElement":
-        return GammaElement(len(exponent), {tuple(exponent): coeff})
-
-    # -- predicates --------------------------------------------------------
+    @classmethod
+    def zero(cls, rank: int):
+        return cls(rank)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -72,13 +71,11 @@ class GammaElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    # -- ring operations ---------------------------------------------------
-
-    def _check(self, other: "GammaElement") -> None:
+    def _check(self, other: "SparsePolynomial") -> None:
         if self.rank != other.rank:
-            raise GammaError("rank mismatch in group-ring arithmetic")
+            raise GammaError("rank mismatch in polynomial arithmetic")
 
-    def __add__(self, other: "GammaElement") -> "GammaElement":
+    def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -87,21 +84,21 @@ class GammaElement:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return GammaElement(self.rank, out)
+        return type(self)(self.rank, out)
 
-    def __neg__(self) -> "GammaElement":
-        return GammaElement(self.rank, {e: -c for e, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.rank, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: "GammaElement") -> "GammaElement":
+    def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, self._scalars):
             if not other:
-                return GammaElement.zero(self.rank)
-            return GammaElement(self.rank, {e: c * other for e, c in self.terms.items()})
+                return type(self)(self.rank)
+            return type(self)(self.rank, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        out: dict[Exponent, int] = {}
+        out = {}
         small, big = (self.terms, other.terms)
         if len(small) > len(big):
             small, big = big, small
@@ -113,14 +110,14 @@ class GammaElement:
                     out[e] = s
                 else:
                     del out[e]
-        return GammaElement(self.rank, out)
+        return type(self)(self.rank, out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "GammaElement":
+    def __pow__(self, n: int):
         if n < 0:
-            raise GammaError("negative powers need exact_divide")
-        result = GammaElement.from_int(self.rank, 1)
+            raise GammaError("negative powers need exact division")
+        result = type(self)(self.rank, {(0,) * self.rank: 1})
         base = self
         while n:
             if n & 1:
@@ -130,16 +127,33 @@ class GammaElement:
         return result
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GammaElement)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
+        return type(other) is type(self) and self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash((self.rank, tuple(sorted(self.terms.items()))))
         return self._hash
+
+    def leading(self) -> tuple:
+        """The lexicographically largest exponent and its coefficient."""
+        e = max(self.terms)
+        return e, self.terms[e]
+
+
+class GammaElement(SparsePolynomial):
+    """Sparse Laurent element: dict from exponent tuple to nonzero int."""
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_int(rank: int, n: int) -> "GammaElement":
+        return GammaElement(rank, {(0,) * rank: n})
+
+    @staticmethod
+    def monomial(exponent: Exponent, coeff: int = 1) -> "GammaElement":
+        return GammaElement(len(exponent), {tuple(exponent): coeff})
 
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
         return sorted(self.terms.items())
@@ -171,10 +185,6 @@ class GammaElement:
             self.rank,
             {tuple(a + b for a, b in zip(e, offset)): c for e, c in self.terms.items()},
         )
-
-    def leading(self) -> tuple[Exponent, int]:
-        e = max(self.terms)
-        return e, self.terms[e]
 
     # -- serialization ------------------------------------------------------
 
@@ -343,108 +353,116 @@ class QPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# The fraction field of the group ring
+# Fraction fields
 
 
-_NORMALIZE_TERM_CAP = 400
+class PolynomialFraction:
+    """num/den over a ``SparsePolynomial`` ring; equality by cross
+    multiplication, so unhashable.
 
-
-class GammaFraction:
-    """num/den with both in the group ring; equality by cross multiplication.
-
-    Normalization is best effort: integer content, monomial content of the
-    denominator, and two-way exact-division attempts under a size cap.
-    Correctness never depends on a canonical reduced form.
+    The field operations of ``GammaFraction`` and
+    ``cohomology.LambdaFraction``, written once.  A subclass supplies
+    ``_normalize(num, den)``, its best-effort reduced form; correctness never
+    depends on it.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: GammaElement, den: GammaElement, normalize: bool = True):
+    def __init__(self, num: SparsePolynomial, den: SparsePolynomial, normalize: bool = True):
         if den.is_zero():
-            raise ZeroDivisionError("zero denominator in group-ring fraction")
+            raise ZeroDivisionError(f"zero denominator in {type(self).__name__}")
         if normalize:
-            num, den = _normalize_fraction(num, den)
+            num, den = self._normalize(num, den)
         self.num = num
         self.den = den
-
-    @staticmethod
-    def from_gamma(g: GammaElement) -> "GammaFraction":
-        return GammaFraction(g, GammaElement.from_int(g.rank, 1), normalize=False)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __add__(self, other: "GammaFraction") -> "GammaFraction":
+    def __add__(self, other):
         if self.den == other.den:
-            return GammaFraction(self.num + other.num, self.den)
-        return GammaFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+            return type(self)(self.num + other.num, self.den)
+        return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __sub__(self, other: "GammaFraction") -> "GammaFraction":
+    def __sub__(self, other):
         if self.den == other.den:
-            return GammaFraction(self.num - other.num, self.den)
-        return GammaFraction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+            return type(self)(self.num - other.num, self.den)
+        return type(self)(self.num * other.den - other.num * self.den, self.den * other.den)
 
-    def __neg__(self) -> "GammaFraction":
-        return GammaFraction(-self.num, self.den, normalize=False)
+    def __neg__(self):
+        return type(self)(-self.num, self.den, normalize=False)
 
-    def __mul__(self, other: "GammaFraction") -> "GammaFraction":
-        return GammaFraction(self.num * other.num, self.den * other.den)
+    def __mul__(self, other):
+        return type(self)(self.num * other.num, self.den * other.den)
 
-    def inverse(self) -> "GammaFraction":
+    def inverse(self):
         if self.num.is_zero():
-            raise ZeroDivisionError("inverting zero fraction")
-        return GammaFraction(self.den, self.num)
+            raise ZeroDivisionError(f"inverting zero {type(self).__name__}")
+        return type(self)(self.den, self.num)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GammaFraction):
+        if type(other) is not type(self):
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        raise TypeError("GammaFraction is unhashable")
+    # equal fractions need not share num and den
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"({self.num!r})/({self.den!r})"
 
 
-def _normalize_fraction(num: GammaElement, den: GammaElement) -> tuple[GammaElement, GammaElement]:
-    if num.is_zero():
-        return num, GammaElement.from_int(den.rank, 1)
-    # Shift the denominator's monomial content into the numerator.
-    shift = den.min_exponent()
-    if any(shift):
-        den = den.shifted(tuple(-x for x in shift))
-        num = num.shifted(tuple(-x for x in shift))
-    g = gcd(num.int_content(), den.int_content())
-    if g > 1:
-        num = GammaElement(num.rank, {e: c // g for e, c in num.terms.items()})
-        den = GammaElement(den.rank, {e: c // g for e, c in den.terms.items()})
-    # Sign: make the denominator's leading coefficient positive.
-    if den.leading()[1] < 0:
-        num, den = -num, -den
-    if len(den.terms) == 1:
-        e, c = den.leading()
-        if c == 1:
-            return num.shifted(tuple(-x for x in e)), GammaElement.from_int(num.rank, 1)
-    if len(num.terms) <= _NORMALIZE_TERM_CAP and len(den.terms) <= _NORMALIZE_TERM_CAP:
-        try:
-            q = exact_divide(num, den)
-            return q, GammaElement.from_int(num.rank, 1)
-        except NotDivisible:
-            pass
-        try:
-            q = exact_divide(den, num)
-            one = GammaElement.from_int(num.rank, 1)
-            if q.leading()[1] < 0:
-                return -one, -q
-            return one, q
-        except NotDivisible:
-            pass
-    return num, den
+_NORMALIZE_TERM_CAP = 400
+
+
+class GammaFraction(PolynomialFraction):
+    """The fraction field of the group ring.
+
+    Normalization: integer content, monomial content of the denominator, and
+    two-way exact-division attempts under a size cap.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def from_gamma(g: GammaElement) -> "GammaFraction":
+        return GammaFraction(g, GammaElement.from_int(g.rank, 1), normalize=False)
+
+    @staticmethod
+    def _normalize(num: GammaElement, den: GammaElement) -> tuple[GammaElement, GammaElement]:
+        if num.is_zero():
+            return num, GammaElement.from_int(den.rank, 1)
+        # Shift the denominator's monomial content into the numerator.
+        shift = den.min_exponent()
+        if any(shift):
+            den = den.shifted(tuple(-x for x in shift))
+            num = num.shifted(tuple(-x for x in shift))
+        g = gcd(num.int_content(), den.int_content())
+        if g > 1:
+            num = GammaElement(num.rank, {e: c // g for e, c in num.terms.items()})
+            den = GammaElement(den.rank, {e: c // g for e, c in den.terms.items()})
+        # Sign: make the denominator's leading coefficient positive.
+        if den.leading()[1] < 0:
+            num, den = -num, -den
+        if len(den.terms) == 1:
+            e, c = den.leading()
+            if c == 1:
+                return num.shifted(tuple(-x for x in e)), GammaElement.from_int(num.rank, 1)
+        if len(num.terms) <= _NORMALIZE_TERM_CAP and len(den.terms) <= _NORMALIZE_TERM_CAP:
+            try:
+                q = exact_divide(num, den)
+                return q, GammaElement.from_int(num.rank, 1)
+            except NotDivisible:
+                pass
+            try:
+                q = exact_divide(den, num)
+                one = GammaElement.from_int(num.rank, 1)
+                if q.leading()[1] < 0:
+                    return -one, -q
+                return one, q
+            except NotDivisible:
+                pass
+        return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -485,18 +503,11 @@ def default_assignments(rank: int, p: int, count: int = 2, seed: int = 0) -> lis
 # rational coefficients.  Exponent tuples are nonnegative.
 
 
-class ChernPolynomial:
+class ChernPolynomial(SparsePolynomial):
     """Sparse polynomial over Q in rank-many variables."""
 
-    __slots__ = ("rank", "terms")
-
-    def __init__(self, rank: int, terms: dict[Exponent, Fraction] | None = None):
-        self.rank = rank
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero(rank: int) -> "ChernPolynomial":
-        return ChernPolynomial(rank)
+    __slots__ = ()
+    _scalars = (int, Fraction)
 
     @staticmethod
     def from_fraction(rank: int, c) -> "ChernPolynomial":
@@ -513,64 +524,6 @@ class ChernPolynomial:
                 terms[tuple(e)] = Fraction(c)
         return ChernPolynomial(rank, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return ChernPolynomial(self.rank, out)
-
-    def __neg__(self) -> "ChernPolynomial":
-        return ChernPolynomial(self.rank, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return ChernPolynomial.zero(self.rank)
-            return ChernPolynomial(
-                self.rank, {e: c * other for e, c in self.terms.items()}
-            )
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return ChernPolynomial(self.rank, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "ChernPolynomial":
-        result = ChernPolynomial.from_fraction(self.rank, 1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ChernPolynomial)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, tuple(sorted(self.terms.items()))))
-
     def degree(self) -> int:
         if not self.terms:
             return -1
@@ -580,10 +533,6 @@ class ChernPolynomial:
         return ChernPolynomial(
             self.rank, {e: c for e, c in self.terms.items() if sum(e) == m}
         )
-
-    def leading(self) -> tuple[Exponent, Fraction]:
-        e = max(self.terms)
-        return e, self.terms[e]
 
     def evaluate_mod_p(self, assignment: tuple[int, ...], p: int) -> int:
         total = 0

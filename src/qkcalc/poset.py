@@ -23,6 +23,7 @@ from .rootsys import (
     RootSystem,
     RootVector,
     UnsupportedType,
+    _identity,
     build_root_system,
     eps_to_root,
     longest_word,
@@ -588,7 +589,7 @@ class CominusculePoset:
     def weyl_matrix(self, mask: int) -> tuple:
         cached = self._wmat_cache.get(mask)
         if cached is None:
-            mat = _identity_matrix(self.rs.rank)
+            mat = _identity(self.rs.rank)
             for i in self._word(mask):
                 mat = mat_mult(mat, self._refl[i])
             self._wmat_cache[mask] = cached = mat
@@ -597,7 +598,7 @@ class CominusculePoset:
     def weyl_matrix_inv(self, mask: int) -> tuple:
         cached = self._winv_cache.get(mask)
         if cached is None:
-            mat = _identity_matrix(self.rs.rank)
+            mat = _identity(self.rs.rank)
             for i in reversed(self._word(mask)):
                 mat = mat_mult(mat, self._refl[i])
             self._winv_cache[mask] = cached = mat
@@ -789,10 +790,6 @@ class CominusculePoset:
         return f"CominusculePoset({self.space})"
 
 
-def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 @lru_cache(maxsize=None)
 def _build_cached(spec_str: str) -> CominusculePoset:
     return CominusculePoset(parse_space(spec_str))
@@ -805,22 +802,22 @@ def build_cominuscule(spec: SpaceSpec | str) -> CominusculePoset:
     return _build_cached(str(spec))
 
 
-def eps_string(poset: CominusculePoset, v: RootVector) -> str:
+def eps_string(poset: CominusculePoset, v: RootVector, fmt: str = "text") -> str:
     """Readable weight: epsilon coordinates for the classical families,
-    simple-root coordinates otherwise."""
+    simple-root coordinates otherwise; ``fmt="latex"`` writes the symbols as
+    ``\\varepsilon_{i}`` and ``\\alpha_{i}``."""
+    latex = fmt == "latex"
     try:
-        eps = root_to_eps(poset.rs, v)
+        coords = root_to_eps(poset.rs, v)
+        sym = "\\varepsilon_{%d}" if latex else "e%d"
     except UnsupportedType:
-        bits = []
-        for i, c in enumerate(v):
-            if c:
-                bits.append(_term(c, f"a{i+1}", first=not bits))
-        return "".join(bits) if bits else "0"
+        coords = v
+        sym = "\\alpha_{%d}" if latex else "a%d"
     bits = []
-    for i, c in enumerate(eps):
+    for i, c in enumerate(coords):
         if c:
             ci = int(c) if c.denominator == 1 else c
-            bits.append(_term(ci, f"e{i+1}", first=not bits))
+            bits.append(_term(ci, sym % (i + 1), first=not bits))
     return "".join(bits) if bits else "0"
 
 

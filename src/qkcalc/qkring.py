@@ -884,6 +884,29 @@ def save_table(table: MultTable, cache_dir: str) -> str:
     return path
 
 
+def _read_header(fh, space: str, D: int, backend: dict) -> dict | None:
+    """The header line of an open cache file, or None when it is not a JSON
+    object keyed by space, D and backend.  Raises ValueError when it is not
+    JSON at all."""
+    obj = json.loads(fh.readline())
+    if not isinstance(obj, dict):
+        return None
+    if obj.get("space") != space or obj.get("D") != D or obj.get("backend") != backend:
+        return None
+    return obj
+
+
+def cache_flags(space: str, D: int, backend: dict, cache_dir: str) -> dict | None:
+    """The flags in a cache file's header, read without its payload, or None
+    when the file is missing or its header unreadable or keyed differently."""
+    try:
+        with open(cache_path(space, D, backend, cache_dir), "rb") as fh:
+            obj = _read_header(fh, space, D, backend)
+        return None if obj is None else dict(obj.get("flags", {}))
+    except (OSError, TypeError, ValueError):
+        return None
+
+
 def load_table(
     space: str, D: int, backend: dict, cache_dir: str, *, column: int | None = None, flag: str | None = None
 ) -> MultTable | np.ndarray | None:
@@ -893,10 +916,8 @@ def load_table(
     set `flag`; a basis mismatch raises QKRingError."""
     try:
         with open(cache_path(space, D, backend, cache_dir), "rb") as fh:
-            obj = json.loads(fh.readline())
-            if not isinstance(obj, dict):
-                return None
-            if obj.get("space") != space or obj.get("D") != D or obj.get("backend") != backend:
+            obj = _read_header(fh, space, D, backend)
+            if obj is None:
                 return None
             flags = dict(obj.get("flags", {}))
             if flag is not None and not flags.get(flag):

@@ -52,6 +52,50 @@ def test_chevalley_latex(capsys):
     assert out.count("{\\mathcal O}^{(") >= 16
 
 
+def _python(code: str, *args: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter on this checkout's package; a hang
+    fails as subprocess.TimeoutExpired instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qkring.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+def test_exceptional_latex_names_simple_roots():
+    # E6 and E7 weights have no epsilon coordinates: simple-root symbols
+    for space, root in (("E6", "\\alpha_{6}"), ("E7", "\\alpha_{7}")):
+        proc = _python(
+            "from qkcalc.cli import main; raise SystemExit(main())",
+            "chevalley", space, "[0]", "--format=latex",
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert root in proc.stdout
+
+
+FORMAT_SWEEP = """
+import contextlib, io, json
+from qkcalc import cli
+
+failed = []
+for space in ("Gr(2,4)", "LG(3,6)", "OG(4,8)", "Q(5)", "Q(6)", "E6", "E7"):
+    for argv in (["describe", space], ["chevalley", space, "[0]"], ["dual", space, "[0]"], ["nbhd", space, "[0]", "1"]):
+        for fmt in ("text", "latex", "json"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + ["--format=" + fmt])
+            if code:
+                failed.append([*argv, fmt, code])
+print(json.dumps(failed))
+"""
+
+
+def test_every_family_renders_in_every_format():
+    # one space per family; takes well under a second unless a renderer hangs
+    proc = _python(FORMAT_SWEEP, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_product_json_roundtrip(capsys, tmp_path):
     code, out, _ = run(
         capsys,
@@ -538,6 +582,33 @@ def test_default_fallback_marks_its_modp_table(capsys, tmp_path):
     # the marker stays in the cache: the output does not depend on who built the file
     for cache in ("default", "explicit"):
         assert run(capsys, *argv, "--backend=mod-p", f"--cache-dir={tmp_path / cache}") == (0, out, "")
+
+
+def test_default_rule_warns_about_a_damaged_modp_file(capsys, tmp_path):
+    # unreadable is not unmarked: the default rule warns, answers exact and
+    # leaves the damaged mod-p file in place
+    cache = f"--cache-dir={tmp_path}"
+    assert run(capsys, "table", "Q(3)", "--backend=mod-p", cache)[0] == 0
+    (path,) = tmp_path.glob("qk-*.json")
+    path.write_bytes(path.read_bytes()[:100])
+    code, out, err = run(capsys, "table", "Q(3)", cache)
+    assert code == 0 and "backend=exact" in out
+    assert err == f"warning: ignoring unreadable cache file {path}\n"
+    assert path.stat().st_size == 100
+
+
+def test_default_rule_warns_about_a_damaged_marked_file(capsys, tmp_path):
+    cache = f"--cache-dir={tmp_path}"
+    code, out, _ = run(capsys, "table", "Gr(1,8)", cache)
+    assert code == 0 and "backend=mod-p" in out
+    (path,) = tmp_path.glob("qk-*.json")
+    good = path.read_bytes()
+    path.write_bytes(good[:-1])
+    code, again, err = run(capsys, "table", "Gr(1,8)", cache)
+    assert code == 0 and again == out
+    assert err.startswith(f"warning: ignoring unreadable cache file {path}\n")
+    assert "building mod-p" in err
+    assert path.read_bytes() == good
 
 
 def test_verify_decodes_the_table_once(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""Ring axioms and arithmetic invariants of the Laurent group ring.
+"""Ring axioms and arithmetic invariants of the Laurent group ring, run also
+on ChernPolynomial and on both fraction fields, which share its arithmetic.
 
 Random elements come from hypothesis; rank is kept small (2 or 3) since the
 axioms are coordinate-blind and large exponents only slow things down.
@@ -12,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkcalc.cohomology import LambdaFraction
 from qkcalc.gamma import (
     ChernPolynomial,
     GammaElement,
+    GammaError,
+    GammaFraction,
     NotDivisible,
     QPolynomial,
     ch_character,
@@ -35,14 +39,75 @@ def gammas(rank=RANK, max_terms=4, span=3):
     )
 
 
-@given(gammas(), gammas(), gammas())
-def test_ring_axioms(a, b, c):
+# exponents and coefficients of each ring on the shared polynomial arithmetic
+RINGS = {
+    GammaElement: (st.integers(-3, 3), st.integers(-9, 9)),
+    ChernPolynomial: (st.integers(0, 3), st.fractions(-9, 9, max_denominator=6)),
+}
+
+
+def polys(ring, max_terms=4):
+    exponent, coeff = RINGS[ring]
+    return st.dictionaries(st.tuples(*[exponent] * RANK), coeff, max_size=max_terms).map(
+        lambda d: ring(RANK, d)
+    )
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.__name__)
+@given(st.data())
+def test_ring_axioms(ring, data):
+    a, b, c = (data.draw(polys(ring)) for _ in range(3))
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
-    assert a + (-a) == GammaElement.zero(RANK)
+    assert a + (-a) == ring.zero(RANK)
+    assert a - b == a + (-b)
+    assert a ** 3 == a * a * a and a ** 0 == ring(RANK, {(0,) * RANK: 1})
+    assert hash(a * b) == hash(b * a)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda ring: ring.__name__)
+def test_mixed_ranks_raise(ring):
+    a, b = ring(2, {(1, 0): 1}), ring(3, {(0, 1, 0): 1})
+    for op in (ring.__add__, ring.__sub__, ring.__mul__):
+        with pytest.raises(GammaError, match="rank mismatch"):
+            op(a, b)
+
+
+FIELDS = [(GammaFraction, GammaElement), (LambdaFraction, ChernPolynomial)]
+
+
+@pytest.mark.parametrize("field, ring", FIELDS, ids=[f.__name__ for f, _ in FIELDS])
+@given(st.data())
+@settings(max_examples=40)
+def test_field_identities(field, ring, data):
+    def draw(nonzero=False):
+        elems = polys(ring, max_terms=3)
+        return data.draw(elems.filter(bool) if nonzero else elems)
+
+    one = field(ring(RANK, {(0,) * RANK: 1}), ring(RANK, {(0,) * RANK: 1}))
+    x = field(draw(), draw(nonzero=True))
+    assert -(-x) == x
+    if not x.is_zero():
+        assert x * x.inverse() == one
+    # the same-denominator shortcut of + and - agrees with cross multiplication
+    den = draw(nonzero=True)
+    s, t = field(draw(), den, normalize=False), field(draw(), den, normalize=False)
+    assert s + t == field(s.num * t.den + t.num * s.den, s.den * t.den)
+    assert s - t == field(s.num * t.den - t.num * s.den, s.den * t.den)
+
+
+@pytest.mark.parametrize("field, ring", FIELDS, ids=[f.__name__ for f, _ in FIELDS])
+def test_field_refuses_zero(field, ring):
+    zero, x = ring.zero(RANK), ring(RANK, {(1, 0): 1})
+    with pytest.raises(ZeroDivisionError):
+        field(x, zero)
+    with pytest.raises(ZeroDivisionError):
+        field(zero, x).inverse()
+    with pytest.raises(TypeError):
+        hash(field(x, x))
 
 
 @given(gammas(), gammas())
