@@ -13,6 +13,7 @@ which gives an independent construction of the classical K_T table.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -319,6 +320,71 @@ def ch_bridge_check(table: MultTable, sol: MSSolution) -> dict:
     }
 
 
+def _h_matrix(poset: CominusculePoset, assignment: tuple, p: int) -> np.ndarray:
+    """The H-side divisor matrix at an assignment mod p: H[u, w] is the
+    coefficient of [X^w] in the divisor times [X^u]."""
+    masks = poset.shape_masks
+    index = {m: i for i, m in enumerate(masks)}
+    H = np.zeros((len(masks), len(masks)), dtype=np.int64)
+    for u, mask in enumerate(masks):
+        for wm, c in h_chevalley(poset, mask).items():
+            H[u, index[wm]] = c.evaluate_mod_p(assignment, p)
+    return H
+
+
+# The probe's second system has k^3 rows and k*m columns, where m >= k is the
+# dimension of Comm(H); past this many entries each int64 copy of it passes
+# 128 MB.  E6 needs 27^5 (about 14.3M) entries, E7 56^5 (about 550M).
+_PROBE_SYSTEM_ENTRIES = 1 << 24
+
+
+def _check_probe_system(k: int, m: int) -> None:
+    entries = k**4 * m
+    if entries > _PROBE_SYSTEM_ENTRIES:
+        raise CohomologyError(
+            f"the conjecture probe needs a {k**3} x {k * m} system ({entries} entries), "
+            f"past its bound of {_PROBE_SYSTEM_ENTRIES}"
+        )
+
+
+def _null_space_mod(A: np.ndarray, p: int) -> np.ndarray:
+    """Rows spanning the null space of A mod p, read off its reduced echelon form."""
+    R, rank = _row_reduce_mod(A, p)
+    R = R[:rank]
+    pivots = (R != 0).argmax(axis=1)
+    free = np.setdiff1d(np.arange(A.shape[1]), pivots)
+    N = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    N[np.arange(len(free)), free] = 1
+    N[:, pivots] = -R[:, free].T % p
+    return N
+
+
+def _ms_solution_dimension(H: np.ndarray, p: int) -> int:
+    """Dimension mod p of the tensors c[u, v, w] whose slices c[:, v, :] and
+    c[u, :, :] all commute with H: the Molev-Sagan equations of the divisor.
+
+    Write c[u, v, w] = sum_j a[v, j] B_j[u, w] over a basis B_1..B_m of
+    Comm(H); the first family then holds, and the second is a (k^3, k*m)
+    system in a, whose equation (u, v, w) has the coefficient
+    H[v, v'] B_j[u, w] - [v = v'] (B_j H)[u, w] on a[v', j].
+    """
+    k = len(H)
+    # dim Comm(H) >= k, so a system past the bound is refused before any work
+    _check_probe_system(k, k)
+    eye = np.eye(k, dtype=np.int64)
+    B = _null_space_mod(np.kron(H, eye) - np.kron(eye, H.T), p)
+    m = len(B)
+    _check_probe_system(k, m)
+    col = B.T.reshape(-1, 1)  # B_j[u, w] at ((u, w), j)
+    BH = _matmul_mod(B.reshape(m * k, k), H, p).reshape(m, k * k).T
+    S = np.zeros((k, k * k, m, k), dtype=np.int64)  # rows (v, u, w), columns (j, v')
+    for v in range(k):
+        nz = np.flatnonzero(H[v])
+        S[v][..., nz] = _matmul_mod(col, H[v:v + 1, nz], p).reshape(k * k, m, len(nz))
+        S[v, ..., v] -= BH
+    return k * m - _row_reduce_mod(S.reshape(k**3, m * k), p)[1]
+
+
 def conjecture_probe(poset: CominusculePoset, assignments: int = 2, prime: int | None = None, seed: int = 0) -> dict:
     """Dimension of the full Molev-Sagan solution space over evaluated Lambda_0.
 
@@ -327,35 +393,10 @@ def conjecture_probe(poset: CominusculePoset, assignments: int = 2, prime: int |
     """
     p = prime if prime is not None else DEFAULT_PRIMES[0]
     rank = poset.rs.rank
-    masks = poset.shape_masks
-    k = len(masks)
-    index = {m: i for i, m in enumerate(masks)}
-    import random
-
+    k = len(poset.shape_masks)
     rng = random.Random(f"probe:{seed}:{p}:{rank}")
     points = [tuple(rng.randrange(1, p) for _ in range(rank)) for _ in range(assignments)]
-    dims = []
-    for asg in points:
-        chev = [
-            {index[wm]: c.evaluate_mod_p(asg, p) for wm, c in h_chevalley(poset, mask).items()}
-            for mask in masks
-        ]
-        idx = lambda u, v, w: (u * k + v) * k + w
-        mat = np.zeros((2 * k**3, k**3), dtype=np.int64)
-        for u in range(k):
-            for v in range(k):
-                for w in range(k):
-                    r1, r2 = mat[2 * idx(u, v, w)], mat[2 * idx(u, v, w) + 1]
-                    for up, c in chev[u].items():
-                        r1[idx(up, v, w)] += c
-                    for vp, c in chev[v].items():
-                        r2[idx(u, vp, w)] += c
-                    for wp in range(k):
-                        c = chev[wp].get(w)
-                        if c:
-                            r1[idx(u, v, wp)] -= c
-                            r2[idx(u, v, wp)] -= c
-        dims.append(k**3 - _row_reduce_mod(mat, p)[1])
+    dims = [_ms_solution_dimension(_h_matrix(poset, asg, p), p) for asg in points]
     return {
         "check": "conjecture-probe",
         "space": str(poset.space),
@@ -377,15 +418,9 @@ def divisor_generation_check(poset: CominusculePoset, prime: int | None = None, 
     diags = [h_diagonal(poset, m) for m in masks]
     distinct = all(diags[i] != diags[j] for i in range(k) for j in range(i + 1, k))
     p = prime if prime is not None else DEFAULT_PRIMES[0]
-    import random
-
     rng = random.Random(f"divgen:{seed}:{p}:{rank}")
     asg = tuple(rng.randrange(1, p) for _ in range(rank))
-    index = {m: i for i, m in enumerate(masks)}
-    L = np.zeros((k, k), dtype=np.int64)
-    for u, mask in enumerate(masks):
-        for wm, c in h_chevalley(poset, mask).items():
-            L[index[wm], u] = c.evaluate_mod_p(asg, p)
+    L = _h_matrix(poset, asg, p).T
     K = np.zeros((k, k), dtype=np.int64)
     e = np.zeros(k, dtype=np.int64)
     e[0] = 1

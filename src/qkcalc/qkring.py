@@ -534,18 +534,32 @@ def full_table(poset: CominusculePoset, D: int | None = None, backend="exact") -
     bound d_max.  An exact table is interpolated from mod-p solves and
     certified exactly (see the module docstring).
     """
-    if D is None:
-        D = default_truncation(poset)
-    if D < 2:
-        raise ValueError("truncation must be at least 2 for the certificate")
+    D = _truncation(poset, D)
     backend = make_field(poset, backend)
     dv = divisor_matrix(poset)
     if backend["kind"] == "exact":
         return _exact_table(poset, dv, D, backend)
-    solver = _ModPSolver(dv, D, backend["p"], np.array([backend["assignment"]], dtype=np.int64))
-    table = _assemble(poset, D, backend, solver.columns(range(dv.k))[0])
-    _check_identity_row(table)
-    return table
+    return _modp_point_tables(poset, dv, D, [backend])[0]
+
+
+def _truncation(poset: CominusculePoset, D: int | None) -> int:
+    if D is None:
+        D = default_truncation(poset)
+    if D < 2:
+        raise ValueError("truncation must be at least 2 for the certificate")
+    return D
+
+
+def _modp_point_tables(poset: CominusculePoset, dv: DivisorOperator, D: int, backends: list) -> list:
+    """The tables of mod-p backends of one prime, from one solve batched over
+    their assignments."""
+    nodes = np.array([b["assignment"] for b in backends], dtype=np.int64)
+    solver = _ModPSolver(dv, D, backends[0]["p"], nodes)
+    tables = []
+    for backend, mats in zip(backends, solver.columns(range(dv.k))):
+        tables.append(_assemble(poset, D, backend, mats))
+        _check_identity_row(tables[-1])
+    return tables
 
 
 def _assemble(poset: CominusculePoset, D: int, backend: dict, mats: np.ndarray) -> MultTable:
@@ -576,13 +590,14 @@ def _check_identity_row(table: MultTable) -> None:
 
 def modp_tables(poset: CominusculePoset, D: int | None = None, primes: int = 2, assignments: int = 2, seed: int = 0) -> list:
     """One table per evaluation: `assignments` default assignments for each of
-    the first `primes` default primes; checks must agree on all."""
-    rank = poset.rs.rank
-    return [
-        full_table(poset, D, {"kind": "mod-p", "p": p, "assignment": asg})
-        for p in DEFAULT_PRIMES[:primes]
-        for asg in default_assignments(rank, p, assignments, seed)
-    ]
+    the first `primes` default primes, from one batched solve per prime;
+    checks must agree on all."""
+    D, rank, dv = _truncation(poset, D), poset.rs.rank, divisor_matrix(poset)
+    tables = []
+    for p in DEFAULT_PRIMES[:primes]:
+        asgs = default_assignments(rank, p, assignments, seed)
+        tables += _modp_point_tables(poset, dv, D, [make_field(poset, {"kind": "mod-p", "p": p, "assignment": a}) for a in asgs])
+    return tables
 
 
 def tables_agree(exact: MultTable, modp: MultTable) -> bool:

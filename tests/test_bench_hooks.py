@@ -85,6 +85,18 @@ def test_warm_exact_product_decodes_one_column(tmp_path):
     assert layers["gamma.from_json.calls"] == (D + 1) * k * k
 
 
+def test_tracer_sees_the_probe(tmp_path):
+    # the per-layer evidence for the probe's cost is this one span
+    layers = _traced("verify", "Q(4)", "--suite=probe", f"--cache-dir={tmp_path}")
+    assert layers["cohomology.conjecture_probe.calls"] == 1
+
+
+def test_tracer_sees_backend_agreement(tmp_path):
+    # one span for all four mod-p tables of an exact table suite
+    layers = _traced("verify", "Q(4)", "--suite=table", "--backend=exact", f"--cache-dir={tmp_path}")
+    assert layers["qkring.modp_tables.calls"] == 1
+
+
 def test_benchmark_imports_from_qkcalc_resolve():
     # every `from qkcalc... import name` under perfbench/, also those inside
     # functions that run only in some modes (selfcheck's make_field, say)

@@ -343,6 +343,45 @@ def test_modp_table_json_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == GR26_TABLE_JSON_SHA256
 
 
+# sha256 of `verify <space> --suite=probe --format=json`, recorded from the
+# probe's (2k^3, k^3) elimination, which the commutant reduction replaced
+PROBE_JSON_SHA256 = {
+    "P1": "878162306a3ee34a661be31a4009cf86bb8850a7fda9856a8574cb2c50d57f0d",
+    "LG(2,4)": "e9526059ea203ccf85ec3496acc3bf1d9d9dc918da72393aeb7f5c5505df661a",
+    "Q(3)": "85dd68ac8789ff4c179eff768f740fc5004e7afe0bfe1a929c6e394e95787956",
+    "Gr(2,4)": "bbf30a66d0eacdd6b3bd89546b5c2820200a877ff819d2ff43b427ff0fbea29c",
+    "Q(4)": "b852c0e416afc333ae6baece36821b0fcdc20ab9e5c9aa8b411744e777ac9904",
+    "Q(5)": "00d8697036e2dfe09ebf9e344ab91af60cfb47e44c1af692fff23e284964ca96",
+    "LG(3,6)": "331599e1cb4976cd854032c9d7068700f63a796b889216400e96b3c5eae4558f",
+    "Gr(2,5)": "240ff5703ea0579152b248f463a8a49bf2c06de155f73b91e7130d858d87c540",
+    "Q(6)": "ec43b728dd459d5a87c2ee43159c7de9b21f5a0060f57e36b4460d002cb3fcbe",
+    "OG(4,8)": "b2fc4cbf07f521bab7334b97f25ae6f379c27afc28e90545c46934f9e093608e",
+}
+
+
+@pytest.mark.parametrize("space", list(PROBE_JSON_SHA256))
+def test_probe_output_is_pinned(capsys, tmp_path, space):
+    code, out, _ = run(capsys, "verify", space, "--suite=probe", "--format=json", f"--cache-dir={tmp_path}")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PROBE_JSON_SHA256[space]
+
+
+PROBE_E7 = """
+import resource
+from qkcalc.cli import main
+
+# a broken size guard fails here with MemoryError, not by exhausting the host
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+raise SystemExit(main())
+"""
+
+
+def test_probe_out_of_reach_exits_one_with_the_size(tmp_path):
+    proc = _python(PROBE_E7, "verify", "E7", "--suite=probe", f"--cache-dir={tmp_path}", timeout=60)
+    assert proc.returncode == 1
+    assert "CohomologyError" in proc.stderr and "175616 x 3136 system" in proc.stderr
+
+
 # sha256 of `product Gr(2,4) 2,2 2,2`: q, q^2, a constant term and a
 # coefficient 2 take every branch of the coefficient renderer
 GR24_PRODUCT_SHA256 = {

@@ -7,13 +7,19 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qkcalc
 
+from qkcalc import cohomology
 from qkcalc.chevalley import kt_chevalley
 from qkcalc.cohomology import (
+    CohomologyError,
     LambdaFraction,
+    _ms_solution_dimension,
     ch_bridge_check,
     conjecture_probe,
     divisor_generation_check,
@@ -24,7 +30,7 @@ from qkcalc.cohomology import (
 )
 from qkcalc.gamma import ChernPolynomial, GammaFraction
 from qkcalc.poset import build_cominuscule
-from qkcalc.qkring import full_table, specialize
+from qkcalc.qkring import _row_reduce_mod, full_table, specialize
 
 
 def at_ones(poly: ChernPolynomial) -> Fraction:
@@ -204,3 +210,115 @@ def test_probe_reports_do_not_depend_on_hash_seed():
     divgen, probe = reports[0]
     assert len(divgen["assignment"]) == 3
     assert len(probe["assignments"]) == 2
+
+
+def _reference_dimension(H: np.ndarray, p: int) -> int:
+    """k^3 - rank of the probe's original (2k^3, k^3) system in c[u, v, w]:
+    rows r1 and r2 of each (u, v, w) say that c[:, v, :] and c[u, :, :]
+    commute with H."""
+    k = len(H)
+    chev = [{w: int(c) for w, c in enumerate(row) if c} for row in H]
+    idx = lambda u, v, w: (u * k + v) * k + w
+    mat = np.zeros((2 * k**3, k**3), dtype=np.int64)
+    for u in range(k):
+        for v in range(k):
+            for w in range(k):
+                r1, r2 = mat[2 * idx(u, v, w)], mat[2 * idx(u, v, w) + 1]
+                for up, c in chev[u].items():
+                    r1[idx(up, v, w)] += c
+                for vp, c in chev[v].items():
+                    r2[idx(u, vp, w)] += c
+                for wp in range(k):
+                    c = chev[wp].get(w)
+                    if c:
+                        r1[idx(u, v, wp)] -= c
+                        r2[idx(u, v, wp)] -= c
+    return k**3 - _row_reduce_mod(mat, p)[1]
+
+
+@st.composite
+def divisor_like_matrices(draw, p):
+    """Random H and the degenerate ones: scalar, a diagonal with repeated
+    values, triangular and Jordan blocks, each conjugated by a permutation."""
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "scalar", "repeated-diagonal", "triangular", "jordan"]))
+    entry = st.integers(0, p - 1)
+    # two eigenvalues at most, so that repeats are common
+    eigen = st.sampled_from([draw(entry), draw(entry)])
+    H = np.zeros((k, k), dtype=np.int64)
+    if kind == "random":
+        H[:] = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    elif kind == "scalar":
+        H[:] = draw(entry) * np.eye(k, dtype=np.int64)
+    elif kind == "repeated-diagonal":
+        H[range(k), range(k)] = [draw(eigen) for _ in range(k)]
+    elif kind == "triangular":
+        for i in range(k):
+            H[i, i] = draw(eigen)
+            H[i, i + 1:] = [draw(entry) for _ in range(i + 1, k)]
+    else:
+        start = 0
+        while start < k:
+            size = draw(st.integers(1, k - start))
+            lam = draw(eigen)
+            for i in range(start, start + size):
+                H[i, i] = lam
+                if i + 1 < start + size:
+                    H[i, i + 1] = 1
+            start += size
+    perm = draw(st.permutations(range(k)))
+    return H[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1], ids=["p=7", "p=2^31-1"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_commutant_reduction_matches_the_full_system(p, data):
+    H = data.draw(divisor_like_matrices(p))
+    assert _ms_solution_dimension(H, p) == _reference_dimension(H, p)
+
+
+def test_commutant_reduction_extremes():
+    # every tensor commutes with a scalar; distinct diagonal values leave
+    # only c[u, u, u]
+    p = 7
+    assert _ms_solution_dimension(3 * np.eye(3, dtype=np.int64), p) == 27
+    assert _ms_solution_dimension(np.diag(np.arange(1, 5)), p) == 4
+
+
+def test_probe_refuses_a_system_past_its_bound(monkeypatch):
+    # Gr(2,4): k = 6 and dim Comm(H) = 6 give a 216 x 36 system
+    poset = build_cominuscule("Gr(2,4)")
+    monkeypatch.setattr(cohomology, "_PROBE_SYSTEM_ENTRIES", 216 * 36)
+    assert conjecture_probe(poset)["dimension"] == 6
+    monkeypatch.setattr(cohomology, "_PROBE_SYSTEM_ENTRIES", 216 * 36 - 1)
+    with pytest.raises(CohomologyError, match=r"216 x 36 system \(7776 entries\)"):
+        conjecture_probe(poset)
+
+
+def test_probe_bound_counts_the_commutant(monkeypatch):
+    # a scalar H passes the first check, which assumes dim Comm(H) = k, and
+    # is refused once its commutant turns out to be all k^2 matrices
+    monkeypatch.setattr(cohomology, "_PROBE_SYSTEM_ENTRIES", 3**5)
+    with pytest.raises(CohomologyError, match=r"27 x 27 system \(729 entries\)"):
+        _ms_solution_dimension(5 * np.eye(3, dtype=np.int64), 7)
+
+
+REACH_SCRIPT = """
+from qkcalc.cohomology import conjecture_probe
+from qkcalc.poset import build_cominuscule
+
+rep = conjecture_probe(build_cominuscule("Gr(2,6)"))
+print(rep["dimension"], rep["matches_conjecture"], rep["stable"])
+"""
+
+
+def test_probe_reaches_gr26():
+    # the (2k^3, k^3) system of k = 15 took 182 MB and far longer than this
+    src = os.path.dirname(os.path.dirname(qkcalc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", REACH_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["15", "True", "True"]

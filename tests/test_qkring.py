@@ -521,6 +521,21 @@ def test_modp_table_residues_are_pinned(space, backend, digest):
         assert table.backend == {"kind": "exact", "rank": table.poset.rs.rank}
 
 
+@pytest.mark.parametrize("space", ["Gr(2,4)", "Q(5)"])
+def test_modp_tables_match_one_solve_per_point(space):
+    # one batched solve per prime gives each point's table as full_table does
+    poset = build_cominuscule(space)
+    tables = modp_tables(poset)
+    rank = poset.rs.rank
+    assert [(t.backend["p"], tuple(t.backend["assignment"])) for t in tables] == [
+        (p, asg) for p in DEFAULT_PRIMES[:2] for asg in qkring.default_assignments(rank, p, 2, 0)
+    ]
+    for t in tables:
+        one = full_table(poset, t.D, t.backend)
+        assert one.backend == t.backend and one.flags == t.flags
+        assert np.array_equal(one.mats, t.mats)
+
+
 @pytest.mark.parametrize("space", ["LG(3,6)", "Gr(2,5)"])
 def test_exact_build_of_larger_spaces(space):
     # out of reach of the group-ring solve (over 590 s each)
