@@ -35,7 +35,15 @@ The certificate and the verify checks multiply exactly, with Python-int
 coefficients, on packed polynomials: each entry of the table and of L
 becomes a dict keyed by one int, a Kronecker index of q and the exponents
 over their common box with widths that leave room for a product (_packing),
-so a product of two entries adds keys and never merges distinct terms.
+so a product of two entries adds keys and never merges distinct terms.  A
+mod-p table is checked at the values q = 0, 1, ..., 2D instead of its
+layers: every product the checks compare has q-degree at most 2D, so the
+values decide it, and each product is pointwise.  Either way the checks'
+arrays hold one entry per value of q, or one packed entry.
+
+Every mod-p matrix product runs through _matmul_mod, exact in float64 BLAS:
+the left factor splits into limbs narrow enough that no sum of products
+reaches 2^53.
 """
 
 from __future__ import annotations
@@ -211,19 +219,73 @@ def make_field(poset: CominusculePoset, backend="exact", seed=0) -> dict:
 # Mod-p linear algebra: int64 numpy arrays of residues in [0, p), p < 2^31
 
 
+# a product with more output entries runs in blocks of about this many,
+# which keeps the kernel's float64 temporaries small and in cache
+_KERNEL_ENTRIES = 1 << 16
+
+
 def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    # 16-bit split keeps every product-sum below 2^63 for 31-bit primes.
-    hi, lo = A >> 16, A & 0xFFFF
-    return ((hi @ B % p << 16) + lo @ B) % p
+    """A @ B mod p, exact, through float64 BLAS (after Dumas, Giorgi and
+    Pernet's FFLAS), with matmul's shapes: stacks broadcast, a 1-d B is a
+    vector.  A and B hold residues in [0, p).
+
+    A splits into w-bit limbs, A = sum_i A_i 2^{wi}.  An entry of A_i @ B
+    sums n products below 2^w p over the inner dimension n, so float64
+    computes it exactly when w + p.bit_length() + ceil(log2 n) <= 53; the
+    limbs recombine in int64 mod p.  For 31-bit primes that is two limbs up
+    to n = 64 and three up to n = 2048.
+    """
+    n = B.shape[0] if B.ndim == 1 else B.shape[-2]
+    # float64 holds every integer below 2^53 exactly
+    w = 53 - p.bit_length() - (n - 1).bit_length()
+    if w < 1:
+        raise ValueError(f"inner dimension {n} is past float64's exact range mod {p}")
+    if B.ndim == 1:
+        return _limb_product(A, B, p, w)
+    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+    if prod(shape) <= _KERNEL_ENTRIES:
+        return _limb_product(A, B, p, w)
+    out = np.empty(shape, dtype=np.int64)
+    if len(shape) == 2:
+        # a matrix, in blocks of B's columns
+        step = max(1, _KERNEL_ENTRIES // shape[0])
+        for j in range(0, shape[1], step):
+            out[:, j:j + step] = _limb_product(A, B[:, j:j + step], p, w)
+        return out
+    # a stack, in blocks of its leading axis; an operand without it broadcasts
+    step = max(1, _KERNEL_ENTRIES * shape[0] // prod(shape))
+    for j in range(0, shape[0], step):
+        A_j, B_j = (X[j:j + step] if X.ndim == len(shape) and len(X) > 1 else X for X in (A, B))
+        out[j:j + step] = _limb_product(A_j, B_j, p, w)
+    return out
+
+
+def _limb_product(A: np.ndarray, B: np.ndarray, p: int, w: int) -> np.ndarray:
+    """A @ B mod p from the w-bit limbs of A, the top limb first."""
+    Bf = B.astype(np.float64)
+    out = None
+    for shift in range(w * ((p.bit_length() - 1) // w), -1, -w):
+        # below 2^53, so the int64 cast is exact
+        limb = (((A >> shift) & ((1 << w) - 1)).astype(np.float64) @ Bf).astype(np.int64)
+        if out is None:
+            out = limb
+        else:
+            out <<= w
+            out += limb
+        # out % p, but floor division by a scalar is several times faster
+        out -= out // p * p
+    return out
 
 
 def _row_reduce_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, int]:
     """Reduced row echelon form of A mod p, and its rank.
 
+    A is reduced in place and returned as the echelon form, so that a large
+    system is held once; callers pass an int64 array they no longer need.
     Each pivot updates only the rows with a nonzero entry in its column,
     and only from the pivot column on: the systems met here are sparse.
     """
-    m = A % p
+    m = np.remainder(A, p, out=A)
     rows, cols = m.shape
     r = 0
     for c in range(cols):
@@ -314,7 +376,8 @@ class _ModPSolver:
         for a in range(D + 1):
             for b in range(D + 1 - a):
                 Mt[:, a + b] += _matmul_mod(self.Ct[:, b], Wt[:, a], p)
-        return (Mt % p).reshape(n, D + 1, k, k, len(vs)).transpose(0, 4, 1, 3, 2)
+        Mt %= p
+        return Mt.reshape(n, D + 1, k, k, len(vs)).transpose(0, 4, 1, 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +425,8 @@ def _degree_probe(dv: DivisorOperator, D: int, p: int, rng: random.Random) -> li
 # The solve keeps a few int64 arrays of (grid points, D+1, k, k) entries;
 # past this many entries each of them would pass 64 MB.
 _GRID_ENTRIES = 1 << 23
-# measured level from 2^16 to 2^18 on E6 and on the small spaces
+# the probe's and the interpolation's blocks; measured level from 2^16 to
+# 2^18 on E6 and on the small spaces
 _PROBE_ENTRIES = 1 << 17
 
 
@@ -384,20 +448,32 @@ def _interpolated_columns(dv: DivisorOperator, D: int, counts: list, p: int, rng
     inverses = [_interpolation_matrix(xs, p) for xs in axes]
     solver = _ModPSolver(dv, D, p, np.array(list(iproduct(*axes)), dtype=np.int64))
     for v in range(k):
+        terms = _coefficients(solver.columns([v])[:, 0], counts, inverses, p)
+        yield _object_array([GammaElement(rank, t) for t in terms], (D + 1, k, k))
+
+
+def _coefficients(M: np.ndarray, counts: list, inverses: list, p: int) -> list:
+    """The terms {exponents: coefficient} of each entry of M[j, d, w, u] in
+    (d, w, u) order, from its values on the grid, a block of layers d of
+    about _PROBE_ENTRIES entries at a time."""
+    step = max(1, _PROBE_ENTRIES // M[:, 0].size)
+    terms = []
+    for d in range(0, M.shape[1], step):
         # axes (n_1, ..., n_rank, entries); transforming the leading axis and
         # rotating it to the back ends with (entries, n_1, ..., n_rank)
-        c = solver.columns([v]).reshape(*counts, -1)
+        c = M[:, d:d + step].reshape(*counts, -1)
         for n, Vinv in zip(counts, inverses):
             c = _matmul_mod(Vinv, c.reshape(n, -1), p).T
         c = c.reshape(-1, prod(counts))
-        c = np.where(c > p // 2, c - p, c)
+        c[c > p // 2] -= p
         entry, mono = np.nonzero(c)
-        terms = [{} for _ in range(len(c))]
+        block = [{} for _ in range(len(c))]
         # the coefficient of x^j is that of e^{-j}
         exps = (-np.stack(np.unravel_index(mono, counts), axis=1)).tolist()
         for t, e, x in zip(entry.tolist(), exps, c[entry, mono].tolist()):
-            terms[t][tuple(e)] = x
-        yield _object_array([GammaElement(rank, t) for t in terms], (D + 1, k, k))
+            block[t][tuple(e)] = x
+        terms += block
+    return terms
 
 
 def _certified(table: MultTable) -> bool:
@@ -639,9 +715,10 @@ def specialize(table: MultTable, mode: str) -> MultTable:
 
 
 class _Ring(NamedTuple):
-    """The table mats[v, d, w, u] and the divisor L[d, w, u] over a ring, and
-    its matrix product.  Over F_p there are D+1 layers; a packed ring keeps
-    q in its keys, so its arrays have one layer."""
+    """The table mats[v, j, w, u] and the divisor L[j, w, u] over a ring, and
+    its matrix product of two stacks along j.  Over F_p, j runs over the
+    values q = 0, 1, ..., 2D, and products are pointwise; a packed ring keeps
+    q in its keys, so its arrays have one entry along j."""
 
     mats: np.ndarray
     L: np.ndarray
@@ -658,12 +735,25 @@ def _ring(table: MultTable) -> _Ring:
     layers = divisor_matrix(table.poset).layers[: table.D + 1]
     if kind == "exact":
         pack = _packing(table.poset.rs.rank, (table.mats, layers))
-        return _Ring(pack(table.mats), pack(layers), _packed_matmul)
+        return _Ring(pack(table.mats), pack(layers), lambda A, B: _packed_matmul(A[0], B[0])[None])
     if kind == "mod-p":
         p = table.backend["p"]
         node = np.array([table.backend["assignment"]], dtype=np.int64)
-        return _Ring(table.mats, _eval_array(layers, p, node)[0], lambda A, B: _matmul_mod(A, B, p))
+        L = _eval_array(layers, p, node)[0]
+        # every product the checks compare has q-degree <= 2D < p: its
+        # values at q = 0, ..., 2D differ exactly when some layer does
+        n = 2 * table.D + 1
+        return _Ring(_values(table.mats, 1, n, p), _values(L, 0, n, p), lambda A, B: _matmul_mod(A, B, p))
     raise QKRingError(f"no coefficient ring to verify a {kind!r} table over")
+
+
+def _values(X: np.ndarray, axis: int, n: int, p: int) -> np.ndarray:
+    """X with its layers in q along axis replaced by its values at q = 0,
+    1, ..., n-1: one product with the Vandermonde matrix V[j, d] = j^d."""
+    X = np.moveaxis(X, axis, 0)
+    V = np.array([[pow(j, d, p) for d in range(len(X))] for j in range(n)], dtype=np.int64)
+    Y = _matmul_mod(V, X.reshape(len(X), -1), p)
+    return np.moveaxis(Y.reshape(n, *X.shape[1:]), 0, axis)
 
 
 def _packing(rank: int, arrays) -> Callable:
@@ -721,20 +811,6 @@ def _packed_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _object_array(out, (A.shape[0], n))
 
 
-def _lay_mul(A: np.ndarray, B: np.ndarray, matmul: Callable) -> np.ndarray:
-    """Product of two matrices over ring[q] given by their layers, A (a, k, m)
-    and B (b, m, n): layer d is [A_i ...] @ [B_{d-i}; ...] over the i with
-    both layers nonzero."""
-    nz_a = np.flatnonzero(A.astype(bool).any(axis=(1, 2)))
-    nz_b = B.astype(bool).any(axis=(1, 2))
-    out = []
-    for d in range(len(A) + len(B) - 1):
-        i = nz_a[(nz_a <= d) & (nz_a > d - len(B))]
-        i = i[nz_b[d - i]]
-        out.append(matmul(A[i].transpose(1, 0, 2).reshape(A.shape[1], -1), B[d - i].reshape(-1, B.shape[2])))
-    return np.stack(out)
-
-
 def _report(check: str, table: MultTable, failures: list, extra: dict | None = None) -> dict:
     rep = {
         "check": check,
@@ -750,12 +826,12 @@ def _report(check: str, table: MultTable, failures: list, extra: dict | None = N
 
 
 def _rows(X: np.ndarray) -> np.ndarray:
-    """Layers of the stack [M_v; ...] of X[v, d, w, u], rows (v, w)."""
+    """The stack [M_v; ...] of X[v, j, w, u] at each j, rows (v, w)."""
     return X.transpose(1, 0, 2, 3).reshape(X.shape[1], -1, X.shape[3])
 
 
 def _cols(X: np.ndarray) -> np.ndarray:
-    """Layers of the block row [M_v ...] of X[v, d, w, u], columns (v, u)."""
+    """The block row [M_v ...] of X[v, j, w, u] at each j, columns (v, u)."""
     return X.transpose(1, 2, 0, 3).reshape(X.shape[1], X.shape[2], -1)
 
 
@@ -764,16 +840,16 @@ def verify_ms_equations(table: MultTable) -> dict:
 
     With beta = gamma the three sums are, over u', w', v' respectively,
     sum N^{u'}_{s,u} D^w_{u',v} = sum N^w_{s,w'} D^{w'}_{u,v} = sum N^{v'}_{s,v} D^w_{u,v'}.
-    They are three layered products: M_v L and L M_v for all v at once, and
-    S L for the stack S[d][(w, u), v'] = M_v'.
+    They are three products over the ring: M_v L and L M_v for all v at
+    once, and S L for the stack S[(w, u), v'] = M_v'.
     """
     C, L, matmul = _ring(table)
     k = table.k
-    left = _lay_mul(_rows(C), L, matmul).reshape(-1, k, k, k)
-    mid = _lay_mul(L, _cols(C), matmul).reshape(-1, k, k, k).transpose(0, 2, 1, 3)
+    left = matmul(_rows(C), L).reshape(-1, k, k, k)
+    mid = matmul(L, _cols(C)).reshape(-1, k, k, k).transpose(0, 2, 1, 3)
     S = C.transpose(1, 2, 3, 0).reshape(C.shape[1], k * k, k)
-    right = _lay_mul(S, L, matmul).reshape(-1, k, k, k).transpose(0, 3, 1, 2)
-    # bad[u, v, w]: some layer of some identity fails
+    right = matmul(S, L).reshape(-1, k, k, k).transpose(0, 3, 1, 2)
+    # bad[u, v, w]: some identity fails at some point
     bad = ((left != mid) | (mid != right)).any(axis=0).transpose(2, 0, 1)
     return _report("ms-equations", table, [tuple(t) for t in np.argwhere(bad).tolist()], {"triples": k**3})
 
@@ -786,14 +862,14 @@ def verify_associativity(table: MultTable) -> dict:
     """
     C, _, matmul = _ring(table)
     k = table.k
-    # asym[u, v, w]: N^w_{u,v} != N^w_{v,u} in some layer
+    # asym[u, v, w]: N^w_{u,v} != N^w_{v,u} at some point
     asym = (C != C.transpose(3, 1, 2, 0)).any(axis=1).transpose(2, 0, 1)
     failures = [("symmetry", u, v, w) for u, v, w in np.argwhere(asym).tolist() if u < v]
     # M_u against every later M_w at once: M_u [M_w ...] and [M_w; ...] M_u
     for u in range(k - 1):
         rest = C[u + 1:]
-        uw = _lay_mul(C[u], _cols(rest), matmul).reshape(-1, k, len(rest), k).transpose(0, 2, 1, 3)
-        wu = _lay_mul(_rows(rest), C[u], matmul).reshape(-1, len(rest), k, k)
+        uw = matmul(C[u], _cols(rest)).reshape(-1, k, len(rest), k).transpose(0, 2, 1, 3)
+        wu = matmul(_rows(rest), C[u]).reshape(-1, len(rest), k, k)
         bad = (uw != wu).any(axis=(0, 2, 3))
         failures += [("commutator", u, w) for w in (u + 1 + np.flatnonzero(bad)).tolist()]
     return _report("associativity", table, failures, {"pairs": k * (k - 1) // 2})

@@ -97,6 +97,13 @@ def test_tracer_sees_backend_agreement(tmp_path):
     assert layers["qkring.modp_tables.calls"] == 1
 
 
+def test_tracer_sees_the_modp_table_checks(tmp_path):
+    # the per-layer evidence for modp-build's verify_s is these two spans
+    layers = _traced("verify", "Gr(2,4)", "--suite=table", "--backend=mod-p", f"--cache-dir={tmp_path}")
+    assert layers["qkring.verify_ms_equations.calls"] == 1
+    assert layers["qkring.verify_associativity.calls"] == 1
+
+
 def test_benchmark_imports_from_qkcalc_resolve():
     # every `from qkcalc... import name` under perfbench/, also those inside
     # functions that run only in some modes (selfcheck's make_field, say)

@@ -366,6 +366,24 @@ def test_probe_output_is_pinned(capsys, tmp_path, space):
     assert hashlib.sha256(out.encode()).hexdigest() == PROBE_JSON_SHA256[space]
 
 
+# sha256 of `verify <space> --suite=table --backend=mod-p --format=json`,
+# recorded from the layer-by-layer products over F_p[q], which the checks'
+# pointwise products at q = 0, ..., 2D replaced
+MODP_TABLE_VERIFY_SHA256 = {
+    "Gr(2,6)": "fe6ca722186ad670a36f55172fa0f42d7287ae2fae8f6d044d32f0ee4e06cc6d",
+    "OG(5,10)": "4e8cb5c09089d3c689a1261815e6c08fb222962e552c59f45e3fb2254e3f3915",
+    "LG(4,8)": "ec6c7c199404d82659f1b287080e398ccbb8d2f2f3ea7dd69702bf1515660461",
+}
+
+
+@pytest.mark.parametrize("space", list(MODP_TABLE_VERIFY_SHA256))
+def test_modp_table_verify_output_is_pinned(capsys, tmp_path, space):
+    argv = ("verify", space, "--suite=table", "--backend=mod-p", "--format=json", f"--cache-dir={tmp_path}")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MODP_TABLE_VERIFY_SHA256[space]
+
+
 PROBE_E7 = """
 import resource
 from qkcalc.cli import main

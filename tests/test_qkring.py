@@ -721,10 +721,11 @@ def _as_array(nested):
 
 def _packed_product(A, B, *more):
     """The packed product of the layered matrices A and B, and the packed
-    form of each of more, all packed over the box of A and B."""
+    form of each of more, all packed over the box of A and B; q is in the
+    keys, so each is a single layer."""
     arrays = [_as_array(A), _as_array(B)]
     pack = qkring._packing(2, arrays)
-    return [qkring._lay_mul(*map(pack, arrays), qkring._packed_matmul)] + [pack(_as_array(X)) for X in more]
+    return [qkring._packed_matmul(*(pack(X)[0] for X in arrays))[None]] + [pack(_as_array(X)) for X in more]
 
 
 @settings(max_examples=100, deadline=None)
@@ -749,11 +750,15 @@ def test_layered_product_matches_reference(AB):
     # no two terms of the reference share a key
     terms = [sum(len(layer[i][j].terms) for layer in want) for i in range(len(A[0])) for j in range(len(B[0][0]))]
     assert [len(x) for x in packed_want.flat] == terms
-    # the same product of the residues, at one point with nonzero x_1, x_2
+    # the same product of the residues, at one point with nonzero x_1, x_2:
+    # the layer convolution, and pointwise at as many values of q as layers
     node = np.array([[12345, 678]])
     residues = [qkring._eval_array(_as_array(X), P0, node)[0] for X in (A, B)]
-    got = qkring._lay_mul(*residues, lambda X, Y: _matmul_mod(X, Y, P0))
-    assert np.array_equal(got, qkring._eval_array(_as_array(want), P0, node)[0])
+    product = qkring._eval_array(_as_array(want), P0, node)[0]
+    assert np.array_equal(_lay_mul(*residues, lambda X, Y: _matmul_mod(X, Y, P0)), product)
+    n = len(product)
+    got = _matmul_mod(*(qkring._values(X, 0, n, P0) for X in residues), P0)
+    assert np.array_equal(got, qkring._values(product, 0, n, P0))
 
 
 def test_packed_keys_keep_the_ends_of_the_box_apart():
@@ -779,3 +784,160 @@ def test_modp_solver_rejects_singular_krylov_matrix():
     d = make_field(poset, "mod-p")
     with pytest.raises(SingularKrylov):
         _ModPSolver(flat, 4, d["p"], np.array([d["assignment"]]))
+
+
+# ---------------------------------------------------------------------------
+# Mod-p checks against the layer convolution they replaced: a product over
+# F_p[q] layer by layer, and both checks' reports built from it
+
+
+def _lay_mul(A, B, matmul):
+    """Product of two matrices over ring[q] given by their layers, A (a, k, m)
+    and B (b, m, n): layer d is [A_i ...] @ [B_{d-i}; ...] over the i with
+    both layers nonzero."""
+    nz_a = np.flatnonzero(A.astype(bool).any(axis=(1, 2)))
+    nz_b = B.astype(bool).any(axis=(1, 2))
+    out = []
+    for d in range(len(A) + len(B) - 1):
+        i = nz_a[(nz_a <= d) & (nz_a > d - len(B))]
+        i = i[nz_b[d - i]]
+        out.append(matmul(A[i].transpose(1, 0, 2).reshape(A.shape[1], -1), B[d - i].reshape(-1, B.shape[2])))
+    return np.stack(out)
+
+
+def _reference_reports(table) -> list:
+    """verify_ms_equations and verify_associativity of a mod-p table, each
+    product a layer convolution."""
+    p, k, C = table.backend["p"], table.k, table.mats
+    node = np.array([table.backend["assignment"]])
+    L = qkring._eval_array(qkring.divisor_matrix(table.poset).layers[: table.D + 1], p, node)[0]
+
+    def matmul(X, Y):
+        return _matmul_mod(X, Y, p)
+
+    rows, cols = qkring._rows, qkring._cols
+    left = _lay_mul(rows(C), L, matmul).reshape(-1, k, k, k)
+    mid = _lay_mul(L, cols(C), matmul).reshape(-1, k, k, k).transpose(0, 2, 1, 3)
+    S = C.transpose(1, 2, 3, 0).reshape(C.shape[1], k * k, k)
+    right = _lay_mul(S, L, matmul).reshape(-1, k, k, k).transpose(0, 3, 1, 2)
+    bad = ((left != mid) | (mid != right)).any(axis=0).transpose(2, 0, 1)
+    ms = qkring._report("ms-equations", table, [tuple(t) for t in np.argwhere(bad).tolist()], {"triples": k**3})
+    asym = (C != C.transpose(3, 1, 2, 0)).any(axis=1).transpose(2, 0, 1)
+    failures = [("symmetry", u, v, w) for u, v, w in np.argwhere(asym).tolist() if u < v]
+    for u in range(k - 1):
+        rest = C[u + 1:]
+        uw = _lay_mul(C[u], cols(rest), matmul).reshape(-1, k, len(rest), k).transpose(0, 2, 1, 3)
+        wu = _lay_mul(rows(rest), C[u], matmul).reshape(-1, len(rest), k, k)
+        bad = (uw != wu).any(axis=(0, 2, 3))
+        failures += [("commutator", u, w) for w in (u + 1 + np.flatnonzero(bad)).tolist()]
+    return [ms, qkring._report("associativity", table, failures, {"pairs": k * (k - 1) // 2})]
+
+
+def _corruptions(table, seed: int = 0) -> list:
+    """Single-entry corruptions (v, w, u, poly): poly[d] is added to layer d
+    of N^w_{u,v}.  One at layer 0 and one at the top layer D per drawn
+    entry, and one that vanishes at q = 1, ..., D on the identity's column
+    M_1: its products with the divisor's q-only entries vanish at every
+    q = 0, ..., D and differ only at the higher points."""
+    p, k, D = table.backend["p"], table.k, table.D
+    rng = random.Random(f"{table.space}:{seed}")
+    out = []
+    for _ in range(6):
+        v, w, u = (rng.randrange(k) for _ in range(3))
+        delta = rng.randrange(1, p)
+        out.append((v, w, u, [delta] + [0] * D))
+        out.append((v, w, u, [0] * D + [delta]))
+    # (q - 1)(q - 2)...(q - D), coefficients from the constant term up
+    poly = [1]
+    for j in range(1, D + 1):
+        poly = [(a - j * b) % p for a, b in zip([0] + poly, poly + [0])]
+    for w, u in [(1, 0), (k - 1, 1), (rng.randrange(k), rng.randrange(k))]:
+        out.append((0, w, u, poly))
+    return out
+
+
+@pytest.mark.parametrize("space", ["Gr(2,4)", "LG(2,4)"])
+def test_pointwise_checks_match_the_layer_convolution(space):
+    # values at q = 0, ..., 2D decide every product of q-degree <= 2D, so
+    # both checks report exactly what the layer convolution reports
+    table = full_table(build_cominuscule(space), backend="mod-p")
+    p = table.backend["p"]
+    reports = [verify_ms_equations(table), verify_associativity(table)]
+    assert reports == _reference_reports(table) and {r["status"] for r in reports} == {"pass"}
+    failing = 0
+    for v, w, u, poly in _corruptions(table):
+        bad = copy.deepcopy(table)
+        bad.mats = table.mats.copy()
+        bad.mats[v, :, w, u] = (bad.mats[v, :, w, u] + poly) % p
+        reports = [verify_ms_equations(bad), verify_associativity(bad)]
+        assert reports == _reference_reports(bad), (v, w, u, poly)
+        failing += reports[0]["status"] == "fail"
+    assert failing >= 10
+
+
+# ---------------------------------------------------------------------------
+# The float64 kernel against Python-int products
+
+KERNEL_DIMS = [1, 2, 63, 64, 65, 2047, 2048, 2049]
+
+
+def _kernel_operands(kind: str, p: int, shape_a: tuple, shape_b: tuple, seed: int):
+    """int64 residues: all p - 1; uniform; or A with every bit below the
+    top one of p set, so that each limb of A is all ones, against B from the
+    top of [0, p)."""
+    rng = np.random.default_rng(seed)
+    if kind == "p-1":
+        return np.full(shape_a, p - 1, dtype=np.int64), np.full(shape_b, p - 1, dtype=np.int64)
+    if kind == "random":
+        return rng.integers(0, p, shape_a), rng.integers(0, p, shape_b)
+    full_limbs = (1 << (p.bit_length() - 1)) - 1
+    return np.full(shape_a, full_limbs, dtype=np.int64), rng.integers(p - (1 << 20), p, shape_b)
+
+
+def _int_product(A, B, p: int) -> list:
+    """A @ B mod p in Python ints, for matrices or stacks of one axis."""
+    if A.ndim == B.ndim == 2:
+        return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B.tolist())] for row in A.tolist()]
+    batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    A, B = np.broadcast_to(A, batch + A.shape[-2:]), np.broadcast_to(B, batch + B.shape[-2:])
+    return [_int_product(a, b, p) for a, b in zip(A, B)]
+
+
+@pytest.mark.parametrize("kind", ["p-1", "random", "full-limbs"])
+@pytest.mark.parametrize("n", KERNEL_DIMS)
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_matmul_mod_is_exact_at_the_limb_bounds(p, n, kind):
+    A, B = _kernel_operands(kind, p, (4, n), (n, 3), seed=n)
+    assert _matmul_mod(A, B, p).tolist() == _int_product(A, B, p)
+
+
+@pytest.mark.parametrize("n", [64, 65, 2049])
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_matmul_mod_stacks_broadcast(p, n):
+    A, B = _kernel_operands("full-limbs", p, (2, 3, n), (2, n, 2), seed=n)
+    want = _int_product(A, B, p)
+    assert _matmul_mod(A, B, p).tolist() == want
+    # an operand batched on one side only
+    assert _matmul_mod(A[0], B, p).tolist() == _int_product(A[0], B, p)
+    assert _matmul_mod(A, B[1], p).tolist() == _int_product(A, B[1], p)
+    # a vector right operand
+    assert _matmul_mod(A, B[0, :, 0], p).tolist() == [[r[0] for r in m] for m in _int_product(A, B[0], p)]
+
+
+@pytest.mark.parametrize("shapes", [((3, 5), (5, 7)), ((4, 2, 5), (4, 5, 3)), ((2, 5), (6, 5, 3)), ((6, 2, 5), (5, 3))])
+def test_matmul_mod_in_blocks_is_the_same_product(monkeypatch, shapes):
+    # past _KERNEL_ENTRIES a product runs in blocks of columns or of the stack
+    A, B = _kernel_operands("random", P0, *shapes, seed=1)
+    monkeypatch.setattr(qkring, "_KERNEL_ENTRIES", 4)
+    assert _matmul_mod(A, B, P0).tolist() == _int_product(A, B, P0)
+
+
+def test_matmul_mod_refuses_an_inner_dimension_past_the_bound():
+    # one-bit limbs carry 31-bit residues up to n = 2^21, not one term more
+    p = DEFAULT_PRIMES[0]
+    n = 1 << 21
+    A = np.broadcast_to(np.int64(p - 1), (1, n))
+    assert _matmul_mod(A, A.T, p).tolist() == [[n * (p - 1) ** 2 % p]]
+    A = np.broadcast_to(np.int64(1), (1, n + 1))
+    with pytest.raises(ValueError, match="inner dimension"):
+        _matmul_mod(A, A.T, p)
