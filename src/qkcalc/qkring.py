@@ -20,16 +20,17 @@ each x_i = e^{-alpha_i} to a nonzero residue.  The mod-p backend is a single
 point.  The exact backend rebuilds every constant, a polynomial in the x_i
 with small integer coefficients, by dense interpolation (Brown's modular
 method): line probes through a random point find the degree in each x_i,
-doubling their node count until the interpolant's degree falls below it
-(early termination, after Kaltofen and Lee); the solve runs on the tensor grid
-of that many random nonzero nodes per variable; the inverse Vandermonde
+all pending variables' lines in one solve per rung of t = 8, 16, ... nodes,
+until the interpolant's degree falls below t - 1 (early termination, after
+Kaltofen and Lee); the solve runs on the tensor grid of that many random
+nonzero nodes per variable, in blocks of columns; the inverse Vandermonde
 matrix of each axis turns values into coefficients, lifted to the symmetric
 range (-p/2, p/2).  The candidate is then certified exactly: M_v L = L M_v
 (verify_ms_equations) and M_v e_1 = e_v (the identity row).  L is cyclic, so
 its commutant holds exactly one operator sending e_1 to e_v, and a candidate
 that passes is the true table whatever the degree box or the prime.  A failed
-certificate redraws the nodes once with a doubled box; a second failure
-raises QKRingError.
+certificate redraws the nodes once with a doubled box, a singular node on the
+same box; a second failure raises QKRingError.
 
 The certificate and the verify checks multiply exactly, with Python-int
 coefficients, on packed polynomials: each entry of the table and of L
@@ -384,42 +385,46 @@ class _ModPSolver:
 # Exact tables from mod-p evaluations
 
 
-def _interpolation_matrix(xs: list, p: int) -> np.ndarray:
-    """Inverse of the Vandermonde matrix V[a, j] = xs[a]^j: values at the
-    nodes xs to coefficients of 1, x, x^2, ..."""
-    V = np.ones((len(xs), len(xs)), dtype=np.int64)
-    for j in range(1, len(xs)):
-        V[:, j] = V[:, j - 1] * xs % p
+def _interpolation_matrix(xs, p: int) -> np.ndarray:
+    """Inverse of the Vandermonde matrix V[a, j] = xs[a]^j for each node list
+    of a stack xs (..., t): values at the nodes to coefficients of 1, x, x^2, ..."""
+    xs = np.asarray(xs, dtype=np.int64)
+    V = np.ones(xs.shape + xs.shape[-1:], dtype=np.int64)
+    for j in range(1, xs.shape[-1]):
+        V[..., j] = V[..., j - 1] * xs % p
     return _inverse_mod(V, p)
 
 
 def _degree_probe(dv: DivisorOperator, D: int, p: int, rng: random.Random) -> list:
     """Nodes per variable for dense interpolation: one more than the table's
-    degree in x_i, read off a line through a random point whose node count
-    doubles until the interpolant's degree falls below it."""
-    rank = dv.poset.rs.rank
+    degree in x_i, read off a line along x_i through a random point.  A rung
+    of t nodes solves the lines of all pending variables at once; a variable
+    goes on to 2t while its interpolant's degree reaches t - 1."""
+    rank, k = dv.poset.rs.rank, dv.k
     base = [rng.randrange(1, p) for _ in range(rank)]
-    counts = []
-    for i in range(rank):
-        # a constant that is not a polynomial in x_i would never terminate
-        for t in (2, 4, 8, 16, 32, 64, 128):
-            xs = rng.sample(range(1, p), t)
-            nodes = np.array([base[:i] + [x] + base[i + 1:] for x in xs], dtype=np.int64)
-            solver, Vinv = _ModPSolver(dv, D, p, nodes), _interpolation_matrix(xs, p)
-            # the columns in chunks of about _PROBE_ENTRIES entries: larger
-            # arrays cost more in memory traffic than they save in calls
-            step = max(1, _PROBE_ENTRIES // (t * (D + 1) * dv.k**2))
-            chunks = [range(v, min(v + step, dv.k)) for v in range(0, dv.k, step)]
-            coeffs = (_matmul_mod(Vinv, solver.columns(vs).reshape(t, -1), p) for vs in chunks)
-            deg = max(np.flatnonzero(c.any(axis=1))[-1] for c in coeffs)
+    counts = [None] * rank
+    # a constant that is not a polynomial in x_i would never terminate
+    for t in (8, 16, 32, 64, 128):
+        pending = [i for i, n in enumerate(counts) if n is None]
+        xs = [rng.sample(range(1, p), t) for _ in pending]
+        nodes = np.array([base[:i] + [x] + base[i + 1:] for i, line in zip(pending, xs) for x in line], dtype=np.int64)
+        solver, Vinv = _ModPSolver(dv, D, p, nodes), _interpolation_matrix(xs, p)
+        # the columns in chunks of about _PROBE_ENTRIES entries: larger
+        # arrays cost more in memory traffic than they save in calls
+        step = max(1, _PROBE_ENTRIES // (len(nodes) * (D + 1) * k * k))
+        top = np.zeros(len(pending), dtype=np.int64)
+        for v in range(0, k, step):
+            c = _matmul_mod(Vinv, solver.columns(range(v, min(v + step, k))).reshape(len(pending), t, -1), p)
+            # the degree of each line: its last nonzero coefficient row
+            top = np.maximum(top, t - 1 - c.any(axis=2)[:, ::-1].argmax(axis=1))
+        for i, deg in zip(pending, top.tolist()):
             if deg < t - 1:
-                break
-            # x_i needs at least t nodes: stop once that is out of reach
-            _check_grid(counts + [t], D, dv.k)
-        else:
-            raise QKRingError(f"table degree in x_{i + 1} exceeds {t - 2}")
-        counts.append(int(deg) + 1)
-    return counts
+                counts[i] = deg + 1
+        if None not in counts:
+            return counts
+        # a pending x_i needs at least t nodes: stop once that is out of reach
+        _check_grid([n or t for n in counts], D, k)
+    raise QKRingError(f"table degree in x_{counts.index(None) + 1} exceeds {t - 2}")
 
 
 # The solve keeps a few int64 arrays of (grid points, D+1, k, k) entries;
@@ -440,28 +445,31 @@ def _check_grid(counts: list, D: int, k: int) -> None:
 
 def _interpolated_columns(dv: DivisorOperator, D: int, counts: list, p: int, rng: random.Random):
     """Layers C[d, w, u] of every M_v over the group ring, interpolated from
-    the solve on a grid of counts[i] random nonzero nodes per variable, one v
-    at a time."""
+    the solve on a grid of counts[i] random nonzero nodes per variable, in
+    blocks of columns of about _PROBE_ENTRIES entries (a larger column alone)."""
     rank, k = dv.poset.rs.rank, dv.k
     _check_grid(counts, D, k)
     axes = [rng.sample(range(1, p), n) for n in counts]
     inverses = [_interpolation_matrix(xs, p) for xs in axes]
     solver = _ModPSolver(dv, D, p, np.array(list(iproduct(*axes)), dtype=np.int64))
-    for v in range(k):
-        terms = _coefficients(solver.columns([v])[:, 0], counts, inverses, p)
-        yield _object_array([GammaElement(rank, t) for t in terms], (D + 1, k, k))
+    step = max(1, _PROBE_ENTRIES // (prod(counts) * (D + 1) * k * k))
+    for v in range(0, k, step):
+        vs = range(v, min(v + step, k))
+        terms = _coefficients(solver.columns(vs), counts, inverses, p)
+        yield from _object_array([GammaElement(rank, t) for t in terms], (len(vs), D + 1, k, k))
 
 
 def _coefficients(M: np.ndarray, counts: list, inverses: list, p: int) -> list:
-    """The terms {exponents: coefficient} of each entry of M[j, d, w, u] in
-    (d, w, u) order, from its values on the grid, a block of layers d of
-    about _PROBE_ENTRIES entries at a time."""
-    step = max(1, _PROBE_ENTRIES // M[:, 0].size)
+    """The terms {exponents: coefficient} of each entry of M[j, ...] in
+    row-major order, from its values at the grid points j, in slices of about
+    _PROBE_ENTRIES values (several only for a column larger than that)."""
+    M = M.reshape(len(M), -1)
+    step = max(1, _PROBE_ENTRIES // len(M))
     terms = []
-    for d in range(0, M.shape[1], step):
+    for at in range(0, M.shape[1], step):
         # axes (n_1, ..., n_rank, entries); transforming the leading axis and
         # rotating it to the back ends with (entries, n_1, ..., n_rank)
-        c = M[:, d:d + step].reshape(*counts, -1)
+        c = M[:, at:at + step].reshape(*counts, -1)
         for n, Vinv in zip(counts, inverses):
             c = _matmul_mod(Vinv, c.reshape(n, -1), p).T
         c = c.reshape(-1, prod(counts))
@@ -486,18 +494,20 @@ def _certified(table: MultTable) -> bool:
 
 
 def _exact_table(poset: CominusculePoset, dv: DivisorOperator, D: int, backend: dict) -> MultTable:
-    """Probe, interpolate and certify; on failure redraw once with a doubled box."""
+    """Probe, interpolate and certify, on two draws of the nodes: after a
+    singular node on the same box, after a failed certificate on a doubled one."""
     p = DEFAULT_PRIMES[0]
     rng = random.Random(f"nodes:{poset.space}:{D}")
     counts = None
     for _ in range(2):
         try:
-            counts = _degree_probe(dv, D, p, rng) if counts is None else [2 * n for n in counts]
+            counts = counts or _degree_probe(dv, D, p, rng)
             table = _assemble(poset, D, backend, np.stack(list(_interpolated_columns(dv, D, counts, p, rng))))
         except SingularKrylov:
             continue
         if _certified(table):
             return table
+        counts = [2 * n for n in counts]
     raise QKRingError("interpolated table failed its exact certificate")
 
 

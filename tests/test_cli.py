@@ -611,6 +611,18 @@ def test_default_backend_falls_back_to_modp(capsys, tmp_path, monkeypatch, space
     assert code == 0 and err == ""
 
 
+def test_default_fallback_refuses_after_one_probe_rung(capsys, tmp_path, monkeypatch):
+    # P^7's degrees are 1, ..., 7: the first rung of 8 nodes finds six of
+    # them, and the seventh reaches 7, so it needs at least 8 nodes and the
+    # grid at least 8! points, out of reach; then the mod-p point
+    built = []
+    solver = qkring._ModPSolver
+    monkeypatch.setattr(qkring, "_ModPSolver", lambda *args: built.append(solver(*args)) or built[-1])
+    code, out, err = run(capsys, "table", "Gr(1,8)", f"--cache-dir={tmp_path}")
+    assert code == 0 and "backend=mod-p" in out and "at least 40320 points" in err
+    assert [len(s.L) for s in built] == [7 * 8, 1]
+
+
 def test_default_backend_reads_the_exact_file_first(capsys, tmp_path, monkeypatch):
     cache = f"--cache-dir={tmp_path}"
     assert run(capsys, "table", "Q(3)", "--backend=mod-p", cache)[0] == 0

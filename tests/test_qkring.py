@@ -566,29 +566,67 @@ def test_exact_build_refuses_a_grid_out_of_reach(monkeypatch):
         full_table(build_cominuscule("Gr(2,4)"))
 
 
+def _recording_solvers(monkeypatch) -> list:
+    """Every _ModPSolver built from now on, in order."""
+    built = []
+    solver = qkring._ModPSolver
+    monkeypatch.setattr(qkring, "_ModPSolver", lambda *args: built.append(solver(*args)) or built[-1])
+    return built
+
+
 def test_degree_probe_stops_at_the_grid_guard(monkeypatch):
     # once the degrees found so far put the grid out of reach, the probe
-    # refuses without probing the remaining variables
-    lines = []
-    solver = qkring._ModPSolver
-
-    def recording(dv, D, p, nodes):
-        lines.append(nodes)
-        return solver(dv, D, p, nodes)
-
+    # refuses without another rung and without building the grid
     monkeypatch.setattr(qkring, "_GRID_ENTRIES", 1)
-    monkeypatch.setattr(qkring, "_ModPSolver", recording)
+    solvers = _recording_solvers(monkeypatch)
     with pytest.raises(qkring.QKRingError, match="mod-p backend"):
         full_table(build_cominuscule("Gr(2,4)"))
-    # every probe line varied x_1 alone
-    assert lines and all(not np.ptp(nodes[:, 1:], axis=0).any() for nodes in lines)
+    # one solve: the first rung, 8 nodes on the line of each of x_1, x_2, x_3
+    assert [len(solver.L) for solver in solvers] == [3 * 8]
+
+
+@pytest.mark.parametrize("one_column", [False, True], ids=["blocks", "one-column"])
+@pytest.mark.parametrize("space", ["P1", "LG(2,4)", "Q(3)", "Gr(2,4)", "Q(4)", "Q(5)"])
+def test_exact_build_runs_two_batched_solves(monkeypatch, space, one_column):
+    # one probe rung for all variables and one grid; the grid's columns come
+    # in blocks of at most _PROBE_ENTRIES entries, or one column at a time
+    poset = build_cominuscule(space)
+    D, k, rank = qkring.default_truncation(poset), len(poset.shape_masks), poset.rs.rank
+    if one_column:
+        monkeypatch.setattr(qkring, "_PROBE_ENTRIES", 1)
+    calls = []
+    columns = qkring._ModPSolver.columns
+    monkeypatch.setattr(qkring._ModPSolver, "columns", lambda solver, vs: calls.append((solver, len(vs))) or columns(solver, vs))
+    solvers = _recording_solvers(monkeypatch)
+    assert _digest(full_table(poset)) == PINNED_EXACT_TABLES[space]
+    assert len(solvers) == 2 and len(solvers[0].L) == rank * 8
+    grid = [n for solver, n in calls if solver is solvers[1]]
+    size = len(solvers[1].L) * (D + 1) * k * k  # entries of one column
+    assert sum(grid) == k and all(n == 1 or n * size <= qkring._PROBE_ENTRIES for n in grid)
+    # every block but the last is as large as the bound allows
+    assert all((n + 1) * size > qkring._PROBE_ENTRIES for n in grid[:-1])
+
+
+# sha256 of the exact cache file that save_table writes, recorded at the
+# parent of the batched probe
+PINNED_EXACT_CACHE_FILES = {
+    "Gr(2,4)": "815d654bbf17861d57a9c70ccbb38214be7dfc04eefdb4b56a850109660e9194",
+    "Q(5)": "35aed345e376e4c5fce4d7c5054a2416764d610f0962e385021f467f8525512f",
+}
+
+
+@pytest.mark.parametrize("space", sorted(PINNED_EXACT_CACHE_FILES))
+def test_exact_cache_file_bytes_are_pinned(tmp_path, space):
+    path = save_table(full_table(build_cominuscule(space)), str(tmp_path))
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == PINNED_EXACT_CACHE_FILES[space]
 
 
 @pytest.mark.parametrize("entries", [qkring._PROBE_ENTRIES, 8100], ids=["one-call", "chunked"])
 def test_degree_probe_solves_a_line_in_few_calls(monkeypatch, entries):
-    # all columns of a probe line in one call, split only where a call would
-    # hold more than _PROBE_ENTRIES entries: Gr(2,4)'s lines of 8 nodes hold
-    # 8640
+    # all columns of a probe rung in one call, split only where a call would
+    # hold more than _PROBE_ENTRIES entries: Gr(2,4)'s rung of three lines of
+    # 8 nodes holds 25920
     calls = {}
     columns = qkring._ModPSolver.columns
 
@@ -621,7 +659,8 @@ def test_exact_build_redraws_a_singular_node(monkeypatch):
 
     monkeypatch.setattr(qkring, "_interpolated_columns", singular_once)
     table = full_table(build_cominuscule("Gr(2,4)"))
-    assert len(calls) == 2
+    # the second draw keeps the box: only a failed certificate doubles it
+    assert len(calls) == 2 and calls[1][2] == calls[0][2] == [3, 5, 3]
     assert _digest(table) == PINNED_EXACT_TABLES["Gr(2,4)"]
 
 
