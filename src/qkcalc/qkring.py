@@ -20,9 +20,10 @@ each x_i = e^{-alpha_i} to a nonzero residue.  The mod-p backend is a single
 point.  The exact backend rebuilds every constant, a polynomial in the x_i
 with small integer coefficients, by dense interpolation (Brown's modular
 method): line probes through a random point find the degree in each x_i,
-all pending variables' lines in one solve per rung of t = 8, 16, ... nodes,
-until the interpolant's degree falls below t - 1 (early termination, after
-Kaltofen and Lee); the solve runs on the tensor grid of that many random
+all pending variables' lines in one solve per rung of t = 8, 16, ... nodes
+(in batches, and from fewer nodes, where one solve would pass the grid
+guard), until the interpolant's degree falls below t - 1 (early termination,
+after Kaltofen and Lee); the solve runs on the tensor grid of that many random
 nonzero nodes per variable, in blocks of columns; the inverse Vandermonde
 matrix of each axis turns values into coefficients, lifted to the symmetric
 range (-p/2, p/2).  The candidate is then certified exactly: M_v L = L M_v
@@ -380,6 +381,14 @@ class _ModPSolver:
         Mt %= p
         return Mt.reshape(n, D + 1, k, k, len(vs)).transpose(0, 4, 1, 3, 2)
 
+    def blocks(self):
+        """(vs, columns(vs)) over all v in blocks of about _PROBE_ENTRIES entries,
+        a larger column alone: larger arrays cost more than they save in calls."""
+        step = max(1, _PROBE_ENTRIES // (len(self.L) * (self.D + 1) * self.k**2))
+        for v in range(0, self.k, step):
+            vs = range(v, min(v + step, self.k))
+            yield vs, self.columns(vs)
+
 
 # ---------------------------------------------------------------------------
 # Exact tables from mod-p evaluations
@@ -398,33 +407,35 @@ def _interpolation_matrix(xs, p: int) -> np.ndarray:
 def _degree_probe(dv: DivisorOperator, D: int, p: int, rng: random.Random) -> list:
     """Nodes per variable for dense interpolation: one more than the table's
     degree in x_i, read off a line along x_i through a random point.  A rung
-    of t nodes solves the lines of all pending variables at once; a variable
-    goes on to 2t while its interpolant's degree reaches t - 1."""
+    of t nodes solves the lines of all pending variables at once, in batches
+    within the grid guard; a variable goes on to 2t while its interpolant's
+    degree reaches t - 1."""
     rank, k = dv.poset.rs.rank, dv.k
     base = [rng.randrange(1, p) for _ in range(rank)]
-    counts = [None] * rank
+    # the least nodes each x_i is known to need, and the points one solve may
+    # hold: a batch stays within the grid guard, or is a single line
+    need, pending, fit = [1] * rank, list(range(rank)), _GRID_ENTRIES // ((D + 1) * k * k)
+    # rungs from 8 nodes, or from 4 or 2 where a line of 8 would not fit
+    for t in [t for t in (2, 4, 8, 16, 32, 64, 128) if 2 * t > min(8, fit)]:
+        lines = [(i, rng.sample(range(1, p), t)) for i in pending]
+        step = max(1, fit // t)
+        for batch in (lines[at:at + step] for at in range(0, len(lines), step)):
+            nodes = np.array([base[:i] + [x] + base[i + 1:] for i, xs in batch for x in xs], dtype=np.int64)
+            solver, Vinv = _ModPSolver(dv, D, p, nodes), _interpolation_matrix([xs for _, xs in batch], p)
+            top = np.zeros(len(batch), dtype=np.int64)
+            for _, M in solver.blocks():
+                c = _matmul_mod(Vinv, M.reshape(len(batch), t, -1), p)
+                # the degree of each line: its last nonzero coefficient row
+                top = np.maximum(top, t - 1 - c.any(axis=2)[:, ::-1].argmax(axis=1))
+            for (i, _), deg in zip(batch, top.tolist()):
+                need[i] = deg + 1
+            # stop as soon as the grid is known to be out of reach
+            _check_grid(need, D, k)
+        pending = [i for i in pending if need[i] == t]
+        if not pending:
+            return need
     # a constant that is not a polynomial in x_i would never terminate
-    for t in (8, 16, 32, 64, 128):
-        pending = [i for i, n in enumerate(counts) if n is None]
-        xs = [rng.sample(range(1, p), t) for _ in pending]
-        nodes = np.array([base[:i] + [x] + base[i + 1:] for i, line in zip(pending, xs) for x in line], dtype=np.int64)
-        solver, Vinv = _ModPSolver(dv, D, p, nodes), _interpolation_matrix(xs, p)
-        # the columns in chunks of about _PROBE_ENTRIES entries: larger
-        # arrays cost more in memory traffic than they save in calls
-        step = max(1, _PROBE_ENTRIES // (len(nodes) * (D + 1) * k * k))
-        top = np.zeros(len(pending), dtype=np.int64)
-        for v in range(0, k, step):
-            c = _matmul_mod(Vinv, solver.columns(range(v, min(v + step, k))).reshape(len(pending), t, -1), p)
-            # the degree of each line: its last nonzero coefficient row
-            top = np.maximum(top, t - 1 - c.any(axis=2)[:, ::-1].argmax(axis=1))
-        for i, deg in zip(pending, top.tolist()):
-            if deg < t - 1:
-                counts[i] = deg + 1
-        if None not in counts:
-            return counts
-        # a pending x_i needs at least t nodes: stop once that is out of reach
-        _check_grid([n or t for n in counts], D, k)
-    raise QKRingError(f"table degree in x_{counts.index(None) + 1} exceeds {t - 2}")
+    raise QKRingError(f"table degree in x_{pending[0] + 1} exceeds {t - 2}")
 
 
 # The solve keeps a few int64 arrays of (grid points, D+1, k, k) entries;
@@ -452,10 +463,8 @@ def _interpolated_columns(dv: DivisorOperator, D: int, counts: list, p: int, rng
     axes = [rng.sample(range(1, p), n) for n in counts]
     inverses = [_interpolation_matrix(xs, p) for xs in axes]
     solver = _ModPSolver(dv, D, p, np.array(list(iproduct(*axes)), dtype=np.int64))
-    step = max(1, _PROBE_ENTRIES // (prod(counts) * (D + 1) * k * k))
-    for v in range(0, k, step):
-        vs = range(v, min(v + step, k))
-        terms = _coefficients(solver.columns(vs), counts, inverses, p)
+    for vs, M in solver.blocks():
+        terms = _coefficients(M, counts, inverses, p)
         yield from _object_array([GammaElement(rank, t) for t in terms], (len(vs), D + 1, k, k))
 
 

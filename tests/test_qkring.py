@@ -574,15 +574,46 @@ def _recording_solvers(monkeypatch) -> list:
     return built
 
 
+def _recording_nodes(monkeypatch) -> list:
+    """The points of every _ModPSolver built from now on, in order."""
+    built = []
+    solver = qkring._ModPSolver
+    monkeypatch.setattr(qkring, "_ModPSolver", lambda *args: built.append(args[3]) or solver(*args))
+    return built
+
+
 def test_degree_probe_stops_at_the_grid_guard(monkeypatch):
     # once the degrees found so far put the grid out of reach, the probe
-    # refuses without another rung and without building the grid
+    # refuses without probing the remaining variables
     monkeypatch.setattr(qkring, "_GRID_ENTRIES", 1)
-    solvers = _recording_solvers(monkeypatch)
+    lines = _recording_nodes(monkeypatch)
     with pytest.raises(qkring.QKRingError, match="mod-p backend"):
         full_table(build_cominuscule("Gr(2,4)"))
-    # one solve: the first rung, 8 nodes on the line of each of x_1, x_2, x_3
-    assert [len(solver.L) for solver in solvers] == [3 * 8]
+    # one solve, no grid: a line of 2 nodes varying x_1 alone, since a line
+    # of 8 would pass the guard
+    assert [len(nodes) for nodes in lines] == [2]
+    assert not np.ptp(lines[0][:, 1:], axis=0).any()
+
+
+@pytest.mark.parametrize("space, fit, sizes", [
+    ("P1", 2, [2, 4, 2]),  # rungs from 2 nodes, a line of 4 alone, then the grid
+    ("Gr(2,4)", 5, [4, 4]),  # rungs from 4 nodes, one line per solve
+    ("Gr(2,4)", 20, [16, 8]),  # two lines of 8, then one
+])
+def test_degree_probe_solves_stay_within_the_grid_guard(monkeypatch, space, fit, sizes):
+    # with room for `fit` grid points, a probe solve holds at most that many
+    # points unless it is a single line
+    poset = build_cominuscule(space)
+    D, k = qkring.default_truncation(poset), len(poset.shape_masks)
+    monkeypatch.setattr(qkring, "_GRID_ENTRIES", fit * (D + 1) * k * k)
+    built = _recording_nodes(monkeypatch)
+    if space == "P1":
+        assert _digest(full_table(poset)) == PINNED_EXACT_TABLES[space]
+    else:
+        with pytest.raises(qkring.QKRingError, match="mod-p backend"):
+            full_table(poset)
+    assert [len(nodes) for nodes in built] == sizes
+    assert all(len(nodes) <= fit or np.count_nonzero(np.ptp(nodes, axis=0)) == 1 for nodes in built)
 
 
 @pytest.mark.parametrize("one_column", [False, True], ids=["blocks", "one-column"])
