@@ -27,8 +27,6 @@ from .poset import (
 )
 from .qkring import (
     GridOutOfReach,
-    MultTable,
-    TruncationTooSmall,
     cache_flags,
     cache_path,
     default_truncation,
@@ -192,32 +190,33 @@ def _load_or_build_table(args, poset, column=None) -> tuple:
     """The table's backend descriptor and the table, or with column=v only
     the layers (D+1, k, k) of M_v: read from the cache when a file there
     answers, else built, saved and sliced."""
-    qmax = args.qmax if args.qmax is not None else default_truncation(poset)
+    # q-degrees reach d_max (BCMP), so the truncation is known before any
+    # work: --qmax, doubled at most three times towards the default, whose
+    # certificate fails if it is still short
+    bound = default_truncation(poset)
+    qmax = args.qmax if args.qmax is not None else bound
+    D = next((qmax << i for i in range(3) if qmax << i >= bound), qmax << 3)
     cache_dir = args.cache_dir or _default_cache_dir()
     names = [args.backend] if args.backend else _default_backends(poset)
     descs = [make_field(poset, b, seed=args.seed) for b in names]
     space = str(poset.space)
-    # doubling is only the fallback for a failed certificate; a certified
-    # table at any rung of that ladder answers the query, so probe each once
-    rungs = [qmax << i for i in range(4)]
     for desc in descs:
         # under the default rule a mod-p file answers a space of at most 20
         # classes only if its exact build was out of reach; a readable file
         # without that mark is passed over, not unreadable
         flag = None if desc is descs[0] else _FALLBACK_FLAG
-        for D in rungs:
-            cached = load_table(space, D, desc, cache_dir, column=column, flag=flag)
-            if cached is not None:
-                return desc, cached
-            path = cache_path(space, D, desc, cache_dir)
-            if not os.path.exists(path):
-                continue
-            flags = None if flag is None else cache_flags(space, D, desc, cache_dir)
-            if flags is None or flags.get(flag):
-                _warn(f"ignoring unreadable cache file {path}")
+        cached = load_table(space, D, desc, cache_dir, column=column, flag=flag)
+        if cached is not None:
+            return desc, cached
+        path = cache_path(space, D, desc, cache_dir)
+        if not os.path.exists(path):
+            continue
+        flags = None if flag is None else cache_flags(space, D, desc, cache_dir)
+        if flags is None or flags.get(flag):
+            _warn(f"ignoring unreadable cache file {path}")
     for desc in descs:
         try:
-            table = _build_table(poset, desc, rungs)
+            table = full_table(poset, D=D, backend=desc)
             break
         except GridOutOfReach as e:
             if desc is descs[-1]:
@@ -230,15 +229,6 @@ def _load_or_build_table(args, poset, column=None) -> tuple:
     except OSError as e:
         _warn(f"table not cached: {e}")
     return desc, table if column is None else table.mats[column]
-
-
-def _build_table(poset, desc: dict, rungs: list) -> MultTable:
-    for D in rungs:
-        try:
-            return full_table(poset, D=D, backend=desc)
-        except TruncationTooSmall:
-            if D == rungs[-1]:
-                raise
 
 
 def _cmd_product(args) -> int:

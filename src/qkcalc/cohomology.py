@@ -262,10 +262,10 @@ def ms_solve_classical_kt(poset: CominusculePoset) -> MSSolution:
     q = 0 layer of the quantum table.
     """
     rank = poset.rs.rank
-    dv = divisor_matrix(poset)
+    L0 = divisor_matrix(poset)[0]
     chev = [
-        {w: GammaFraction.from_gamma(row[u]) for w, row in enumerate(dv.layer0) if not row[u].is_zero()}
-        for u in range(dv.k)
+        {w: GammaFraction.from_gamma(g) for w, g in enumerate(L0[:, u]) if not g.is_zero()}
+        for u in range(len(L0))
     ]
     zero = GammaFraction.from_gamma(GammaElement.zero(rank))
     one = GammaFraction.from_gamma(GammaElement.from_int(rank, 1))

@@ -19,11 +19,13 @@ Both backends run one solve: mod p, batched over evaluation points that send
 each x_i = e^{-alpha_i} to a nonzero residue.  The mod-p backend is a single
 point.  The exact backend rebuilds every constant, a polynomial in the x_i
 with small integer coefficients, by dense interpolation (Brown's modular
-method): line probes through a random point find the degree in each x_i,
-all pending variables' lines in one solve per rung of t = 8, 16, ... nodes
-(in batches, and from fewer nodes, where one solve would pass the grid
-guard), until the interpolant's degree falls below t - 1 (early termination,
-after Kaltofen and Lee); the solve runs on the tensor grid of that many random
+method).  L = M_{s_gamma} is a column of the table, so its degrees bound the
+table's from below, and a grid that they already put out of reach is refused
+before any solve.  Then line probes through a random point find the degree
+in each x_i, all pending variables' lines in one solve per rung of t = 8,
+16, ... nodes (in batches where one solve would pass the grid guard), until
+the interpolant's degree falls below t - 1 (early termination, after
+Kaltofen and Lee); the solve runs on the tensor grid of that many random
 nonzero nodes per variable, in blocks of columns; the inverse Vandermonde
 matrix of each axis turns values into coefficients, lifted to the symmetric
 range (-p/2, p/2).  The candidate is then certified exactly: M_v L = L M_v
@@ -55,7 +57,7 @@ import json
 import os
 import random
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, product as iproduct
 from math import comb, prod
 from operator import mul
@@ -100,29 +102,6 @@ class GridOutOfReach(QKRingError):
 # Divisor operator
 
 
-@dataclass
-class DivisorOperator:
-    """Matrix of O^{s_gamma} * (.) in the Schubert basis, split by q-degree.
-
-    layer0/layer1 are k x k nested lists (rows w, columns u) over the group
-    ring; all higher layers vanish by the Chevalley theorem.  ``layers`` stacks
-    them into the array L[d, w, u].
-    """
-
-    poset: CominusculePoset
-    layer0: list
-    layer1: list
-
-    @property
-    def k(self) -> int:
-        return len(self.poset.shape_masks)
-
-    @property
-    def layers(self) -> np.ndarray:
-        """layer0 and layer1 as one (2, k, k) object array."""
-        return _object_array([g for lay in (self.layer0, self.layer1) for row in lay for g in row], (2, self.k, self.k))
-
-
 def _object_array(items: list, shape) -> np.ndarray:
     # filling a flat array is several times faster than np.array on nested lists
     out = np.empty(len(items), dtype=object)
@@ -147,11 +126,14 @@ def _eval_array(G: np.ndarray, p: int, nodes: np.ndarray) -> np.ndarray:
     return (out % p).reshape(len(nodes), *G.shape)
 
 
-_DIVISOR_CACHE: dict[str, DivisorOperator] = {}
+_DIVISOR_CACHE: dict[str, np.ndarray] = {}
 
 
-def divisor_matrix(poset: CominusculePoset) -> DivisorOperator:
-    """Divisor multiplication operator, with its structural invariants checked."""
+def divisor_matrix(poset: CominusculePoset) -> np.ndarray:
+    """Matrix of O^{s_gamma} * (.) in the Schubert basis, split by q-degree:
+    the read-only (2, k, k) object array L[d, w, u] over the group ring (all
+    higher layers vanish by the Chevalley theorem), with its structural
+    invariants checked."""
     key = str(poset.space)
     hit = _DIVISOR_CACHE.get(key)
     if hit is not None:
@@ -159,34 +141,32 @@ def divisor_matrix(poset: CominusculePoset) -> DivisorOperator:
     masks = poset.shape_masks
     k = len(masks)
     rank = poset.rs.rank
-    zero = GammaElement.zero(rank)
     one = GammaElement.from_int(rank, 1)
-    layer0 = [[zero] * k for _ in range(k)]
-    layer1 = [[zero] * k for _ in range(k)]
+    L = _object_array([GammaElement.zero(rank)] * (2 * k * k), (2, k, k))
     index = {m: i for i, m in enumerate(masks)}
     for u, mask in enumerate(masks):
         for wm, poly in sgamma_star(poset, mask).items():
             if poly.degree() > 1:
                 raise QKRingError("divisor product exceeded q-degree 1")
             w = index[wm]
-            layer0[w][u] = poly.coeff(0)
-            layer1[w][u] = poly.coeff(1)
+            L[0, w, u] = poly.coeff(0)
+            L[1, w, u] = poly.coeff(1)
     # q^0 part is triangular for Bruhat order and carries 1 - J_u on the
     # diagonal; the J_u are pairwise distinct since u.omega determines u.
     seen = set()
     for u, mask in enumerate(masks):
-        if layer0[u][u] != one - j_class(poset, mask):
+        if L[0, u, u] != one - j_class(poset, mask):
             raise QKRingError("divisor diagonal entry is not 1 - J_u")
         jw = j_weight(poset, mask)
         if jw in seen:
             raise QKRingError("coinciding divisor eigenvalues")
         seen.add(jw)
         for w in range(k):
-            if not layer0[w][u].is_zero() and masks[u] & masks[w] != masks[u]:
+            if not L[0, w, u].is_zero() and masks[u] & masks[w] != masks[u]:
                 raise QKRingError("q^0 layer not triangular")
-    dv = DivisorOperator(poset, layer0, layer1)
-    _DIVISOR_CACHE[key] = dv
-    return dv
+    L.flags.writeable = False
+    _DIVISOR_CACHE[key] = L
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +320,11 @@ class _ModPSolver:
     for the columns asked for.
     """
 
-    def __init__(self, dv: DivisorOperator, D: int, p: int, nodes: np.ndarray):
-        self.D, self.p, self.k = D, p, dv.k
-        k, n = dv.k, len(nodes)
+    def __init__(self, L: np.ndarray, D: int, p: int, nodes: np.ndarray):
+        k, n = L.shape[-1], len(nodes)
+        self.D, self.p, self.k = D, p, k
         # rows 0..k-1 hold L's q^0 layer, rows k..2k-1 its q^1 layer
-        self.L = _eval_array(dv.layers, p, nodes).reshape(n, 2 * k, k)
+        self.L = _eval_array(L, p, nodes).reshape(n, 2 * k, k)
         # Krylov layers: column i of K is L^i e_1 (e_1 = the identity class).
         K = self._krylov([0])[:, :, 0].transpose(0, 2, 1, 3)
         C0 = _inverse_mod(K[:, 0], p)
@@ -404,24 +384,29 @@ def _interpolation_matrix(xs, p: int) -> np.ndarray:
     return _inverse_mod(V, p)
 
 
-def _degree_probe(dv: DivisorOperator, D: int, p: int, rng: random.Random) -> list:
+def _degree_probe(L: np.ndarray, D: int, p: int, rng: random.Random) -> list:
     """Nodes per variable for dense interpolation: one more than the table's
     degree in x_i, read off a line along x_i through a random point.  A rung
     of t nodes solves the lines of all pending variables at once, in batches
     within the grid guard; a variable goes on to 2t while its interpolant's
     degree reaches t - 1."""
-    rank, k = dv.poset.rs.rank, dv.k
+    k, rank = L.shape[-1], L.flat[0].rank
     base = [rng.randrange(1, p) for _ in range(rank)]
-    # the least nodes each x_i is known to need, and the points one solve may
-    # hold: a batch stays within the grid guard, or is a single line
-    need, pending, fit = [1] * rank, list(range(rank)), _GRID_ENTRIES // ((D + 1) * k * k)
-    # rungs from 8 nodes, or from 4 or 2 where a line of 8 would not fit
-    for t in [t for t in (2, 4, 8, 16, 32, 64, 128) if 2 * t > min(8, fit)]:
+    # the least nodes each x_i is known to need: L = M_{s_gamma} is a column
+    # of the table, so the table's degrees are at least L's, and a grid that
+    # L already puts out of reach is refused before any solve
+    exps = np.array([e for g in L.flat for e in g.terms], dtype=np.int64).reshape(-1, rank)
+    need = (1 - exps.min(axis=0, initial=0)).tolist()
+    _check_grid(need, D, k)
+    # the points one solve may hold: a batch stays within the grid guard, or
+    # is a single line
+    pending, fit = list(range(rank)), _GRID_ENTRIES // ((D + 1) * k * k)
+    for t in (8, 16, 32, 64, 128):
         lines = [(i, rng.sample(range(1, p), t)) for i in pending]
         step = max(1, fit // t)
         for batch in (lines[at:at + step] for at in range(0, len(lines), step)):
             nodes = np.array([base[:i] + [x] + base[i + 1:] for i, xs in batch for x in xs], dtype=np.int64)
-            solver, Vinv = _ModPSolver(dv, D, p, nodes), _interpolation_matrix([xs for _, xs in batch], p)
+            solver, Vinv = _ModPSolver(L, D, p, nodes), _interpolation_matrix([xs for _, xs in batch], p)
             top = np.zeros(len(batch), dtype=np.int64)
             for _, M in solver.blocks():
                 c = _matmul_mod(Vinv, M.reshape(len(batch), t, -1), p)
@@ -454,15 +439,15 @@ def _check_grid(counts: list, D: int, k: int) -> None:
         raise GridOutOfReach(f"exact interpolation needs a grid of at least {points} points; use the mod-p backend")
 
 
-def _interpolated_columns(dv: DivisorOperator, D: int, counts: list, p: int, rng: random.Random):
+def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: random.Random):
     """Layers C[d, w, u] of every M_v over the group ring, interpolated from
     the solve on a grid of counts[i] random nonzero nodes per variable, in
     blocks of columns of about _PROBE_ENTRIES entries (a larger column alone)."""
-    rank, k = dv.poset.rs.rank, dv.k
+    rank, k = len(counts), L.shape[-1]
     _check_grid(counts, D, k)
     axes = [rng.sample(range(1, p), n) for n in counts]
     inverses = [_interpolation_matrix(xs, p) for xs in axes]
-    solver = _ModPSolver(dv, D, p, np.array(list(iproduct(*axes)), dtype=np.int64))
+    solver = _ModPSolver(L, D, p, np.array(list(iproduct(*axes)), dtype=np.int64))
     for vs, M in solver.blocks():
         terms = _coefficients(M, counts, inverses, p)
         yield from _object_array([GammaElement(rank, t) for t in terms], (len(vs), D + 1, k, k))
@@ -502,7 +487,7 @@ def _certified(table: MultTable) -> bool:
     return verify_ms_equations(table)["status"] == "pass"
 
 
-def _exact_table(poset: CominusculePoset, dv: DivisorOperator, D: int, backend: dict) -> MultTable:
+def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) -> MultTable:
     """Probe, interpolate and certify, on two draws of the nodes: after a
     singular node on the same box, after a failed certificate on a doubled one."""
     p = DEFAULT_PRIMES[0]
@@ -510,8 +495,8 @@ def _exact_table(poset: CominusculePoset, dv: DivisorOperator, D: int, backend: 
     counts = None
     for _ in range(2):
         try:
-            counts = counts or _degree_probe(dv, D, p, rng)
-            table = _assemble(poset, D, backend, np.stack(list(_interpolated_columns(dv, D, counts, p, rng))))
+            counts = counts or _degree_probe(L, D, p, rng)
+            table = _assemble(poset, D, backend, np.stack(list(_interpolated_columns(L, D, counts, p, rng))))
         except SingularKrylov:
             continue
         if _certified(table):
@@ -631,10 +616,10 @@ def full_table(poset: CominusculePoset, D: int | None = None, backend="exact") -
     """
     D = _truncation(poset, D)
     backend = make_field(poset, backend)
-    dv = divisor_matrix(poset)
+    L = divisor_matrix(poset)
     if backend["kind"] == "exact":
-        return _exact_table(poset, dv, D, backend)
-    return _modp_point_tables(poset, dv, D, [backend])[0]
+        return _exact_table(poset, L, D, backend)
+    return _modp_point_tables(poset, L, D, [backend])[0]
 
 
 def _truncation(poset: CominusculePoset, D: int | None) -> int:
@@ -645,13 +630,13 @@ def _truncation(poset: CominusculePoset, D: int | None) -> int:
     return D
 
 
-def _modp_point_tables(poset: CominusculePoset, dv: DivisorOperator, D: int, backends: list) -> list:
+def _modp_point_tables(poset: CominusculePoset, L: np.ndarray, D: int, backends: list) -> list:
     """The tables of mod-p backends of one prime, from one solve batched over
     their assignments."""
     nodes = np.array([b["assignment"] for b in backends], dtype=np.int64)
-    solver = _ModPSolver(dv, D, backends[0]["p"], nodes)
+    solver = _ModPSolver(L, D, backends[0]["p"], nodes)
     tables = []
-    for backend, mats in zip(backends, solver.columns(range(dv.k))):
+    for backend, mats in zip(backends, solver.columns(range(solver.k))):
         tables.append(_assemble(poset, D, backend, mats))
         _check_identity_row(tables[-1])
     return tables
@@ -687,11 +672,11 @@ def modp_tables(poset: CominusculePoset, D: int | None = None, primes: int = 2, 
     """One table per evaluation: `assignments` default assignments for each of
     the first `primes` default primes, from one batched solve per prime;
     checks must agree on all."""
-    D, rank, dv = _truncation(poset, D), poset.rs.rank, divisor_matrix(poset)
+    D, rank, L = _truncation(poset, D), poset.rs.rank, divisor_matrix(poset)
     tables = []
     for p in DEFAULT_PRIMES[:primes]:
         asgs = default_assignments(rank, p, assignments, seed)
-        tables += _modp_point_tables(poset, dv, D, [make_field(poset, {"kind": "mod-p", "p": p, "assignment": a}) for a in asgs])
+        tables += _modp_point_tables(poset, L, D, [make_field(poset, {"kind": "mod-p", "p": p, "assignment": a}) for a in asgs])
     return tables
 
 
@@ -704,27 +689,13 @@ def tables_agree(exact: MultTable, modp: MultTable) -> bool:
 def specialize(table: MultTable, mode: str) -> MultTable:
     """Coefficient-wise ring maps: 'q0' kills q, 'nonequivariant' sends e^l to 1."""
     if mode == "q0":
-        return MultTable(
-            space=table.space,
-            D=0,
-            backend=dict(table.backend, specialized="q0"),
-            masks=table.masks,
-            mats=table.mats[:, :1],
-            poset=table.poset,
-            flags={"specialized": "q0"},
-        )
+        return replace(table, D=0, backend=dict(table.backend, specialized="q0"), mats=table.mats[:, :1], flags={"specialized": "q0"})
     if mode == "nonequivariant":
         if not table.is_exact:
             raise QKRingError("nonequivariant specialization needs the exact backend")
         mats = np.array([sum(x.terms.values()) for x in table.mats.flat], dtype=np.int64)
-        return MultTable(
-            space=table.space,
-            D=table.D,
-            backend={"kind": "nonequivariant"},
-            masks=table.masks,
-            mats=mats.reshape(table.mats.shape),
-            poset=table.poset,
-            flags={"specialized": "nonequivariant"},
+        return replace(
+            table, backend={"kind": "nonequivariant"}, mats=mats.reshape(table.mats.shape), flags={"specialized": "nonequivariant"}
         )
     raise ValueError(f"unknown specialization {mode!r}")
 
@@ -751,7 +722,7 @@ def _ring(table: MultTable) -> _Ring:
     specialization, say) have no divisor image to check against."""
     kind = table.backend.get("kind")
     # a q = 0 specialization (D = 0) keeps only L_0
-    layers = divisor_matrix(table.poset).layers[: table.D + 1]
+    layers = divisor_matrix(table.poset)[: table.D + 1]
     if kind == "exact":
         pack = _packing(table.poset.rs.rank, (table.mats, layers))
         return _Ring(pack(table.mats), pack(layers), lambda A, B: _packed_matmul(A[0], B[0])[None])

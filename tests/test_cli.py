@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from itertools import accumulate
@@ -240,11 +241,35 @@ def test_fallback_rung_is_served_from_cache(capsys, tmp_path, monkeypatch):
     builds = count_builds(monkeypatch)
     argv = ("product", "P1", "1", "1", "--qmax=2", f"--cache-dir={tmp_path}")
     code, first, _ = run(capsys, *argv)
-    # q-degree 1 reaches layer D-1 at D=2, so the certificate fails once
-    assert code == 0 and builds == [2, 4]
+    # q-degree 1 reaches layer D-1 at D=2, so the build starts from D=4
+    assert code == 0 and builds == [4]
     code, second, err = run(capsys, *argv)
-    assert code == 0 and builds == [2, 4]
+    assert code == 0 and builds == [4]
     assert second == first and err == ""
+
+
+def test_output_does_not_depend_on_other_cached_truncations(capsys, tmp_path):
+    # the truncation follows from the space and --qmax alone, so a table
+    # cached at another truncation answers no query
+    cache = f"--cache-dir={tmp_path}"
+    assert run(capsys, "table", "Gr(2,4)", "--qmax=8", cache)[0] == 0
+    code, out, err = run(capsys, "table", "Gr(2,4)", cache)
+    assert code == 0 and "qmax=4," in out and err == ""
+    argv = ("product", "Gr(2,4)", "1", "1", "--backend=mod-p")
+    clean = run(capsys, *argv, f"--cache-dir={tmp_path / 'clean'}")
+    assert run(capsys, "table", "Gr(2,4)", "--backend=mod-p", "--qmax=8", cache)[0] == 0
+    assert run(capsys, *argv, cache) == clean
+
+
+@pytest.mark.parametrize("space", ["E7", "Gr(4,8)", "OG(6,12)", "LG(5,10)", "Q(17)"])
+def test_exact_build_is_refused_before_any_solve(capsys, tmp_path, monkeypatch, space):
+    # the degrees of the divisor alone put these grids out of reach
+    def refuse(*args):
+        raise AssertionError("a solve started before the refusal")
+
+    monkeypatch.setattr(qkring, "_ModPSolver", refuse)
+    code, out, err = run(capsys, "table", space, "--backend=exact", f"--cache-dir={tmp_path}")
+    assert code == 1 and out == "" and "use the mod-p backend" in err
 
 
 def test_truncated_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch):
@@ -723,3 +748,31 @@ def test_output_does_not_depend_on_hash_seed(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
     assert outputs[:2] == outputs[2:]
+
+
+def _readme_examples() -> list:
+    """(arguments, printed lines) of every `$ qkcalc ...` line in the code
+    blocks of README.md; the printed lines run to the next `$` line or to
+    the end of the block."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    examples, current = [], None
+    with open(readme, encoding="utf-8") as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("```"):
+                current = None
+            elif line.startswith("$ qkcalc "):
+                current = (line[len("$ qkcalc "):], [])
+                examples.append(current)
+            elif current is not None:
+                current[1].append(line)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command, printed", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_example(capsys, tmp_path, monkeypatch, command, printed):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    code, out, _ = run(capsys, *shlex.split(command, comments=True))
+    assert code == 0 and out.splitlines() == printed

@@ -20,7 +20,6 @@ from qkcalc.chevalley import j_class, sgamma_mask, sgamma_star
 from qkcalc.gamma import DEFAULT_PRIMES, GammaElement, GammaError, QPolynomial, ZeroAssignment
 from qkcalc.poset import build_cominuscule
 from qkcalc.qkring import (
-    DivisorOperator,
     SingularKrylov,
     TruncationTooSmall,
     _inverse_mod,
@@ -80,6 +79,11 @@ def test_divisor_column_matches_chevalley(gr24_table):
                 got[wm] = p.truncate(table.D)
         want = {m: p.truncate(table.D) for m, p in want.items()}
         assert got == want
+    # the divisor array is that column, L[d, w, u] = mats[s_gamma, d, w, u],
+    # which the degree probe's floor relies on
+    L = qkring.divisor_matrix(poset)
+    assert (table.mats[si, :2] == L).all() and not table.mats[si, 2:].astype(bool).any()
+    assert not L.flags.writeable and qkring.divisor_matrix(poset) is L
 
 
 def test_identity_row_emerges(gr24_table):
@@ -583,22 +587,19 @@ def _recording_nodes(monkeypatch) -> list:
 
 
 def test_degree_probe_stops_at_the_grid_guard(monkeypatch):
-    # once the degrees found so far put the grid out of reach, the probe
-    # refuses without probing the remaining variables
+    # once the degrees of L put the grid out of reach, the probe refuses
+    # before any solve
     monkeypatch.setattr(qkring, "_GRID_ENTRIES", 1)
     lines = _recording_nodes(monkeypatch)
     with pytest.raises(qkring.QKRingError, match="mod-p backend"):
         full_table(build_cominuscule("Gr(2,4)"))
-    # one solve, no grid: a line of 2 nodes varying x_1 alone, since a line
-    # of 8 would pass the guard
-    assert [len(nodes) for nodes in lines] == [2]
-    assert not np.ptp(lines[0][:, 1:], axis=0).any()
+    assert lines == []
 
 
 @pytest.mark.parametrize("space, fit, sizes", [
-    ("P1", 2, [2, 4, 2]),  # rungs from 2 nodes, a line of 4 alone, then the grid
-    ("Gr(2,4)", 5, [4, 4]),  # rungs from 4 nodes, one line per solve
-    ("Gr(2,4)", 20, [16, 8]),  # two lines of 8, then one
+    ("P1", 2, [8, 2]),  # a line of 8 alone, then the grid
+    ("Gr(2,4)", 5, []),  # L's degrees alone put the grid out of reach
+    ("Gr(2,4)", 20, [16]),  # two lines of 8, then the refusal
 ])
 def test_degree_probe_solves_stay_within_the_grid_guard(monkeypatch, space, fit, sizes):
     # with room for `fit` grid points, a probe solve holds at most that many
@@ -850,7 +851,7 @@ def test_modp_solver_rejects_singular_krylov_matrix():
     poset = build_cominuscule("Gr(2,4)")
     zero = GammaElement.zero(poset.rs.rank)
     k = len(poset.shape_masks)
-    flat = DivisorOperator(poset, [[zero] * k for _ in range(k)], [[zero] * k for _ in range(k)])
+    flat = np.full((2, k, k), zero, dtype=object)
     d = make_field(poset, "mod-p")
     with pytest.raises(SingularKrylov):
         _ModPSolver(flat, 4, d["p"], np.array([d["assignment"]]))
@@ -880,7 +881,7 @@ def _reference_reports(table) -> list:
     product a layer convolution."""
     p, k, C = table.backend["p"], table.k, table.mats
     node = np.array([table.backend["assignment"]])
-    L = qkring._eval_array(qkring.divisor_matrix(table.poset).layers[: table.D + 1], p, node)[0]
+    L = qkring._eval_array(qkring.divisor_matrix(table.poset)[: table.D + 1], p, node)[0]
 
     def matmul(X, Y):
         return _matmul_mod(X, Y, p)
