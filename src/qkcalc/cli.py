@@ -186,10 +186,10 @@ def _warn(msg: str) -> None:
 _FALLBACK_FLAG = "exact_out_of_reach"
 
 
-def _load_or_build_table(args, poset, column=None) -> tuple:
-    """The table's backend descriptor and the table, or with column=v only
-    the layers (D+1, k, k) of M_v: read from the cache when a file there
-    answers, else built, saved and sliced."""
+def _load_or_build_table(args, poset, product=None) -> tuple:
+    """The table's backend descriptor and the table, or with product=(u, v)
+    only the (D+1, k) array c[d, w] of q^d O^w in O^u * O^v: read from the
+    cache when a file there answers, else built, saved and sliced."""
     # q-degrees reach d_max (BCMP), so the truncation is known before any
     # work: --qmax, doubled at most three times towards the default, whose
     # certificate fails if it is still short
@@ -205,7 +205,7 @@ def _load_or_build_table(args, poset, column=None) -> tuple:
         # classes only if its exact build was out of reach; a readable file
         # without that mark is passed over, not unreadable
         flag = None if desc is descs[0] else _FALLBACK_FLAG
-        cached = load_table(space, D, desc, cache_dir, column=column, flag=flag)
+        cached = load_table(space, D, desc, cache_dir, product=product, flag=flag)
         if cached is not None:
             return desc, cached
         path = cache_path(space, D, desc, cache_dir)
@@ -228,19 +228,18 @@ def _load_or_build_table(args, poset, column=None) -> tuple:
         save_table(table, cache_dir)
     except OSError as e:
         _warn(f"table not cached: {e}")
-    return desc, table if column is None else table.mats[column]
+    return desc, table if product is None else table.mats[product[1]][:, :, product[0]]
 
 
 def _cmd_product(args) -> int:
     poset = build_cominuscule(args.space)
     u = poset.parse_shape(args.shape_u)
     v = poset.parse_shape(args.shape_v)
-    ui = poset.index_of(u)
-    backend, layers = _load_or_build_table(args, poset, column=poset.index_of(v))
+    backend, c = _load_or_build_table(args, poset, product=(poset.index_of(u), poset.index_of(v)))
     exact = backend["kind"] == "exact"
     items = []
-    # layers[d, w, u] is the coefficient of q^d O^w in O^u * O^v
-    for mask, val in zip(poset.shape_masks, layers[:, :, ui].T.tolist()):
+    # c[d, w] is the coefficient of q^d O^w in O^u * O^v
+    for mask, val in zip(poset.shape_masks, c.T.tolist()):
         if exact:
             val = QPolynomial(poset.rs.rank, val)
             if not val.is_zero():

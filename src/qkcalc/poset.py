@@ -816,8 +816,7 @@ def eps_string(poset: CominusculePoset, v: RootVector, fmt: str = "text") -> str
     bits = []
     for i, c in enumerate(coords):
         if c:
-            ci = int(c) if c.denominator == 1 else c
-            bits.append(_term(ci, sym % (i + 1), first=not bits))
+            bits.append(_term(c, sym % (i + 1), first=not bits))
     return "".join(bits) if bits else "0"
 
 

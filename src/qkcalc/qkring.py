@@ -918,7 +918,8 @@ def verify_positivity_signs(table: MultTable) -> dict:
 #
 # A cache file starts with one line of JSON, the table's to_json_obj()
 # without "mats", and the table's columns M_v follow it, v = 0, ..., k-1, so
-# that a query reads only the column it needs.  An exact table's header has
+# that a query reads only the column it needs and decodes only the product
+# O^u * O^v it prints, mats[v][:, :, u].  An exact table's header has
 # "columns", the payload offsets of the k columns and of the payload's end;
 # column v is the JSON line of mats[v], the (D+1, k, k) layers of M_v.  A
 # mod-p table's header has "shape", and the array follows as raw
@@ -989,12 +990,13 @@ def cache_flags(space: str, D: int, backend: dict, cache_dir: str) -> dict | Non
 
 
 def load_table(
-    space: str, D: int, backend: dict, cache_dir: str, *, column: int | None = None, flag: str | None = None
+    space: str, D: int, backend: dict, cache_dir: str, *, product: tuple[int, int] | None = None, flag: str | None = None
 ) -> MultTable | np.ndarray | None:
-    """The cached table, or with column=v only its layers mats[v] of M_v,
-    read and decoded alone.  None when the file is missing, unreadable, cut
-    short, malformed or keyed differently, or when the table's flags do not
-    set `flag`; a basis mismatch raises QKRingError."""
+    """The cached table, or with product=(u, v) only mats[v][:, :, u], the
+    coefficients c[d, w] of q^d O^w in O^u * O^v, read from M_v alone.  None
+    when the file is missing, unreadable, cut short, malformed or keyed
+    differently, or when the table's flags do not set `flag`; a basis
+    mismatch raises QKRingError."""
     try:
         with open(cache_path(space, D, backend, cache_dir), "rb") as fh:
             obj = _read_header(fh, space, D, backend)
@@ -1004,9 +1006,9 @@ def load_table(
             if flag is not None and not flags.get(flag):
                 return None
             k = len(_space_of(obj).shape_masks)
-            if column is not None and not 0 <= column < k:
-                raise IndexError(f"no column {column} in a table of {k} classes")
-            vs = range(k) if column is None else range(column, column + 1)
+            if product is not None and not all(0 <= i < k for i in product):
+                raise IndexError(f"no product {product} in a table of {k} classes")
+            vs = range(k) if product is None else range(product[1], product[1] + 1)
             start, size = fh.tell(), os.fstat(fh.fileno()).st_size
             if backend["kind"] == "exact":
                 # k nonempty lines from the header to the end of the file
@@ -1021,8 +1023,15 @@ def load_table(
                     return None
                 fh.seek(start + vs[0] * slab)
                 mats = np.frombuffer(fh.read(len(vs) * slab), dtype="<i8").reshape(len(vs), D + 1, k, k)
-        if column is None:
+        if product is None:
             return MultTable.from_json_obj(dict(obj, mats=mats))
-        return _table_array(backend, mats, (1, D + 1, k, k))[0]
+        (col,), u = mats, product[0]
+        if backend["kind"] != "exact":
+            return col[:, :, u]
+        # the whole line's shape is checked, and only the printed entries decoded
+        if len(col) != D + 1 or any(len(mat) != k or any(len(row) != k for row in mat) for mat in col):
+            return None
+        de = GammaElement.from_json_obj  # looked up per call, as in _table_array
+        return _object_array([de(row[u]) for mat in col for row in mat], (D + 1, k))
     except (OSError, KeyError, TypeError, ValueError):
         return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 RootVector = tuple[int, ...]
 
@@ -323,44 +324,31 @@ def mat_apply(mat: tuple[tuple[int, ...], ...], v: RootVector) -> RootVector:
 
 # epsilon-coordinate conversion for the classical families; used for I/O only.
 
-def eps_basis(rs: RootSystem) -> list[list[Fraction]] | None:
+def eps_basis(rs: RootSystem) -> tuple[tuple[int, ...], ...] | None:
     """Columns give simple roots in the epsilon basis of the family, or None
     for the exceptional types."""
-    n = rs.rank
-    if rs.family == "A":
-        cols = []
-        for i in range(n):
-            col = [Fraction(0)] * (n + 1)
-            col[i] = Fraction(1)
-            col[i + 1] = Fraction(-1)
-            cols.append(col)
-        return cols
-    if rs.family in ("B", "C", "D"):
-        cols = []
-        for i in range(n - 1):
-            col = [Fraction(0)] * n
-            col[i] = Fraction(1)
-            col[i + 1] = Fraction(-1)
-            cols.append(col)
-        last = [Fraction(0)] * n
-        if rs.family == "B":
-            last[n - 1] = Fraction(1)
-        elif rs.family == "C":
-            last[n - 1] = Fraction(2)
-        else:
-            last[n - 2] = Fraction(1)
-            last[n - 1] = Fraction(1)
-        cols.append(last)
-        return cols
-    return None
+    return _eps_basis(rs.family, rs.rank)
 
 
-def root_to_eps(rs: RootSystem, v: RootVector) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _eps_basis(family: str, n: int) -> tuple[tuple[int, ...], ...] | None:
+    # alpha_i = e_i - e_{i+1}; B, C and D end on e_n, 2e_n and e_{n-1} + e_n
+    if family not in ("A", "B", "C", "D"):
+        return None
+    dim = n + 1 if family == "A" else n
+    cols = [tuple(int(j == i) - int(j == i + 1) for j in range(dim)) for i in range(n)]
+    if family != "A":
+        last = {"B": {n - 1: 1}, "C": {n - 1: 2}, "D": {n - 2: 1, n - 1: 1}}[family]
+        cols[-1] = tuple(last.get(j, 0) for j in range(n))
+    return tuple(cols)
+
+
+def root_to_eps(rs: RootSystem, v: RootVector) -> list[int]:
     basis = eps_basis(rs)
     if basis is None:
         raise UnsupportedType("no epsilon coordinates for exceptional types")
     dim = len(basis[0])
-    out = [Fraction(0)] * dim
+    out = [0] * dim
     for coeff, col in zip(v, basis):
         if coeff:
             for i in range(dim):
@@ -381,7 +369,7 @@ def eps_to_root(rs: RootSystem, eps: dict[int, int | Fraction]) -> RootVector:
             raise NotARoot(f"epsilon index {idx} out of range")
         target[idx - 1] += Fraction(coeff)
     # Solve basis * c = target by elimination over the rationals.
-    rows = [[basis[j][i] for j in range(rs.rank)] + [target[i]] for i in range(dim)]
+    rows = [[Fraction(basis[j][i]) for j in range(rs.rank)] + [target[i]] for i in range(dim)]
     coeffs: list[Fraction] = [Fraction(0)] * rs.rank
     row = 0
     pivots = []

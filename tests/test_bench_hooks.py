@@ -77,12 +77,13 @@ def test_tracer_sees_a_warm_product(tmp_path, backend):
 
 
 def test_warm_exact_product_decodes_one_column(tmp_path):
-    # an exact query decodes only M_v: (D+1) k^2 coefficients, not the table
+    # an exact query decodes only the product it prints, mats[v][:, :, u]:
+    # (D+1) k coefficients, not M_v's (D+1) k^2 or the table
     _traced_table(tmp_path, "exact")
     layers = _traced("product", "Gr(2,4)", "1", "2,1", "--backend=exact", f"--cache-dir={tmp_path}")
     assert layers["qkring.load_table.hits"] == 1
     D, k = 4, 6  # Gr(2,4): qmax = d_max + 2 = 4, six classes
-    assert layers["gamma.from_json.calls"] == (D + 1) * k * k
+    assert layers["gamma.from_json.calls"] == (D + 1) * k
 
 
 def test_tracer_sees_the_probe(tmp_path):

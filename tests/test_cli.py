@@ -442,7 +442,8 @@ def test_exact_product_output_is_pinned(capsys, tmp_path, fmt):
 
 # sha256 of the `product` outputs of every (u, v) of a space, in basis order
 # for u and then v, recorded at commit c5f6f76, before exact cache files
-# were read by column
+# were read by column (Q(5) at commit 0a05190, before a query decoded only
+# its product and weights were rendered from an integer epsilon basis)
 ALL_PRODUCTS_SHA256 = {
     ("LG(2,4)", "exact"): {
         "text": "5b7015108ffc5a77ebb347b9c0609eefe9deac68ec27581e4d32cf1b0f1ef2a0",
@@ -474,6 +475,11 @@ ALL_PRODUCTS_SHA256 = {
         "json": "87ec897c6534d521f42577ed33658ba96f44db84f9dee0358f3da1ed85fe1416",
         "latex": "965ee1bbbf5da36259272fe5bcb738ad500fc47fb7848889b9fad49c2c2945e1",
     },
+    ("Q(5)", "exact"): {
+        "text": "f4433e94ee78e74b9dc414e9ca42bc3fa0f7f8710afd868e9c198ffdb02d5eeb",
+        "json": "798608d601ef84e304761ffbfaf923dd650681874df19c183b71149f36c17d96",
+        "latex": "856aa4c69902f1857c498304507860320e01d5ca1f9bbe63e853fc0c5b29de81",
+    },
 }
 
 
@@ -492,8 +498,35 @@ def test_every_product_output_is_pinned(capsys, tmp_path, space, backend):
         assert digest.hexdigest() == want, fmt
 
 
+# sha256 of the `chevalley` outputs of every shape of a space, in basis
+# order, recorded at commit 0a05190: one space per family with epsilon
+# coordinates (A, B, C, D), and E6, whose weights are in simple roots
+CHEVALLEY_SHA256 = {
+    ("Gr(2,4)", "text"): "b7ea9b6d8164a03a7b282525418b299b96b7683d103915d3cc57628fecce5650",
+    ("Gr(2,4)", "latex"): "4122172bdb726a8462356ef4768c8e77e017ee9da689a9fa8a6bcc62251cd996",
+    ("Q(5)", "text"): "ac0b45d0d02bf7654240968afa4bb8b6cac52af5f179ee605bc4170c3d95b67a",
+    ("Q(5)", "latex"): "df00aa842651f2007bacf4308ce536a534bceb415f867a1df1199abdd184fb56",
+    ("LG(2,4)", "text"): "965164743ccb1e32ec30f0f0e38ca102b72bfe1052e8261c09448337b04cd36b",
+    ("LG(2,4)", "latex"): "94af481309fc097878ade03a38f30e025b5c4ed67accb973467592572b286fe9",
+    ("Q(4)", "text"): "1a6dec172bd5453269c082e83bc0611c26933b162c48f8df9d0235447c5eb0eb",
+    ("Q(4)", "latex"): "5aaab925675a889bd122ad215e66357a25c00ba60d7d1c72729600386b20f52d",
+    ("E6", "latex"): "c0b05dacc06ef80822cb5a92e33d3f7f08042e48128840482ca93fa2ed9f0894",
+}
+
+
+@pytest.mark.parametrize("space, fmt", sorted(CHEVALLEY_SHA256))
+def test_every_chevalley_output_is_pinned(capsys, space, fmt):
+    poset = build_cominuscule(space)
+    digest = hashlib.sha256()
+    for u in poset.shapes():
+        code, out, err = run(capsys, "chevalley", space, poset.format_shape(u), f"--format={fmt}")
+        assert code == 0 and err == ""
+        digest.update(out.encode())
+    assert digest.hexdigest() == CHEVALLEY_SHA256[space, fmt]
+
+
 # damages that leave an exact file's header decodable
-EXACT_DAMAGES = ["cut-last-column", "columns-short", "columns-not-increasing", "columns-past-eof", "column-shape"]
+EXACT_DAMAGES = ["cut-last-column", "columns-short", "columns-not-increasing", "columns-past-eof", "column-shape", "malformed-entry"]
 
 
 @pytest.mark.parametrize("damage", EXACT_DAMAGES)
@@ -511,6 +544,10 @@ def test_damaged_exact_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch, dama
     elif damage == "column-shape":
         # the queried column, O^(2,2), loses its top layer
         path.write_bytes(_exact_file(head, cols[:-1] + [cols[-1][:-1]]))
+    elif damage == "malformed-entry":
+        # one coefficient of the queried product, O^(2,2) * O^(2,2), is no integer
+        cols[-1][1][0][-1] = {"rank": 3, "terms": [[[0, 0, 0], "one"]]}
+        path.write_bytes(_exact_file(head, cols))
     else:
         if damage == "columns-short":
             ends = ends[:-1]

@@ -129,7 +129,7 @@ def test_cache_rejects_basis_mismatch(tmp_path, gr24_table):
     with pytest.raises(QKRingError):
         load_table(table.space, table.D, table.backend, str(tmp_path))
     with pytest.raises(QKRingError):
-        load_table(table.space, table.D, table.backend, str(tmp_path), column=0)
+        load_table(table.space, table.D, table.backend, str(tmp_path), product=(0, 0))
 
 
 def test_q0_specialization_is_classical(gr24_table):
@@ -353,8 +353,9 @@ def _write_exact(path, head: dict, lines: list) -> None:
 
 
 def _misses(args, columns) -> bool:
-    """A full read and the column reads of `columns` all miss."""
-    return load_table(*args) is None and all(load_table(*args, column=v) is None for v in columns)
+    """A full read and the product reads of every u with v in `columns` all miss."""
+    us = range(len(build_cominuscule(args[0]).shape_masks))
+    return load_table(*args) is None and all(load_table(*args, product=(u, v)) is None for v in columns for u in us)
 
 
 @pytest.mark.parametrize("backend", ["exact", "mod-p"])
@@ -394,28 +395,45 @@ def test_load_table_treats_malformed_file_as_miss(tmp_path, backend):
         for wrong in (col[:-1], [mat[:-1] for mat in col], [[row[:-1] for row in mat] for mat in col], [[[]]], 7):
             _write_exact(path, head, lines[:2] + [json.dumps(wrong).encode() + b"\n"] + lines[3:])
             assert _misses(args, [2]), wrong
-            assert (load_table(*args, column=3) == table.mats[3]).all()
+            assert all((load_table(*args, product=(u, 3)) == table.mats[3][:, :, u]).all() for u in range(k))
     path = save_table(table, str(tmp_path))
     os.unlink(path)
     os.mkdir(path)
     assert _misses(args, range(k))
 
 
-@pytest.mark.parametrize("space", ["Gr(2,4)", "Q(4)"])
+def test_product_read_decodes_only_its_product(tmp_path, gr24_table):
+    # a malformed entry misses the full read and the product it belongs to;
+    # the other products of its column do not decode it
+    table = gr24_table
+    args = (table.space, table.D, table.backend, str(tmp_path))
+    path = save_table(table, str(tmp_path))
+    head, lines = _exact_lines(path)
+    col = json.loads(lines[2])
+    col[1][4][0] = {"rank": 3, "terms": [[[0, 0, 0], "one"]]}
+    _write_exact(path, head, lines[:2] + [json.dumps(col).encode() + b"\n"] + lines[3:])
+    assert load_table(*args) is None and load_table(*args, product=(0, 2)) is None
+    assert all((load_table(*args, product=(u, 2)) == table.mats[2][:, :, u]).all() for u in range(1, table.k))
+
+
+@pytest.mark.parametrize("space", ["Gr(2,4)", "Q(4)", "Q(5)"])
 @pytest.mark.parametrize("backend", ["exact", "mod-p"])
 def test_column_read_is_the_table_column(tmp_path, space, backend):
+    # a product read is the slice mats[v][:, :, u] of the full read
     table = full_table(build_cominuscule(space), backend=backend)
     save_table(table, str(tmp_path))
     args = (table.space, table.D, table.backend, str(tmp_path))
     full = load_table(*args)
     assert (full.mats == table.mats).all()
-    for v in range(table.k):
-        col = load_table(*args, column=v)
-        assert col.shape == (table.D + 1, table.k, table.k) and col.dtype == table.mats.dtype
-        assert (col == full.mats[v]).all()
-    for v in (-1, table.k):
+    k = table.k
+    for v in range(k):
+        for u in range(k):
+            c = load_table(*args, product=(u, v))
+            assert c.shape == (table.D + 1, k) and c.dtype == table.mats.dtype
+            assert (c == full.mats[v][:, :, u]).all()
+    for product in ((-1, 0), (k, 0), (0, -1), (0, k)):
         with pytest.raises(IndexError):
-            load_table(*args, column=v)
+            load_table(*args, product=product)
 
 
 def test_load_table_flag_filters_the_header(tmp_path, gr24_table):
@@ -424,7 +442,7 @@ def test_load_table_flag_filters_the_header(tmp_path, gr24_table):
     save_table(table, str(tmp_path))
     assert load_table(*args, flag="stabilized") is not None
     assert load_table(*args, flag="exact_out_of_reach") is None
-    assert load_table(*args, column=1, flag="exact_out_of_reach") is None
+    assert load_table(*args, product=(2, 1), flag="exact_out_of_reach") is None
 
 
 def test_save_table_leaves_no_temp_file(tmp_path, gr24_table):

@@ -6,6 +6,7 @@ from qkcalc.rootsys import (
     NotInPoset,
     UnsupportedType,
     build_root_system,
+    eps_basis,
     eps_to_root,
     longest_word,
     mat_apply,
@@ -97,6 +98,15 @@ def test_eps_roundtrip_a_and_c():
             eps = root_to_eps(rs, a)
             back = eps_to_root(rs, {i + 1: c for i, c in enumerate(eps) if c})
             assert back == a
+
+
+def test_eps_coordinates_are_ints():
+    # the epsilon basis has entries 0, +-1 and 2 only, so no Fraction is needed
+    for family, rank in (("A", 4), ("B", 3), ("C", 4), ("D", 4)):
+        rs = build_root_system(family, rank)
+        assert all(type(x) is int for col in eps_basis(rs) for x in col)
+        assert all(type(c) is int for a in rs.positive_roots for c in root_to_eps(rs, a))
+    assert eps_basis(build_root_system("E", 6)) is None
 
 
 def test_eps_to_root_rejects_non_lattice():
