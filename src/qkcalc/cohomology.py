@@ -352,7 +352,7 @@ def _null_space_mod(A: np.ndarray, p: int) -> np.ndarray:
     R, rank = _row_reduce_mod(A, p)
     R = R[:rank]
     pivots = (R != 0).argmax(axis=1)
-    free = np.setdiff1d(np.arange(A.shape[1]), pivots)
+    free = np.flatnonzero(np.bincount(pivots, minlength=A.shape[1]) == 0)
     N = np.zeros((len(free), A.shape[1]), dtype=np.int64)
     N[np.arange(len(free)), free] = 1
     N[:, pivots] = -R[:, free].T % p

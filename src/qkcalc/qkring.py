@@ -109,20 +109,26 @@ def _object_array(items: list, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _terms(G: np.ndarray):
+    """The terms of the group-ring array G in G.flat order: entry indices,
+    exponent rows (an int64 array (terms, rank)) and coefficients (Python ints)."""
+    nz = [(i, g.terms) for i, g in enumerate(G.ravel().tolist()) if g.terms]
+    exps = np.array([e for _, t in nz for e in t], dtype=np.int64).reshape(-1, G.flat[0].rank)
+    return np.array([i for i, t in nz for _ in t], dtype=np.int64), exps, [c for _, t in nz for c in t.values()]
+
+
 def _eval_array(G: np.ndarray, p: int, nodes: np.ndarray) -> np.ndarray:
     """The group-ring array G at every row of nodes, the residues of the
     x_i = e^{-alpha_i}: an int64 array of shape (len(nodes), *G.shape)."""
-    terms = [(at, e, c) for at, g in enumerate(G.flat) for e, c in g.terms.items()]
+    at, exps, coeffs = _terms(G)
     out = np.zeros((len(nodes), G.size), dtype=np.int64)
-    if terms:
-        at, lams, coeffs = zip(*terms)
-        val = np.array(coeffs, dtype=np.int64) % p
-        # e^{lam} = prod x_i^{-lam_i}
-        for xs, lam in zip(nodes.T.tolist(), zip(*lams)):
-            exps, inv = np.unique(lam, return_inverse=True)
-            powers = np.array([[pow(x, -int(e), p) for e in exps] for x in xs], dtype=np.int64)
-            val = val * powers[:, inv] % p
-        np.add.at(out, (slice(None), at), val)
+    val = np.array(coeffs, dtype=np.int64) % p
+    # e^{lam} = prod x_i^{-lam_i}
+    for xs, lam in zip(nodes.T.tolist(), exps.T):
+        lams, inv = np.unique(lam, return_inverse=True)
+        powers = np.array([[pow(x, -int(e), p) for e in lams] for x in xs], dtype=np.int64)
+        val = val * powers[:, inv] % p
+    np.add.at(out, (slice(None), at), val)
     return (out % p).reshape(len(nodes), *G.shape)
 
 
@@ -395,8 +401,7 @@ def _degree_probe(L: np.ndarray, D: int, p: int, rng: random.Random) -> list:
     # the least nodes each x_i is known to need: L = M_{s_gamma} is a column
     # of the table, so the table's degrees are at least L's, and a grid that
     # L already puts out of reach is refused before any solve
-    exps = np.array([e for g in L.flat for e in g.terms], dtype=np.int64).reshape(-1, rank)
-    need = (1 - exps.min(axis=0, initial=0)).tolist()
+    need = (1 - _terms(L)[1].min(axis=0, initial=0)).tolist()
     _check_grid(need, D, k)
     # the points one solve may hold: a batch stays within the grid guard, or
     # is a single line
@@ -407,15 +412,18 @@ def _degree_probe(L: np.ndarray, D: int, p: int, rng: random.Random) -> list:
         for batch in (lines[at:at + step] for at in range(0, len(lines), step)):
             nodes = np.array([base[:i] + [x] + base[i + 1:] for i, xs in batch for x in xs], dtype=np.int64)
             solver, Vinv = _ModPSolver(L, D, p, nodes), _interpolation_matrix([xs for _, xs in batch], p)
-            top = np.zeros(len(batch), dtype=np.int64)
+            ids, top = [i for i, _ in batch], np.zeros(len(batch), dtype=np.int64)
             for _, M in solver.blocks():
                 c = _matmul_mod(Vinv, M.reshape(len(batch), t, -1), p)
                 # the degree of each line: its last nonzero coefficient row
                 top = np.maximum(top, t - 1 - c.any(axis=2)[:, ::-1].argmax(axis=1))
-            for (i, _), deg in zip(batch, top.tolist()):
+                # stop as soon as the grid is known to be out of reach: need
+                # and the degrees seen so far are both lower bounds
+                bound = np.array(need)
+                bound[ids] = np.maximum(bound[ids], top + 1)
+                _check_grid(bound.tolist(), D, k)
+            for i, deg in zip(ids, top.tolist()):
                 need[i] = deg + 1
-            # stop as soon as the grid is known to be out of reach
-            _check_grid(need, D, k)
         pending = [i for i in pending if need[i] == t]
         if not pending:
             return need
@@ -865,50 +873,47 @@ def verify_associativity(table: MultTable) -> dict:
     return _report("associativity", table, failures, {"pairs": k * (k - 1) // 2})
 
 
-def _sign_expand(g: GammaElement, sign: int):
-    """Rewrite g in the variables y_i = e^{-alpha_i} - 1 and test sign."""
-    rank = g.rank
-    poly: dict[tuple, int] = {}
-    for e, c in g.terms.items():
-        if any(x > 0 for x in e):
-            return False, None
-        ms = tuple(-x for x in e)
-        for js in iproduct(*(range(m + 1) for m in ms)):
-            w = c
-            for m, j in zip(ms, js):
-                w *= comb(m, j)
-            poly[js] = poly.get(js, 0) + w
-    ok = all(sign * c >= 0 for c in poly.values())
-    return ok, poly
-
-
 def verify_positivity_signs(table: MultTable) -> dict:
     """Report whether (-1)^s N^{w,d}_{u,v} has nonnegative coefficients in the
     y_beta = [C_{-beta}] - 1 variables, s = l(u)+l(v)+l(w) + d * fano index.
+
+    With x_i = e^{-alpha_i} = 1 + y_i, x^m = prod_i sum_j C(m_i, j) y_i^j, so
+    an entry's y-coefficients are its dense box of x-coefficients times the
+    Pascal matrix P[m, j] = C(m, j) along each axis; a term with a positive
+    exponent fails its entry.  The boxes go in blocks of about _PROBE_ENTRIES
+    values: in int64 where the bound |y-coefficient| <= ||g||_1 2^(sum(n_i - 1))
+    stays below 2^63, in Python ints past that.
 
     This tests a conjecture; the result is reported, never asserted.
     """
     if not table.is_exact:
         return {"check": "positivity-signs", "space": table.space, "status": "not-applicable"}
-    poset = table.poset
-    fano = poset.fano_index
-    lengths = [bin(m).count("1") for m in table.masks]
-    k = table.k
-    failures = []
-    checked = 0
-    for v, layers in enumerate(table.mats.tolist()):
-        for d, mat in enumerate(layers):
-            for w in range(k):
-                for u in range(k):
-                    g = mat[w][u]
-                    if g.is_zero():
-                        continue
-                    checked += 1
-                    s = lengths[u] + lengths[v] + lengths[w] + d * fano
-                    ok, _ = _sign_expand(g, -1 if s % 2 else 1)
-                    if not ok:
-                        failures.append((u, v, w, d))
-    rep = _report("positivity-signs", table, failures, {"checked": checked})
+    ls = np.array([bin(m).count("1") for m in table.masks])
+    # s at every entry [v, d, w, u], in the order of mats.flat
+    s = ls[:, None, None, None] + table.poset.fano_index * np.arange(table.D + 1)[:, None, None] + ls[:, None] + ls
+    at, exps, coeffs = _terms(table.mats)
+    entries, row = np.unique(at, return_inverse=True)
+    sign, m, cf = 1 - 2 * (s.flat[entries] % 2), -exps, np.array(coeffs, dtype=object)
+    bad = np.bincount(row[(m < 0).any(axis=1)], minlength=len(entries)) > 0
+    keep = ~bad[row]
+    n = (m[keep].max(axis=0, initial=0) + 1).tolist()
+    step = max(1, _PROBE_ENTRIES // prod(n))
+    for lo in range(0, len(entries), step):
+        hi = min(lo + step, len(entries))
+        first, last = np.searchsorted(row, [lo, hi])
+        # the block's sum of |coefficients| is at least each entry's ||g||_1
+        dtype = np.int64 if sum(map(abs, coeffs[first:last])) << (sum(n) - len(n)) < 1 << 63 else object
+        t = first + np.flatnonzero(keep[first:last])
+        # axes (n_1, ..., n_rank, entries); transforming the leading axis and
+        # rotating it to the back ends with (entries, n_1, ..., n_rank)
+        y = np.zeros((*n, hi - lo), dtype=dtype)
+        y[(*m[t].T, row[t] - lo)] = cf[t]
+        for size in n:
+            PT = np.array([[comb(i, j) for i in range(size)] for j in range(size)], dtype=dtype)
+            y = (PT @ y.reshape(size, -1)).T
+        bad[lo:hi] |= (y.reshape(hi - lo, -1) * sign[lo:hi, None] < 0).any(axis=1)
+    v, d, w, u = (x.tolist() for x in np.unravel_index(entries[bad], table.mats.shape))
+    rep = _report("positivity-signs", table, list(zip(u, v, w, d)), {"checked": len(entries)})
     rep["note"] = "conjectural sign condition, report only"
     return rep
 

@@ -143,6 +143,30 @@ def test_verify_lg_oracle_exit_zero(capsys, tmp_path):
     assert "lg-oracle" in out and "pass" in out
 
 
+
+NO_MASKED_ARRAYS = """
+import contextlib, io, sys
+from qkcalc import cli
+if "numpy.ma" in sys.modules:
+    print("loaded on import")
+    raise SystemExit
+for space in ("P1", "Q(3)"):
+    for argv in (["table", space], ["verify", space, "--suite=all"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--cache-dir", sys.argv[1]]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_verify_paths_never_import_masked_arrays(tmp_path):
+    # numpy 2.x imports numpy.ma lazily, at a cost of about 10 ms per process;
+    # numpy 1.x loads it with numpy itself
+    proc = _python(NO_MASKED_ARRAYS, str(tmp_path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "loaded on import":
+        pytest.skip("this numpy loads numpy.ma on import")
+    assert proc.stdout.strip() == "False"
+
 def test_verify_detects_corrupt_table(capsys, tmp_path):
     code, _, _ = run(capsys, "table", "Q(3)", f"--cache-dir={tmp_path}")
     assert code == 0

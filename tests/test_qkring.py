@@ -1,11 +1,15 @@
 import copy
+import functools
 import hashlib
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -266,6 +270,102 @@ def test_verify_reports_pass(gr24_table):
     assert verify_associativity(gr24_table)["status"] == "pass"
     assert verify_positivity_signs(gr24_table)["status"] == "pass"
 
+
+
+def _sign_expand_reference(g: GammaElement, sign: int):
+    """The per-term expansion of g in y_i = e^{-alpha_i} - 1: every term over
+    its whole exponent box, in Python ints; (passes, y-coefficients)."""
+    poly = {}
+    for e, c in g.terms.items():
+        if any(x > 0 for x in e):
+            return False, None
+        ms = tuple(-x for x in e)
+        for js in itertools.product(*(range(m + 1) for m in ms)):
+            w = c
+            for m, j in zip(ms, js):
+                w *= math.comb(m, j)
+            poly[js] = poly.get(js, 0) + w
+    return all(sign * c >= 0 for c in poly.values()), poly
+
+
+def _positivity_reference(table) -> dict:
+    """The positivity report entry by entry, in the loop order (v, d, w, u)."""
+    lengths = [bin(m).count("1") for m in table.masks]
+    failures, checked = [], 0
+    for v, layers in enumerate(table.mats.tolist()):
+        for d, mat in enumerate(layers):
+            for w, row in enumerate(mat):
+                for u, g in enumerate(row):
+                    if g.is_zero():
+                        continue
+                    checked += 1
+                    s = lengths[u] + lengths[v] + lengths[w] + d * table.poset.fano_index
+                    if not _sign_expand_reference(g, -1 if s % 2 else 1)[0]:
+                        failures.append((u, v, w, d))
+    rep = qkring._report("positivity-signs", table, failures, {"checked": checked})
+    rep["note"] = "conjectural sign condition, report only"
+    return rep
+
+
+@functools.lru_cache(maxsize=None)
+def _exact(space: str):
+    return full_table(build_cominuscule(space))
+
+
+def _nonzero(table) -> list:
+    return [i for i, g in enumerate(table.mats.flat) if not g.is_zero()]
+
+
+def _positivity_mutant(space: str, change: str):
+    """A copy of the exact table of `space` with one kind of damage."""
+    table = _exact(space)
+    mats, rank = table.mats.copy(), table.poset.rs.rank
+    rng = random.Random(f"{space}:{change}")
+    nonzero = _nonzero(table)
+    if change == "flip":
+        at = rng.choice(nonzero)
+        mats.flat[at] = -mats.flat[at]
+    elif change == "flip-past-the-cap":
+        for at in rng.sample(nonzero, 30):
+            mats.flat[at] = -mats.flat[at]
+    elif change == "positive-exponent":
+        at = rng.choice(nonzero)
+        mats.flat[at] = mats.flat[at] + GammaElement(rank, {(1,) + (0,) * (rank - 1): 1})
+    elif change == "huge-coefficient":
+        # a coefficient of the entry's own sign near 2^61 on the table's term
+        # of highest degree: the entry still passes, but its y-coefficients
+        # pass 2^63
+        at, e = max(((i, e) for i in nonzero for e in mats.flat[i].terms), key=lambda term: -sum(term[1]))
+        g = mats.flat[at]
+        _, poly = _sign_expand_reference(g, 1)
+        sign = 1 if max(poly.values()) > 0 else -1
+        mats.flat[at] = GammaElement(rank, {**g.terms, e: g.terms[e] + sign * (2**61 + 1)})
+        assert max(abs(c) for c in _sign_expand_reference(mats.flat[at], sign)[1].values()) >= 2**63
+    return replace(table, mats=mats)
+
+
+EXACT_BUILD_SPACES = ("P1", "LG(2,4)", "Q(3)", "Gr(2,4)", "Q(4)", "Q(5)")
+POSITIVITY_MUTATIONS = ("flip", "positive-exponent", "flip-past-the-cap", "huge-coefficient")
+
+
+@pytest.mark.parametrize("entries", [None, 1], ids=["default-blocks", "one-entry-blocks"])
+@pytest.mark.parametrize(
+    "space, change",
+    [(s, None) for s in EXACT_BUILD_SPACES] + [(s, c) for s in ("Q(5)", "Gr(2,4)") for c in POSITIVITY_MUTATIONS],
+)
+def test_positivity_report_matches_the_per_term_expansion(monkeypatch, space, change, entries):
+    table = _exact(space) if change is None else _positivity_mutant(space, change)
+    if entries is not None:
+        monkeypatch.setattr(qkring, "_PROBE_ENTRIES", entries)
+    want = _positivity_reference(table)
+    assert verify_positivity_signs(table) == want
+    assert want["checked"] == len(_nonzero(table))
+    if change in (None, "huge-coefficient"):
+        assert want["status"] == "pass"
+    elif change == "flip-past-the-cap":
+        assert want["failure_count"] > 20 and len(want["failures"]) == 20
+    else:
+        assert want["failure_count"] == 1
 
 def test_modp_field_roundtrip():
     poset = build_cominuscule("LG(2,4)")
@@ -650,12 +750,27 @@ def test_exact_build_runs_two_batched_solves(monkeypatch, space, one_column):
     solvers = _recording_solvers(monkeypatch)
     assert _digest(full_table(poset)) == PINNED_EXACT_TABLES[space]
     assert len(solvers) == 2 and len(solvers[0].L) == rank * 8
+    if not one_column:
+        assert [n for solver, n in calls if solver is solvers[0]] == [k]
     grid = [n for solver, n in calls if solver is solvers[1]]
     size = len(solvers[1].L) * (D + 1) * k * k  # entries of one column
     assert sum(grid) == k and all(n == 1 or n * size <= qkring._PROBE_ENTRIES for n in grid)
     # every block but the last is as large as the bound allows
     assert all((n + 1) * size > qkring._PROBE_ENTRIES for n in grid[:-1])
 
+
+
+@pytest.mark.parametrize("space", ["Gr(3,7)", "E6"])
+def test_degree_probe_refuses_in_the_middle_of_a_rung(monkeypatch, space):
+    # the degrees seen in the first columns already put the grid out of
+    # reach, so the probe stops before it has solved every column
+    solved = []
+    columns = qkring._ModPSolver.columns
+    monkeypatch.setattr(qkring._ModPSolver, "columns", lambda solver, vs: solved.append(len(vs)) or columns(solver, vs))
+    poset = build_cominuscule(space)
+    with pytest.raises(qkring.GridOutOfReach, match="mod-p backend"):
+        full_table(poset)
+    assert 0 < sum(solved) < len(poset.shape_masks)
 
 # sha256 of the exact cache file that save_table writes, recorded at the
 # parent of the batched probe
