@@ -390,6 +390,10 @@ _SOFT_CHECKS = {"positivity-signs", "conjecture-probe"}
 
 def _cmd_verify(args) -> int:
     poset = build_cominuscule(args.space)
+    if args.suite == "lg-oracle" and poset.space.kind != "LG":
+        # a usage error, caught before the oracles module is imported
+        print(f"error: NotLG: {poset.space} is not a Lagrangian Grassmannian", file=sys.stderr)
+        return EXIT_USAGE
     if args.suite == "all":
         names = ["chevalley", "ktchev2", "table", "positivity", "probe"]
         if poset.space.kind == "LG":

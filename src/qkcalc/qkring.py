@@ -13,7 +13,10 @@ Every product has q-degree at most d_X(2) = d_max (Buch, Chaput, Mihalcea
 and Perrin, "Finiteness of cominuscule quantum K-theory"), so tables are
 computed mod q^{D+1} with D = d_max + 2 by default.  The bound is not trusted
 blindly: a table is certified by requiring its top two layers to vanish
-identically, and TruncationTooSmall is raised otherwise.
+identically, and TruncationTooSmall is raised otherwise.  An exact build
+solves only mod q^{S+1}, S = min(D, d_max), and fills layers S+1..D with
+zeros; its exact certificate (below) multiplies untruncated operators, so it
+proves those layers zero too.  The mod-p backend solves all D + 1 layers.
 
 Both backends run one solve: mod p, batched over evaluation points that send
 each x_i = e^{-alpha_i} to a nonzero residue.  The mod-p backend is a single
@@ -27,8 +30,9 @@ in each x_i, all pending variables' lines in one solve per rung of t = 8,
 the interpolant's degree falls below t - 1 (early termination, after
 Kaltofen and Lee); the solve runs on the tensor grid of that many random
 nonzero nodes per variable, in blocks of columns; the inverse Vandermonde
-matrix of each axis turns values into coefficients, lifted to the symmetric
-range (-p/2, p/2).  The candidate is then certified exactly: M_v L = L M_v
+matrix of each axis turns the values of the live entries, those nonzero at
+some point, into coefficients, lifted to the symmetric range (-p/2, p/2).
+The grid guard counts D + 1 layers whatever S is.  The candidate is then certified exactly: M_v L = L M_v
 (verify_ms_equations) and M_v e_1 = e_v (the identity row).  L is cyclic, so
 its commutant holds exactly one operator sending e_1 to e_v, and a candidate
 that passes is the true table whatever the degree box or the prime.  A failed
@@ -47,7 +51,10 @@ arrays hold one entry per value of q, or one packed entry.
 
 Every mod-p matrix product runs through _matmul_mod, exact in float64 BLAS:
 the left factor splits into limbs narrow enough that no sum of products
-reaches 2^53.
+reaches 2^53.  The solver takes one product per q-layer, a block row of
+layers times a block column: C_d = -C_0 [K_1 ... K_d][C_{d-1}; ...; C_0] for
+the layers of K^{-1}, and [C_0^T ... C_c^T][W_c^T; ...; W_0^T] for layer c
+of M_v^T.
 """
 
 from __future__ import annotations
@@ -331,15 +338,18 @@ class _ModPSolver:
         self.D, self.p, self.k = D, p, k
         # rows 0..k-1 hold L's q^0 layer, rows k..2k-1 its q^1 layer
         self.L = _eval_array(L, p, nodes).reshape(n, 2 * k, k)
-        # Krylov layers: column i of K is L^i e_1 (e_1 = the identity class).
-        K = self._krylov([0])[:, :, 0].transpose(0, 2, 1, 3)
-        C0 = _inverse_mod(K[:, 0], p)
-        C = [C0]
+        # Krylov layers: column i of K is L^i e_1 (e_1 = the identity class);
+        # K[j, w, d, i] holds layer d, so K[:, :, 1:d+1] is the block row [K_1 ... K_d]
+        K = self._krylov([0])[:, :, 0]
+        C = np.zeros((n, D + 1, k, k), dtype=np.int64)
+        C[:, 0] = _inverse_mod(K[:, :, 0], p)
+        # C_d = -C_0 [K_1 ... K_d][C_{d-1}; ...; C_0]: one product per layer
         for d in range(1, D + 1):
-            S = sum(_matmul_mod(K[:, a], C[d - a], p) for a in range(1, d + 1)) % p
-            C.append(-_matmul_mod(C0, S, p) % p)
-        # Ct[j, d] = layer d of K^{-1} at point j, transposed
-        self.Ct = np.stack([c.swapaxes(1, 2) for c in C], axis=1)
+            S = _matmul_mod(K[:, :, 1:d + 1].reshape(n, k, d * k), C[:, d - 1::-1].reshape(n, d * k, k), p)
+            C[:, d] = -_matmul_mod(C[:, 0], S, p) % p
+        # Ct[j, w, d, i] = (layer d of K^{-1} at point j)^T [w, i], so that
+        # Ct[:, :, :c+1] is the block row [C_0^T ... C_c^T]
+        self.Ct = C.transpose(0, 3, 1, 2)
 
     def _krylov(self, vs) -> np.ndarray:
         """W[j, w, v, d, i] = layer d of (L^i e_v)_w at point j, mod q^{D+1}."""
@@ -358,13 +368,11 @@ class _ModPSolver:
         point: M[j, v, d, w, u]."""
         n, k, D, p = len(self.L), self.k, self.D, self.p
         # transposed, M_v^T = K^{-T} W_v^T with the (w, v) pairs as columns:
-        # one matmul per point and pair of layers, whose left factor is small
+        # layer c is [C_0^T ... C_c^T][W_c^T; ...; W_0^T], one product per layer
         Wt = self._krylov(vs).transpose(0, 3, 4, 1, 2).reshape(n, D + 1, k, k * len(vs))
-        Mt = np.zeros((n, D + 1, k, k * len(vs)), dtype=np.int64)
-        for a in range(D + 1):
-            for b in range(D + 1 - a):
-                Mt[:, a + b] += _matmul_mod(self.Ct[:, b], Wt[:, a], p)
-        Mt %= p
+        Mt = np.empty((n, D + 1, k, k * len(vs)), dtype=np.int64)
+        for c in range(D + 1):
+            Mt[:, c] = _matmul_mod(self.Ct[:, :, :c + 1].reshape(n, k, -1), Wt[:, c::-1].reshape(n, -1, k * len(vs)), p)
         return Mt.reshape(n, D + 1, k, k, len(vs)).transpose(0, 4, 1, 3, 2)
 
     def blocks(self):
@@ -390,12 +398,12 @@ def _interpolation_matrix(xs, p: int) -> np.ndarray:
     return _inverse_mod(V, p)
 
 
-def _degree_probe(L: np.ndarray, D: int, p: int, rng: random.Random) -> list:
+def _degree_probe(L: np.ndarray, D: int, p: int, rng: random.Random, S: int) -> list:
     """Nodes per variable for dense interpolation: one more than the table's
     degree in x_i, read off a line along x_i through a random point.  A rung
-    of t nodes solves the lines of all pending variables at once, in batches
-    within the grid guard; a variable goes on to 2t while its interpolant's
-    degree reaches t - 1."""
+    of t nodes solves the lines of all pending variables at once, mod
+    q^{S+1}, in batches within the grid guard of truncation D; a variable
+    goes on to 2t while its interpolant's degree reaches t - 1."""
     k, rank = L.shape[-1], L.flat[0].rank
     base = [rng.randrange(1, p) for _ in range(rank)]
     # the least nodes each x_i is known to need: L = M_{s_gamma} is a column
@@ -411,7 +419,7 @@ def _degree_probe(L: np.ndarray, D: int, p: int, rng: random.Random) -> list:
         step = max(1, fit // t)
         for batch in (lines[at:at + step] for at in range(0, len(lines), step)):
             nodes = np.array([base[:i] + [x] + base[i + 1:] for i, xs in batch for x in xs], dtype=np.int64)
-            solver, Vinv = _ModPSolver(L, D, p, nodes), _interpolation_matrix([xs for _, xs in batch], p)
+            solver, Vinv = _ModPSolver(L, S, p, nodes), _interpolation_matrix([xs for _, xs in batch], p)
             ids, top = [i for i, _ in batch], np.zeros(len(batch), dtype=np.int64)
             for _, M in solver.blocks():
                 c = _matmul_mod(Vinv, M.reshape(len(batch), t, -1), p)
@@ -447,42 +455,44 @@ def _check_grid(counts: list, D: int, k: int) -> None:
         raise GridOutOfReach(f"exact interpolation needs a grid of at least {points} points; use the mod-p backend")
 
 
-def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: random.Random):
-    """Layers C[d, w, u] of every M_v over the group ring, interpolated from
-    the solve on a grid of counts[i] random nonzero nodes per variable, in
-    blocks of columns of about _PROBE_ENTRIES entries (a larger column alone)."""
+def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: random.Random, S: int):
+    """Layers C[d, w, u], d <= S, of every M_v over the group ring,
+    interpolated from the solve mod q^{S+1} on a grid of counts[i] random
+    nonzero nodes per variable, in blocks of columns of about _PROBE_ENTRIES
+    entries (a larger column alone); the grid guard is that of truncation D."""
     rank, k = len(counts), L.shape[-1]
     _check_grid(counts, D, k)
     axes = [rng.sample(range(1, p), n) for n in counts]
     inverses = [_interpolation_matrix(xs, p) for xs in axes]
-    solver = _ModPSolver(L, D, p, np.array(list(iproduct(*axes)), dtype=np.int64))
+    solver = _ModPSolver(L, S, p, np.array(list(iproduct(*axes)), dtype=np.int64))
     for vs, M in solver.blocks():
         terms = _coefficients(M, counts, inverses, p)
-        yield from _object_array([GammaElement(rank, t) for t in terms], (len(vs), D + 1, k, k))
+        yield from _object_array([GammaElement(rank, t) for t in terms], (len(vs), S + 1, k, k))
 
 
 def _coefficients(M: np.ndarray, counts: list, inverses: list, p: int) -> list:
     """The terms {exponents: coefficient} of each entry of M[j, ...] in
-    row-major order, from its values at the grid points j, in slices of about
-    _PROBE_ENTRIES values (several only for a column larger than that)."""
+    row-major order, from its values at the grid points j.  Only the live
+    entries, nonzero at some point, are transformed (the transform sends
+    zero values to zero), in slices of about _PROBE_ENTRIES values."""
     M = M.reshape(len(M), -1)
+    live = np.flatnonzero(M.any(axis=0))
     step = max(1, _PROBE_ENTRIES // len(M))
-    terms = []
-    for at in range(0, M.shape[1], step):
+    terms = [{} for _ in range(M.shape[1])]
+    for at in range(0, len(live), step):
         # axes (n_1, ..., n_rank, entries); transforming the leading axis and
         # rotating it to the back ends with (entries, n_1, ..., n_rank)
-        c = M[:, at:at + step].reshape(*counts, -1)
+        cols = live[at:at + step]
+        c = M[:, cols].reshape(*counts, -1)
         for n, Vinv in zip(counts, inverses):
             c = _matmul_mod(Vinv, c.reshape(n, -1), p).T
         c = c.reshape(-1, prod(counts))
         c[c > p // 2] -= p
         entry, mono = np.nonzero(c)
-        block = [{} for _ in range(len(c))]
         # the coefficient of x^j is that of e^{-j}
         exps = (-np.stack(np.unravel_index(mono, counts), axis=1)).tolist()
-        for t, e, x in zip(entry.tolist(), exps, c[entry, mono].tolist()):
-            block[t][tuple(e)] = x
-        terms += block
+        for t, e, x in zip(cols[entry].tolist(), exps, c[entry, mono].tolist()):
+            terms[t][tuple(e)] = x
     return terms
 
 
@@ -497,14 +507,20 @@ def _certified(table: MultTable) -> bool:
 
 def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) -> MultTable:
     """Probe, interpolate and certify, on two draws of the nodes: after a
-    singular node on the same box, after a failed certificate on a doubled one."""
-    p = DEFAULT_PRIMES[0]
+    singular node on the same box, after a failed certificate on a doubled one.
+
+    The solves stop at q^S, S = min(D, d_max), and layers S+1..D are zero:
+    the certificate compares untruncated products, so it proves them zero."""
+    p, k = DEFAULT_PRIMES[0], L.shape[-1]
     rng = random.Random(f"nodes:{poset.space}:{D}")
+    S = min(D, poset.d_max)
     counts = None
     for _ in range(2):
         try:
-            counts = counts or _degree_probe(L, D, p, rng)
-            table = _assemble(poset, D, backend, np.stack(list(_interpolated_columns(L, D, counts, p, rng))))
+            counts = counts or _degree_probe(L, D, p, rng, S)
+            mats = np.full((k, D + 1, k, k), GammaElement.zero(poset.rs.rank), dtype=object)
+            mats[:, :S + 1] = np.stack(list(_interpolated_columns(L, D, counts, p, rng, S)))
+            table = _assemble(poset, D, backend, mats)
         except SingularKrylov:
             continue
         if _certified(table):

@@ -143,6 +143,23 @@ def test_verify_lg_oracle_exit_zero(capsys, tmp_path):
     assert "lg-oracle" in out and "pass" in out
 
 
+LG_ORACLE_ON = """
+import sys
+from qkcalc.cli import main
+code = main(["verify", sys.argv[1], "--suite=lg-oracle", "--cache-dir=" + sys.argv[2]])
+print(code, "qkcalc.oracles" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("space, shown", [("P1", "Gr(1,2)"), ("Gr(2,4)", "Gr(2,4)")])
+def test_verify_lg_oracle_on_another_space_is_a_usage_error(tmp_path, space, shown):
+    # exit 2, not the exit 1 of a failed check, and refused before the
+    # oracles module is imported
+    proc = _python(LG_ORACLE_ON, space, str(tmp_path), timeout=60)
+    assert proc.stdout.split() == ["2", "False"]
+    assert proc.stderr == f"error: NotLG: {shown} is not a Lagrangian Grassmannian\n"
+
+
 
 NO_MASKED_ARRAYS = """
 import contextlib, io, sys

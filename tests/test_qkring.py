@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qkcalc
@@ -741,7 +741,7 @@ def test_exact_build_runs_two_batched_solves(monkeypatch, space, one_column):
     # one probe rung for all variables and one grid; the grid's columns come
     # in blocks of at most _PROBE_ENTRIES entries, or one column at a time
     poset = build_cominuscule(space)
-    D, k, rank = qkring.default_truncation(poset), len(poset.shape_masks), poset.rs.rank
+    k, rank = len(poset.shape_masks), poset.rs.rank
     if one_column:
         monkeypatch.setattr(qkring, "_PROBE_ENTRIES", 1)
     calls = []
@@ -753,11 +753,51 @@ def test_exact_build_runs_two_batched_solves(monkeypatch, space, one_column):
     if not one_column:
         assert [n for solver, n in calls if solver is solvers[0]] == [k]
     grid = [n for solver, n in calls if solver is solvers[1]]
-    size = len(solvers[1].L) * (D + 1) * k * k  # entries of one column
+    size = len(solvers[1].L) * (solvers[1].D + 1) * k * k  # entries of one column
     assert sum(grid) == k and all(n == 1 or n * size <= qkring._PROBE_ENTRIES for n in grid)
     # every block but the last is as large as the bound allows
     assert all((n + 1) * size > qkring._PROBE_ENTRIES for n in grid[:-1])
 
+
+@pytest.mark.parametrize("double", [False, True], ids=["default-D", "doubled-D"])
+@pytest.mark.parametrize("space", ["Gr(2,4)", "Q(5)"])
+def test_exact_solves_stop_at_d_max(monkeypatch, space, double):
+    # every solve of an exact build stops at q^{d_max}, whatever D; the table
+    # keeps D + 1 layers, the ones above d_max zero, and the same digest
+    poset = build_cominuscule(space)
+    default = qkring.default_truncation(poset)
+    D = 2 * default if double else default
+    solvers = _recording_solvers(monkeypatch)
+    table = full_table(poset, D=D)
+    assert len(solvers) == 2 and [solver.D for solver in solvers] == [min(D, poset.d_max)] * 2
+    assert table.D == D and table.mats.shape == (table.k, D + 1, table.k, table.k)
+    assert all(g.is_zero() for g in table.mats[:, poset.d_max + 1:].flat)
+    if double:
+        assert np.array_equal(table.mats[:, :default + 1], full_table(poset).mats)
+    else:
+        assert _digest(table) == PINNED_EXACT_TABLES[space]
+
+
+@pytest.mark.parametrize("space", ["Gr(2,4)", "Q(5)"])
+def test_exact_truncation_one_above_d_max_is_too_small(space):
+    # the certificate needs layers D - 1 and D to vanish, and q^{d_max} occurs
+    poset = build_cominuscule(space)
+    with pytest.raises(TruncationTooSmall, match=f"q\\^{poset.d_max} with truncation {poset.d_max + 1}"):
+        full_table(poset, D=poset.d_max + 1, backend="exact")
+
+
+@pytest.mark.parametrize("space, builds", [
+    ("E6", False), ("Gr(3,7)", False), ("Gr(3,6)", False), ("LG(4,8)", False), ("OG(5,10)", False),
+    ("Gr(1,8)", False), ("OG(4,8)", True), ("LG(3,6)", True),
+])
+def test_exact_refusals_stay_where_they_are(space, builds):
+    # the grid guard counts D + 1 layers, as before the solves stopped at d_max
+    poset = build_cominuscule(space)
+    if builds:
+        assert full_table(poset).flags == {"stabilized": True}
+    else:
+        with pytest.raises(qkring.GridOutOfReach, match="mod-p backend"):
+            full_table(poset)
 
 
 @pytest.mark.parametrize("space", ["Gr(3,7)", "E6"])
@@ -791,7 +831,7 @@ def test_exact_cache_file_bytes_are_pinned(tmp_path, space):
 def test_degree_probe_solves_a_line_in_few_calls(monkeypatch, entries):
     # all columns of a probe rung in one call, split only where a call would
     # hold more than _PROBE_ENTRIES entries: Gr(2,4)'s rung of three lines of
-    # 8 nodes holds 25920
+    # 8 nodes, solved mod q^{d_max+1}, holds 15552
     calls = {}
     columns = qkring._ModPSolver.columns
 
@@ -803,9 +843,10 @@ def test_degree_probe_solves_a_line_in_few_calls(monkeypatch, entries):
     monkeypatch.setattr(qkring._ModPSolver, "columns", recording)
     poset = build_cominuscule("Gr(2,4)")
     dv, D, k = qkring.divisor_matrix(poset), qkring.default_truncation(poset), len(poset.shape_masks)
-    assert qkring._degree_probe(dv, D, P0, random.Random(f"nodes:{poset.space}:{D}")) == [3, 5, 3]
+    rng = random.Random(f"nodes:{poset.space}:{D}")
+    assert qkring._degree_probe(dv, D, P0, rng, poset.d_max) == [3, 5, 3]
     assert all(sum(sizes) == k for sizes in calls.values())
-    assert all(len(solver.L) * n * (D + 1) * k * k <= entries for solver, sizes in calls.items() for n in sizes)
+    assert all(len(solver.L) * n * (solver.D + 1) * k * k <= entries for solver, sizes in calls.items() for n in sizes)
     split = [len(sizes) > 1 for sizes in calls.values()]
     assert any(split) if entries == 8100 else not any(split)
     assert _digest(full_table(poset)) == PINNED_EXACT_TABLES["Gr(2,4)"]
@@ -977,6 +1018,87 @@ def test_packed_keys_keep_the_ends_of_the_box_apart():
     got, want = _packed_product(A, B, [[[GammaElement(2, {(4, -4): 1, (-1, -3): -1})]]])
     assert got.tolist() == want.tolist()
     assert len(got[0, 0, 0]) == 2
+
+
+def _pair_loop_solve(solver):
+    """The layers of K^{-1} and of every column M_v at each point, with one
+    product per pair of layers: C[j, d] = layer d of K^{-1} and M[j, v, d, w, u]."""
+    n, k, D, p = len(solver.L), solver.k, solver.D, solver.p
+    K = solver._krylov([0])[:, :, 0].transpose(0, 2, 1, 3)
+    C = [_inverse_mod(K[:, 0], p)]
+    for d in range(1, D + 1):
+        S = sum(_matmul_mod(K[:, a], C[d - a], p) for a in range(1, d + 1)) % p
+        C.append(-_matmul_mod(C[0], S, p) % p)
+    Wt = solver._krylov(range(k)).transpose(0, 3, 4, 1, 2).reshape(n, D + 1, k, k * k)
+    Mt = np.zeros((n, D + 1, k, k * k), dtype=np.int64)
+    for a in range(D + 1):
+        for b in range(D + 1 - a):
+            Mt[:, a + b] += _matmul_mod(C[b].swapaxes(1, 2), Wt[:, a], p)
+    Mt %= p
+    return np.stack(C, axis=1), Mt.reshape(n, D + 1, k, k, k).transpose(0, 4, 1, 3, 2)
+
+
+@st.composite
+def divisors_and_points(draw):
+    rank, k, n = draw(st.integers(1, 2)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * rank), st.integers(-9, 9), max_size=2)
+    L = qkring._object_array([GammaElement(rank, draw(terms)) for _ in range(2 * k * k)], (2, k, k))
+    p = draw(st.sampled_from(DEFAULT_PRIMES[:2]))
+    nodes = draw(st.lists(st.lists(st.integers(1, p - 1), min_size=rank, max_size=rank), min_size=n, max_size=n))
+    return L, draw(st.integers(1, 4)), p, np.array(nodes, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(divisors_and_points())
+def test_modp_solver_takes_one_product_per_layer(LDpn):
+    # the block products of the lifting and of the columns are the sums over
+    # pairs of layers that they replace
+    L, D, p, nodes = LDpn
+    try:
+        solver = _ModPSolver(L, D, p, nodes)
+    except SingularKrylov:
+        assume(False)
+    C, M = _pair_loop_solve(solver)
+    k = solver.k
+    # solver.Ct[j, w, d, i] is layer d of K^{-1}, transposed
+    assert np.array_equal(solver.Ct.transpose(0, 2, 3, 1), C)
+    assert np.array_equal(solver.columns(range(k)), M)
+    # and K^{-1} inverts K mod q^{D+1}
+    K = solver._krylov([0])[:, :, 0].transpose(0, 2, 1, 3)
+    for d in range(D + 1):
+        KC = sum(_matmul_mod(K[:, a], C[:, d - a], p) for a in range(d + 1)) % p
+        assert np.array_equal(KC, np.broadcast_to(np.eye(k, dtype=np.int64) * (d == 0), KC.shape))
+
+
+def _dense_coefficients(M, counts, inverses, p):
+    """The terms of every entry of M[j, ...], zero or not, by Python-int
+    transforms along each axis of the grid."""
+    c = M.reshape(*counts, -1).astype(object)
+    for axis, Vinv in enumerate(inverses):
+        c = np.moveaxis(np.tensordot(Vinv.astype(object), c, axes=([1], [axis])), 0, axis) % p
+    return [
+        {tuple(-i for i in at): (x - p if x > p // 2 else x) for at, x in np.ndenumerate(c[..., e]) if x}
+        for e in range(c.shape[-1])
+    ]
+
+
+@pytest.mark.parametrize("entries", [qkring._PROBE_ENTRIES, 12], ids=["one-slice", "slices"])
+def test_coefficients_transform_only_live_entries(monkeypatch, entries):
+    # a block of zero entries, and one whose entries are nonzero at a single
+    # grid point (and a dense one beside them)
+    monkeypatch.setattr(qkring, "_PROBE_ENTRIES", entries)
+    rng = np.random.default_rng(7)
+    counts = [2, 3]
+    inverses = [qkring._interpolation_matrix(rng.choice(np.arange(1, 1000), n, replace=False), P0) for n in counts]
+    zero = np.zeros((6, 2, 3, 3), dtype=np.int64)
+    single = np.zeros((6, 2, 3, 3), dtype=np.int64)
+    single[4, 0, 1, 2] = 5
+    single[0, 1, 2, 0] = P0 - 1
+    single[:, 1, 1, 1] = rng.integers(0, P0, 6)
+    for M in (zero, single):
+        got = qkring._coefficients(M, counts, inverses, P0)
+        assert got == _dense_coefficients(M, counts, inverses, P0)
+        assert sum(map(bool, got)) == (0 if M is zero else 3)
 
 
 def test_modp_solver_rejects_singular_krylov_matrix():
