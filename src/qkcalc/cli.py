@@ -352,10 +352,7 @@ def _suite_table(poset, args, table) -> list[dict]:
         verify_associativity(table),
     ]
     if table.is_exact:
-        agree = all(
-            tables_agree(table, m)
-            for m in modp_tables(poset, D=table.D, seed=args.seed)
-        )
+        agree = tables_agree(table, *modp_tables(poset, D=table.D, seed=args.seed))
         reports.append(
             {
                 "check": "backend-agreement",

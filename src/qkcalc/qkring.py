@@ -39,15 +39,20 @@ that passes is the true table whatever the degree box or the prime.  A failed
 certificate redraws the nodes once with a doubled box, a singular node on the
 same box; a second failure raises QKRingError.
 
-The certificate and the verify checks multiply exactly, with Python-int
-coefficients, on packed polynomials: each entry of the table and of L
-becomes a dict keyed by one int, a Kronecker index of q and the exponents
-over their common box with widths that leave room for a product (_packing),
-so a product of two entries adds keys and never merges distinct terms.  A
-mod-p table is checked at the values q = 0, 1, ..., 2D instead of its
-layers: every product the checks compare has q-degree at most 2D, so the
-values decide it, and each product is pointwise.  Either way the checks'
-arrays hold one entry per value of q, or one packed entry.
+The certificate and the verify checks multiply exactly on term arrays: the
+terms of the table and of L as numpy arrays of int64 codes, each an entry
+index and a key, and coefficients (_term_arrays).  A key is a Kronecker
+index of q and the exponents over their common box, with widths that leave
+room for a product, so a product of two terms adds keys and never merges
+distinct terms.  A matrix product is a join of term pairs on the contracted
+index, in blocks of a bounded number of pairs (_term_matmul), and two
+products compare by one sort of their difference by code.  The
+coefficients are int64 below a bound proven from the operands and Python
+ints past it.  A mod-p table is checked at the values q = 0, 1, ..., 2D
+instead of its layers: every product the checks compare has q-degree at
+most 2D, so the values decide it, and each product is pointwise.  Either
+way the checks' arrays hold one entry per value of q, or one entry whose
+keys hold q.
 
 Every mod-p matrix product runs through _matmul_mod, exact in float64 BLAS:
 the left factor splits into limbs narrow enough that no sum of products
@@ -67,7 +72,6 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, product as iproduct
 from math import comb, prod
-from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -124,10 +128,12 @@ def _terms(G: np.ndarray):
     return np.array([i for i, t in nz for _ in t], dtype=np.int64), exps, [c for _, t in nz for c in t.values()]
 
 
-def _eval_array(G: np.ndarray, p: int, nodes: np.ndarray) -> np.ndarray:
+def _eval_array(G: np.ndarray, p: int, nodes: np.ndarray, terms=None) -> np.ndarray:
     """The group-ring array G at every row of nodes, the residues of the
-    x_i = e^{-alpha_i}: an int64 array of shape (len(nodes), *G.shape)."""
-    at, exps, coeffs = _terms(G)
+    x_i = e^{-alpha_i}: an int64 array of shape (len(nodes), *G.shape).
+    terms, when given, is _terms(G), so that a caller evaluating G at
+    several primes scans it once."""
+    at, exps, coeffs = _terms(G) if terms is None else terms
     out = np.zeros((len(nodes), G.size), dtype=np.int64)
     val = np.array(coeffs, dtype=np.int64) % p
     # e^{lam} = prod x_i^{-lam_i}
@@ -704,10 +710,18 @@ def modp_tables(poset: CominusculePoset, D: int | None = None, primes: int = 2, 
     return tables
 
 
-def tables_agree(exact: MultTable, modp: MultTable) -> bool:
-    """Evaluate the exact table through the mod-p assignment and compare."""
-    node = np.array([modp.backend["assignment"]], dtype=np.int64)
-    return bool((_eval_array(exact.mats, modp.backend["p"], node)[0] == modp.mats).all())
+def tables_agree(exact: MultTable, *modp: MultTable) -> bool:
+    """Evaluate the exact table through each mod-p table's assignment and
+    compare: the exact terms are scanned once, and evaluated once per prime
+    at all of that prime's assignments."""
+    terms = _terms(exact.mats)
+    for p in dict.fromkeys(m.backend["p"] for m in modp):
+        tables = [m for m in modp if m.backend["p"] == p]
+        nodes = np.array([m.backend["assignment"] for m in tables], dtype=np.int64)
+        values = _eval_array(exact.mats, p, nodes, terms)
+        if not all((x == m.mats).all() for x, m in zip(values, tables)):
+            return False
+    return True
 
 
 def specialize(table: MultTable, mode: str) -> MultTable:
@@ -731,8 +745,8 @@ def specialize(table: MultTable, mode: str) -> MultTable:
 class _Ring(NamedTuple):
     """The table mats[v, j, w, u] and the divisor L[j, w, u] over a ring, and
     its matrix product of two stacks along j.  Over F_p, j runs over the
-    values q = 0, 1, ..., 2D, and products are pointwise; a packed ring keeps
-    q in its keys, so its arrays have one entry along j."""
+    values q = 0, 1, ..., 2D, and products are pointwise; the exact ring's
+    term arrays keep q in their keys, so they have one entry along j."""
 
     mats: np.ndarray
     L: np.ndarray
@@ -741,15 +755,14 @@ class _Ring(NamedTuple):
 
 def _ring(table: MultTable) -> _Ring:
     """The table and the divisor mod q^{D+1} over the table's coefficient
-    ring: packed polynomials for an exact table, F_p through the table's
+    ring: term arrays for an exact table, F_p through the table's
     assignment for a mod-p one.  Other tables (a nonequivariant
     specialization, say) have no divisor image to check against."""
     kind = table.backend.get("kind")
     # a q = 0 specialization (D = 0) keeps only L_0
     layers = divisor_matrix(table.poset)[: table.D + 1]
     if kind == "exact":
-        pack = _packing(table.poset.rs.rank, (table.mats, layers))
-        return _Ring(pack(table.mats), pack(layers), lambda A, B: _packed_matmul(A[0], B[0])[None])
+        return _Ring(*_term_arrays(table.poset.rs.rank, (table.mats, layers)), _term_matmul)
     if kind == "mod-p":
         p = table.backend["p"]
         node = np.array([table.backend["assignment"]], dtype=np.int64)
@@ -770,59 +783,147 @@ def _values(X: np.ndarray, axis: int, n: int, p: int) -> np.ndarray:
     return np.moveaxis(Y.reshape(n, *X.shape[1:]), 0, axis)
 
 
-def _packing(rank: int, arrays) -> Callable:
-    """Packer of layered group-ring arrays (..., layers, k, m) into arrays
-    (..., 1, k, m) of dicts {key: coefficient}, the coefficients Python ints.
+class _TermArray:
+    """A group-ring array of the given shape as its terms: the code of each
+    term, at * span + key for the flat index `at` of its entry and its packed
+    key, and its coefficient.  It reshapes, transposes and slices its first
+    axis like an ndarray, and X != Y is the boolean ndarray of the entries
+    where X - Y is not zero.  Keys, those of products included, stay below
+    span (see _term_arrays), and codes below 2^63 (_check_codes)."""
 
-    The key of q^d e^lam is sum_i lam_i B_i + d B_rank, a Kronecker index over
-    a box [lo, hi] that holds 0 and every exponent in arrays: B_0 = 1 and
-    B_{i+1} = B_i * (2(hi_i - lo_i) + 1).  The exponents of two products of
-    two entries differ by less than that width in each variable, so the key
-    stays injective on them, and the key of a product is the sum of its
-    factors'.  q comes last, so its degree needs no width.
+    __slots__ = ("shape", "code", "coef", "span")
+
+    def __init__(self, shape: tuple, code: np.ndarray, coef: np.ndarray, span: int):
+        self.shape, self.code, self.coef, self.span = shape, code, coef, span
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def reshape(self, *shape) -> "_TermArray":
+        # row-major flat indices do not change; -1 stands for the size over
+        # the product of the other axes (prod(shape) is minus that product)
+        if -1 in shape:
+            i = shape.index(-1)
+            shape = shape[:i] + (prod(self.shape) // -prod(shape),) + shape[i + 1:]
+        return _TermArray(shape, self.code, self.coef, self.span)
+
+    def transpose(self, *axes) -> "_TermArray":
+        shape = tuple(self.shape[a] for a in axes)
+        at, key = np.divmod(self.code, self.span)
+        index = np.unravel_index(at, self.shape)
+        at = np.ravel_multi_index(tuple(index[a] for a in axes), shape)
+        return _TermArray(shape, at * self.span + key, self.coef, self.span)
+
+    def __getitem__(self, i) -> "_TermArray":
+        # an index or a slice of the first axis, without a step
+        rows, stride = range(len(self))[i], prod(self.shape[1:]) * self.span
+        lo, hi = (rows, rows + 1) if isinstance(i, int) else (rows.start, rows.stop)
+        keep = (self.code >= lo * stride) & (self.code < hi * stride)
+        shape = self.shape[1:] if isinstance(i, int) else (hi - lo, *self.shape[1:])
+        return _TermArray(shape, self.code[keep] - lo * stride, self.coef[keep], self.span)
+
+    def __ne__(self, other: "_TermArray") -> np.ndarray:
+        code, _ = _collect(np.concatenate([self.code, other.code]), np.concatenate([self.coef, -other.coef]))
+        out = np.zeros(prod(self.shape), dtype=bool)
+        out[code // self.span] = True
+        return out.reshape(self.shape)
+
+
+def _check_codes(shape: tuple, span: int) -> None:
+    """Refuse term codes at * span + key past int64 for an array of shape."""
+    if prod(shape) * span >= 1 << 63:
+        raise QKRingError("exponent box too wide for 63-bit term codes")
+
+
+def _collect(code: np.ndarray, coef: np.ndarray) -> tuple:
+    """The terms (code, coef) with the coefficients of equal codes summed and
+    zero sums dropped, sorted by code: one sort, then one reduceat."""
+    if not len(code):
+        return code, coef
+    order = code.argsort()
+    code = code[order]
+    head = np.concatenate(([True], code[1:] != code[:-1])).nonzero()[0]
+    sums = np.add.reduceat(coef[order], head)
+    live = sums != 0
+    return code[head[live]], sums[live]
+
+
+def _term_arrays(rank: int, arrays) -> list:
+    """Term arrays (..., 1, k, m) of layered group-ring arrays (..., layers,
+    k, m) for the exact checks, with q in the key.
+
+    The key of q^d e^lam is sum_i (lam_i - lo_i) B_i + d B_rank, a Kronecker
+    index over the box [lo, hi] of every exponent in arrays: B_0 = 1 and
+    B_{i+1} = B_i * (2(hi_i - lo_i) + 1).  The key of a product of two terms
+    is the sum of theirs, and the exponents of such products, in [2lo, 2hi],
+    are its digits below those radices, so the key stays injective on them.
+    q comes last, so its degree needs no width.  Every key of a product stays
+    below span = 2 * layers * B_rank.  The codes at * span + key must stay
+    below 2^63 for the k^3 entries of the checks' largest arrays; a table
+    this module builds is far inside that, since its exponent box is at most
+    its interpolation grid, which the grid guard limits.
+
+    The coefficients are int64 when twice the square of the largest sum of
+    |coefficients| over one array is below 2^63, Python ints past that.  A
+    product of two arrays sums at most ||A||_1 ||B||_1 in absolute value,
+    and a comparison adds two such sums, so no partial sum can overflow.
     """
-    exps = np.array([e for G in arrays for g in G.flat for e in g.terms], dtype=np.int64).reshape(-1, rank)
+    terms = [_terms(G) for G in arrays]
+    exps = np.concatenate([e for _, e, _ in terms]).reshape(-1, rank)
+    lo = exps.min(axis=0, initial=0)
     strides = [1]
-    for lo, hi in zip(exps.min(axis=0, initial=0).tolist(), exps.max(axis=0, initial=0).tolist()):
-        strides.append(strides[-1] * (2 * (hi - lo) + 1))
+    for width in (exps.max(axis=0, initial=0) - lo).tolist():
+        strides.append(strides[-1] * (2 * width + 1))
     qstride = strides.pop()
-
-    def pack(G: np.ndarray) -> np.ndarray:
-        G = np.moveaxis(G, -3, -1)
-        flat = [
-            {sum(map(mul, e, strides)) + d * qstride: c for d, g in enumerate(layers) for e, c in g.terms.items()}
-            for layers in G.reshape(-1, G.shape[-1]).tolist()
-        ]
-        return _object_array(flat, G.shape[:-1])[..., None, :, :]
-
-    return pack
-
-
-def _packed_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for object arrays of packed entries, skipping zero entries; the
-    coefficients are Python ints and zero terms are dropped, so equal
-    products are equal dicts."""
-    n = B.shape[1]
-    rows = [[(j, y.items()) for j, y in enumerate(brow) if y] for brow in B.tolist()]
+    span = 2 * max(G.shape[-3] for G in arrays) * qstride
+    norm = max(sum(map(abs, c)) for _, _, c in terms)
+    dtype = np.int64 if 2 * norm * norm < 1 << 63 else object
     out = []
-    for arow in A.tolist():
-        acc = {}
-        for x, brow in zip(arow, rows):
-            if x:
-                x = x.items()
-                for j, y in brow:
-                    a = acc.get(j)
-                    if a is None:
-                        a = acc[j] = {}
-                    for e1, c1 in x:
-                        for e2, c2 in y:
-                            e = e1 + e2
-                            a[e] = a.get(e, 0) + c1 * c2
-        row = [{} for _ in range(n)]
-        for j, a in acc.items():
-            row[j] = {e: c for e, c in a.items() if c}
-        out += row
-    return _object_array(out, (A.shape[0], n))
+    for G, (at, e, c) in zip(arrays, terms):
+        layers, k, m = G.shape[-3:]
+        shape = (*G.shape[:-3], 1, k, m)
+        _check_codes(shape, span)
+        d, entry = at // (k * m) % layers, at // (layers * k * m) * (k * m) + at % (k * m)
+        key = (e - lo) @ np.array(strides, dtype=np.int64) + d * qstride
+        out.append(_TermArray(shape, entry * span + key, np.array(c, dtype=dtype), span))
+    return out
+
+
+def _term_matmul(A: _TermArray, B: _TermArray) -> _TermArray:
+    """A @ B for term arrays of shapes (J, n, m) and (J, m, r): a join of
+    each term of A with the terms of B in the row its column names.  The
+    pairs run in blocks of A's terms, about _PROBE_ENTRIES pairs each (more
+    when one term alone has more), and each block is collected on its own,
+    so an entry may keep a key in several blocks; comparisons collect again."""
+    J, n, m = A.shape
+    r, span = B.shape[2], A.span
+    _check_codes((J, n, r), span)
+    # B's terms by row (j, t), which runs from first[t] to first[t + 1]; a
+    # product's code is A's row part plus B's rest, column * span + key
+    tb = B.code // (r * span)
+    ob = tb.argsort()
+    tb = tb[ob]
+    first = tb.searchsorted(np.arange(J * m + 1))
+    brest, bcoef = B.code[ob] - tb * (r * span), B.coef[ob]
+    # each term of A, in row (j, i) and column t, meets count terms of B
+    at = A.code // span
+    ra = at // m
+    t = ra // n * m + at % m
+    arest = ra * (r * span) + A.code % span  # row * r * span + key
+    count = (first[1:] - first[:-1])[t]
+    end = count.cumsum()
+    # pair number p of A's term a is with B's term p - shift[a]
+    shift = end - count - first[t]
+    total = int(end[-1]) if len(end) else 0
+    # the term holding pair 0, pair _PROBE_ENTRIES, ... starts each block
+    cuts = list(dict.fromkeys(end.searchsorted(np.arange(0, total, _PROBE_ENTRIES), side="right").tolist()))
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:] + [len(at)]):
+        a = np.arange(lo, hi).repeat(count[lo:hi])
+        b = np.arange(end[lo] - count[lo], end[hi - 1]) - shift[a]
+        parts.append(_collect(arest[a] + brest[b], A.coef[a] * bcoef[b]))
+    code, coef = (np.concatenate(x) for x in zip(*parts)) if parts else (A.code[:0], A.coef[:0])
+    return _TermArray((J, n, r), code, coef, span)
 
 
 def _report(check: str, table: MultTable, failures: list, extra: dict | None = None) -> dict:
@@ -881,9 +982,9 @@ def verify_associativity(table: MultTable) -> dict:
     failures = [("symmetry", u, v, w) for u, v, w in np.argwhere(asym).tolist() if u < v]
     # M_u against every later M_w at once: M_u [M_w ...] and [M_w; ...] M_u
     for u in range(k - 1):
-        rest = C[u + 1:]
-        uw = matmul(C[u], _cols(rest)).reshape(-1, k, len(rest), k).transpose(0, 2, 1, 3)
-        wu = matmul(_rows(rest), C[u]).reshape(-1, len(rest), k, k)
+        Mu, rest = C[u], C[u + 1:]
+        uw = matmul(Mu, _cols(rest)).reshape(-1, k, len(rest), k).transpose(0, 2, 1, 3)
+        wu = matmul(_rows(rest), Mu).reshape(-1, len(rest), k, k)
         bad = (uw != wu).any(axis=(0, 2, 3))
         failures += [("commutator", u, w) for w in (u + 1 + np.flatnonzero(bad)).tolist()]
     return _report("associativity", table, failures, {"pairs": k * (k - 1) // 2})
@@ -896,9 +997,10 @@ def verify_positivity_signs(table: MultTable) -> dict:
     With x_i = e^{-alpha_i} = 1 + y_i, x^m = prod_i sum_j C(m_i, j) y_i^j, so
     an entry's y-coefficients are its dense box of x-coefficients times the
     Pascal matrix P[m, j] = C(m, j) along each axis; a term with a positive
-    exponent fails its entry.  The boxes go in blocks of about _PROBE_ENTRIES
-    values: in int64 where the bound |y-coefficient| <= ||g||_1 2^(sum(n_i - 1))
-    stays below 2^63, in Python ints past that.
+    exponent fails its entry.  Each column M_v is transformed over the box of
+    its own terms, in blocks of about _PROBE_ENTRIES values: in int64 where
+    the bound |y-coefficient| <= ||g||_1 2^(sum(n_i - 1)) stays below 2^63,
+    in Python ints past that.
 
     This tests a conjecture; the result is reported, never asserted.
     """
@@ -912,22 +1014,30 @@ def verify_positivity_signs(table: MultTable) -> dict:
     sign, m, cf = 1 - 2 * (s.flat[entries] % 2), -exps, np.array(coeffs, dtype=object)
     bad = np.bincount(row[(m < 0).any(axis=1)], minlength=len(entries)) > 0
     keep = ~bad[row]
-    n = (m[keep].max(axis=0, initial=0) + 1).tolist()
-    step = max(1, _PROBE_ENTRIES // prod(n))
-    for lo in range(0, len(entries), step):
-        hi = min(lo + step, len(entries))
-        first, last = np.searchsorted(row, [lo, hi])
-        # the block's sum of |coefficients| is at least each entry's ||g||_1
-        dtype = np.int64 if sum(map(abs, coeffs[first:last])) << (sum(n) - len(n)) < 1 << 63 else object
-        t = first + np.flatnonzero(keep[first:last])
-        # axes (n_1, ..., n_rank, entries); transforming the leading axis and
-        # rotating it to the back ends with (entries, n_1, ..., n_rank)
-        y = np.zeros((*n, hi - lo), dtype=dtype)
-        y[(*m[t].T, row[t] - lo)] = cf[t]
-        for size in n:
-            PT = np.array([[comb(i, j) for i in range(size)] for j in range(size)], dtype=dtype)
-            y = (PT @ y.reshape(size, -1)).T
-        bad[lo:hi] |= (y.reshape(hi - lo, -1) * sign[lo:hi, None] < 0).any(axis=1)
+    # PT[j, i] = C(i, j) up to the largest box; each axis takes its corner
+    top = int(m[keep].max(initial=0)) + 1
+    PT = np.array([[comb(i, j) for i in range(top)] for j in range(top)], dtype=object)
+    # the entries of each column M_v are a run of entries, transformed over
+    # the box of that column's terms
+    runs = np.searchsorted(entries, np.arange(table.k + 1) * table.mats[0].size).tolist()
+    for start, stop in zip(runs, runs[1:]):
+        first, last = np.searchsorted(row, [start, stop])
+        n = (m[first:last][keep[first:last]].max(axis=0, initial=0) + 1).tolist()
+        step = max(1, _PROBE_ENTRIES // prod(n))
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            first, last = np.searchsorted(row, [lo, hi])
+            # the block's sum of |coefficients| is at least each entry's ||g||_1;
+            # below the bound every C(i, j) of the box fits in int64 too
+            dtype = np.int64 if sum(map(abs, coeffs[first:last])) << (sum(n) - len(n)) < 1 << 63 else object
+            t = first + np.flatnonzero(keep[first:last])
+            # axes (n_1, ..., n_rank, entries); transforming the leading axis and
+            # rotating it to the back ends with (entries, n_1, ..., n_rank)
+            y = np.zeros((*n, hi - lo), dtype=dtype)
+            y[(*m[t].T, row[t] - lo)] = cf[t]
+            for size in n:
+                y = (PT[:size, :size].astype(dtype) @ y.reshape(size, -1)).T
+            bad[lo:hi] |= (y.reshape(hi - lo, -1) * sign[lo:hi, None] < 0).any(axis=1)
     v, d, w, u = (x.tolist() for x in np.unravel_index(entries[bad], table.mats.shape))
     rep = _report("positivity-signs", table, list(zip(u, v, w, d)), {"checked": len(entries)})
     rep["note"] = "conjectural sign condition, report only"

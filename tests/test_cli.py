@@ -450,6 +450,22 @@ def test_modp_table_verify_output_is_pinned(capsys, tmp_path, space):
     assert hashlib.sha256(out.encode()).hexdigest() == MODP_TABLE_VERIFY_SHA256[space]
 
 
+# sha256 of `verify <space> --suite=all --format=json` on exact tables,
+# recorded from the dict kernel that the exact checks' term-array joins
+# replaced
+EXACT_VERIFY_ALL_SHA256 = {
+    "Q(5)": "6299c28bdc4ce83fb87981c5b1db0d83b4815685f2fd42899871d2839a06de54",
+    "LG(2,4)": "8dcf58bffe10ba56abc754c5a9b1c2da7aed71e4a511d35b095155c462998c0d",
+}
+
+
+@pytest.mark.parametrize("space", list(EXACT_VERIFY_ALL_SHA256))
+def test_exact_verify_all_output_is_pinned(capsys, tmp_path, space):
+    code, out, _ = run(capsys, "verify", space, "--suite=all", "--format=json", f"--cache-dir={tmp_path}")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_VERIFY_ALL_SHA256[space]
+
+
 PROBE_E7 = """
 import resource
 from qkcalc.cli import main

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -964,13 +965,109 @@ def _as_array(nested):
     return qkring._object_array(flat, (len(nested), len(nested[0]), len(nested[0][0])))
 
 
+# ---------------------------------------------------------------------------
+# The dict kernel the exact checks ran on before their term-array joins, kept
+# as the reference: every entry a dict {packed key: Python-int coefficient},
+# multiplied term pair by term pair
+
+
+def _packing(rank: int, arrays):
+    """Packer of layered group-ring arrays (..., layers, k, m) into arrays
+    (..., 1, k, m) of dicts {key: coefficient}, the coefficients Python ints.
+
+    The key of q^d e^lam is sum_i lam_i B_i + d B_rank, a Kronecker index over
+    a box [lo, hi] that holds 0 and every exponent in arrays: B_0 = 1 and
+    B_{i+1} = B_i * (2(hi_i - lo_i) + 1).  The exponents of two products of
+    two entries differ by less than that width in each variable, so the key
+    stays injective on them, and the key of a product is the sum of its
+    factors'.  q comes last, so its degree needs no width.
+    """
+    exps = np.array([e for G in arrays for g in G.flat for e in g.terms], dtype=np.int64).reshape(-1, rank)
+    strides = [1]
+    for lo, hi in zip(exps.min(axis=0, initial=0).tolist(), exps.max(axis=0, initial=0).tolist()):
+        strides.append(strides[-1] * (2 * (hi - lo) + 1))
+    qstride = strides.pop()
+
+    def pack(G: np.ndarray) -> np.ndarray:
+        G = np.moveaxis(G, -3, -1)
+        flat = [
+            {sum(map(operator.mul, e, strides)) + d * qstride: c for d, g in enumerate(layers) for e, c in g.terms.items()}
+            for layers in G.reshape(-1, G.shape[-1]).tolist()
+        ]
+        return qkring._object_array(flat, G.shape[:-1])[..., None, :, :]
+
+    return pack
+
+
+def _packed_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for object arrays of packed entries, skipping zero entries; the
+    coefficients are Python ints and zero terms are dropped, so equal
+    products are equal dicts."""
+    n = B.shape[1]
+    rows = [[(j, y.items()) for j, y in enumerate(brow) if y] for brow in B.tolist()]
+    out = []
+    for arow in A.tolist():
+        acc = {}
+        for x, brow in zip(arow, rows):
+            if x:
+                x = x.items()
+                for j, y in brow:
+                    a = acc.get(j)
+                    if a is None:
+                        a = acc[j] = {}
+                    for e1, c1 in x:
+                        for e2, c2 in y:
+                            e = e1 + e2
+                            a[e] = a.get(e, 0) + c1 * c2
+        row = [{} for _ in range(n)]
+        for j, a in acc.items():
+            row[j] = {e: c for e, c in a.items() if c}
+        out += row
+    return qkring._object_array(out, (A.shape[0], n))
+
+
+def _dict_ring(table):
+    """The exact ring of the dict kernel, for the same check bodies."""
+    layers = qkring.divisor_matrix(table.poset)[: table.D + 1]
+    pack = _packing(table.poset.rs.rank, (table.mats, layers))
+    return qkring._Ring(pack(table.mats), pack(layers), lambda A, B: _packed_matmul(A[0], B[0])[None])
+
+
+def _dict_reports(monkeypatch, table) -> list:
+    with monkeypatch.context() as m:
+        m.setattr(qkring, "_ring", _dict_ring)
+        return [verify_ms_equations(table), verify_associativity(table)]
+
+
 def _packed_product(A, B, *more):
-    """The packed product of the layered matrices A and B, and the packed
-    form of each of more, all packed over the box of A and B; q is in the
-    keys, so each is a single layer."""
+    """The dict kernel's product of the layered matrices A and B, and the
+    packed form of each of more, all packed over the box of A and B; q is in
+    the keys, so each is a single layer."""
     arrays = [_as_array(A), _as_array(B)]
-    pack = qkring._packing(2, arrays)
-    return [qkring._packed_matmul(*(pack(X)[0] for X in arrays))[None]] + [pack(_as_array(X)) for X in more]
+    pack = _packing(2, arrays)
+    return [_packed_matmul(*(pack(X)[0] for X in arrays))[None]] + [pack(_as_array(X)) for X in more]
+
+
+def _term_product(A, B) -> list:
+    """The term-array product of the layered matrices A and B of rank 2,
+    its keys decoded over the box of A and B: layers [d][i][j] of
+    GammaElements.  No two of its terms share an entry and a key."""
+    arrays = [_as_array(A), _as_array(B)]
+    got = qkring._term_matmul(*qkring._term_arrays(2, arrays))
+    exps = np.array([e for X in arrays for g in X.flat for e in g.terms]).reshape(-1, 2)
+    lo = exps.min(axis=0, initial=0).tolist()
+    radix = (2 * (exps.max(axis=0, initial=0) - lo) + 1).tolist()
+    n, r = got.shape[1:]
+    out = [[[{} for _ in range(r)] for _ in range(n)] for _ in range(len(A) + len(B) - 1)]
+    for code, c in zip(got.code.tolist(), got.coef.tolist()):
+        at, key = divmod(code, got.span)
+        d, rest = divmod(key, radix[0] * radix[1])
+        # a product's exponents are its key's digits above 2 lo
+        e = (rest % radix[0] + 2 * lo[0], rest // radix[0] + 2 * lo[1])
+        i, j = divmod(at, r)
+        assert e not in out[d][i][j] and c
+        out[d][i][j][e] = c
+    return [[[GammaElement(2, t) for t in row] for row in layer] for layer in out]
 
 
 @settings(max_examples=100, deadline=None)
@@ -988,13 +1085,11 @@ def test_layered_product_matches_reference(AB):
         ]
         for d in range(len(A) + len(B) - 1)
     ]
-    # q and both exponents in one key: a single layer
+    # the term-array join, and the dict kernel it replaced
+    assert _term_product(A, B) == want
     got, packed_want = _packed_product(A, B, want)
     assert got.shape == packed_want.shape == (1, len(A[0]), len(B[0][0]))
     assert got.tolist() == packed_want.tolist()
-    # no two terms of the reference share a key
-    terms = [sum(len(layer[i][j].terms) for layer in want) for i in range(len(A[0])) for j in range(len(B[0][0]))]
-    assert [len(x) for x in packed_want.flat] == terms
     # the same product of the residues, at one point with nonzero x_1, x_2:
     # the layer convolution, and pointwise at as many values of q as layers
     node = np.array([[12345, 678]])
@@ -1015,9 +1110,149 @@ def test_packed_keys_keep_the_ends_of_the_box_apart():
 
     A = [[[g(2, -2), g(-1, -2), g(-2, 2)]]]
     B = [[[g(2, -2)], [g(0, -1, c=-1)], [GammaElement.zero(2)]]]
-    got, want = _packed_product(A, B, [[[GammaElement(2, {(4, -4): 1, (-1, -3): -1})]]])
-    assert got.tolist() == want.tolist()
+    want = GammaElement(2, {(4, -4): 1, (-1, -3): -1})
+    assert _term_product(A, B) == [[[want]]]
+    got, packed = _packed_product(A, B, [[[want]]])
+    assert got.tolist() == packed.tolist()
     assert len(got[0, 0, 0]) == 2
+
+
+@st.composite
+def term_arrays(draw):
+    """Two term arrays of shapes (J, n, m) and (J, m, r) with keys below 3,
+    terms in any order and (entry, key) pairs repeated or cancelling, and
+    their dense forms D[..., key]."""
+    J, n, m, r = (draw(st.integers(1, 3)) for _ in range(4))
+    out = []
+    for shape in ((J, n, m), (J, m, r)):
+        terms = draw(st.lists(st.tuples(st.integers(0, math.prod(shape) - 1), st.integers(0, 2), st.integers(-3, 3)), max_size=12))
+        at, key, coef = (np.array(x, dtype=np.int64).reshape(-1) for x in zip(*terms)) if terms else [np.zeros(0, dtype=np.int64)] * 3
+        dense = np.zeros((math.prod(shape), 3), dtype=np.int64)
+        np.add.at(dense, (at, key), coef)
+        out.append((qkring._TermArray(shape, at * 6 + key, coef, 6), dense.reshape(*shape, 3)))
+    return out
+
+
+def _densify(T, keys: int):
+    dense = np.zeros((math.prod(T.shape), keys), dtype=np.int64)
+    np.add.at(dense, np.divmod(T.code, T.span), T.coef)
+    return dense.reshape(*T.shape, keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_arrays(), st.integers(1, 3), st.booleans())
+def test_term_arrays_act_like_their_dense_forms(pair, row, small_blocks):
+    (A, DA), (B, DB) = pair
+    # slices and indices of the first axis, reshapes and transposes
+    for i in range(len(A)):
+        assert np.array_equal(_densify(A[i], 3), DA[i])
+        assert np.array_equal(_densify(A[i:], 3), DA[i:])
+    J, n, m = A.shape
+    assert np.array_equal(_densify(A.reshape(-1, n * m), 3), DA.reshape(-1, n * m, 3))
+    for axes in itertools.permutations(range(3)):
+        assert np.array_equal(_densify(A.transpose(*axes), 3), DA.transpose(*axes, 3))
+    # the product convolves the keys; blocks of one pair split every join
+    want = np.zeros((J, n, B.shape[2], 5), dtype=np.int64)
+    for k1, k2 in itertools.product(range(3), repeat=2):
+        want[..., k1 + k2] += DA[..., k1] @ DB[..., k2]
+    entries = 1 if small_blocks else qkring._PROBE_ENTRIES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qkring, "_PROBE_ENTRIES", entries)
+        got = qkring._term_matmul(A, B)
+    assert np.array_equal(_densify(got, 5), want)
+    # != marks the entries whose polynomials differ
+    other = qkring._TermArray(A.shape, A.code[::row], A.coef[::row], A.span)
+    assert np.array_equal(A != other, (DA != _densify(other, 3)).any(axis=-1))
+
+
+def _check_mutant(space: str, change: str, seed: int):
+    """A copy of the exact table of `space` with one kind of damage: one
+    coefficient raised by 1, one entry moved to another q-layer, or two
+    different entries of one column M_v swapped."""
+    table = _exact(space)
+    mats, rank = table.mats.copy(), table.poset.rs.rank
+    rng = random.Random(f"{space}:{change}:{seed}")
+    at = rng.choice(_nonzero(table))
+    if change == "coefficient":
+        g = mats.flat[at]
+        e = rng.choice(sorted(g.terms))
+        mats.flat[at] = GammaElement(rank, {**g.terms, e: g.terms[e] + 1})
+    elif change == "q-layer":
+        v, d, w, u = np.unravel_index(at, mats.shape)
+        to = rng.choice([x for x in range(table.D + 1) if x != d])
+        mats[v, to, w, u] = mats[v, to, w, u] + mats[v, d, w, u]
+        mats[v, d, w, u] = GammaElement.zero(rank)
+    elif change == "swap":
+        column = mats[at // mats[0].size]
+        other = rng.choice([i for i in range(column.size) if column.flat[i] != mats.flat[at]])
+        i = at % column.size
+        column.flat[i], column.flat[other] = column.flat[other], column.flat[i]
+    return replace(table, mats=mats)
+
+
+CHECK_MUTATIONS = ("coefficient", "q-layer", "swap")
+
+
+@pytest.mark.parametrize("entries", [None, 64], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("change", CHECK_MUTATIONS)
+@pytest.mark.parametrize("space", ["LG(2,4)", "Gr(2,4)", "Q(5)"])
+def test_term_checks_report_what_the_dict_kernel_reports(monkeypatch, space, change, seed, entries):
+    # the whole reports, failures in their order and failure_count included;
+    # small blocks split every join into several
+    table = _check_mutant(space, change, seed)
+    want = _dict_reports(monkeypatch, table)
+    if entries is not None:
+        monkeypatch.setattr(qkring, "_PROBE_ENTRIES", entries)
+    assert [verify_ms_equations(table), verify_associativity(table)] == want
+    assert "fail" in {r["status"] for r in want}
+
+
+@pytest.mark.parametrize("space", EXACT_BUILD_SPACES)
+def test_term_checks_pass_where_the_dict_kernel_passes(monkeypatch, space):
+    table = _exact(space)
+    want = _dict_reports(monkeypatch, table)
+    assert [verify_ms_equations(table), verify_associativity(table)] == want
+    assert {r["status"] for r in want} == {"pass"}
+    assert qkring._ring(table).mats.coef.dtype == np.int64
+
+
+@pytest.mark.parametrize("change", [None, *CHECK_MUTATIONS])
+def test_term_checks_past_int64_use_python_ints(monkeypatch, change):
+    # every coefficient times 2^40 and one raised by 2^62: the table still
+    # commutes with L, but its products pass 2^63, so the term arrays hold
+    # Python ints and must report what the dict kernel reports
+    table = _exact("Gr(2,4)") if change is None else _check_mutant("Gr(2,4)", change, 0)
+    rank = table.poset.rs.rank
+    mats = _object_array_of(lambda g: GammaElement(rank, {e: c << 40 for e, c in g.terms.items()}), table.mats)
+    at = _nonzero(table)[0]
+    ((e, c), *rest) = mats.flat[at].terms.items()
+    mats.flat[at] = GammaElement(rank, {e: c + (1 << 62), **dict(rest)})
+    table = replace(table, mats=mats)
+    assert qkring._ring(table).mats.coef.dtype == object
+    want = _dict_reports(monkeypatch, table)
+    assert [verify_ms_equations(table), verify_associativity(table)] == want
+    assert "fail" in {r["status"] for r in want}
+
+
+def _object_array_of(f, X):
+    return qkring._object_array([f(x) for x in X.flat], X.shape)
+
+
+def test_backend_agreement_scans_the_exact_table_once(monkeypatch, gr24_table):
+    # one scan of the exact terms, one evaluation per prime at both assignments
+    modp = modp_tables(gr24_table.poset, D=gr24_table.D)
+    scans, evals = [], []
+    terms, evaluate = qkring._terms, qkring._eval_array
+    monkeypatch.setattr(qkring, "_terms", lambda G: scans.append(G.shape) or terms(G))
+    monkeypatch.setattr(qkring, "_eval_array", lambda G, p, nodes, t=None: evals.append(len(nodes)) or evaluate(G, p, nodes, t))
+    assert tables_agree(gr24_table, *modp)
+    assert scans == [gr24_table.mats.shape] and evals == [2, 2]
+    for i in range(len(modp)):
+        bad = [replace(m, mats=m.mats.copy()) for m in modp]
+        bad[i].mats[1, 0, 1, 0] += 1
+        assert not tables_agree(gr24_table, *bad)
+    assert all(tables_agree(gr24_table, m) for m in modp)
 
 
 def _pair_loop_solve(solver):
