@@ -48,11 +48,14 @@ distinct terms.  A matrix product is a join of term pairs on the contracted
 index, in blocks of a bounded number of pairs (_term_matmul), and two
 products compare by one sort of their difference by code.  The
 coefficients are int64 below a bound proven from the operands and Python
-ints past it.  A mod-p table is checked at the values q = 0, 1, ..., 2D
-instead of its layers: every product the checks compare has q-degree at
-most 2D, so the values decide it, and each product is pointwise.  Either
-way the checks' arrays hold one entry per value of q, or one entry whose
-keys hold q.
+ints past it.  A mod-p table is checked at values q = 0, 1, ... instead
+of its layers, each check at as few as decide its products.  With e and
+e_L the top nonzero layers of the table and of L, read from the arrays (a
+certified table has e <= d_max), the Molev-Sagan products have q-degree at
+most e + e_L and the commutators at most 2e, so e + e_L + 1 and 2e + 1
+values decide them, and each product is pointwise.  Either way the
+checks' arrays hold one entry per value of q, or one entry whose keys hold
+q.
 
 Every mod-p matrix product runs through _matmul_mod, exact in float64 BLAS:
 the left factor splits into limbs narrow enough that no sum of products
@@ -745,19 +748,26 @@ def specialize(table: MultTable, mode: str) -> MultTable:
 class _Ring(NamedTuple):
     """The table mats[v, j, w, u] and the divisor L[j, w, u] over a ring, and
     its matrix product of two stacks along j.  Over F_p, j runs over the
-    values q = 0, 1, ..., 2D, and products are pointwise; the exact ring's
-    term arrays keep q in their keys, so they have one entry along j."""
+    values q = 0, 1, ..., n-1, as many as the check's products need, and
+    products are pointwise; the exact ring's term arrays keep q in their
+    keys, so they have one entry along j."""
 
     mats: np.ndarray
     L: np.ndarray
     matmul: Callable
 
 
-def _ring(table: MultTable) -> _Ring:
+def _ring(table: MultTable, divisor: bool) -> _Ring:
     """The table and the divisor mod q^{D+1} over the table's coefficient
     ring: term arrays for an exact table, F_p through the table's
     assignment for a mod-p one.  Other tables (a nonequivariant
-    specialization, say) have no divisor image to check against."""
+    specialization, say) have no divisor image to check against.
+
+    A mod-p check multiplies the table by L (divisor) or by itself.  With e
+    and e_L the top nonzero layers of the table and of L, read from the
+    arrays, so that a corrupted layer above d_max counts, its products have
+    q-degree at most e + e_L or 2e, below p: their values at that many
+    points plus one differ exactly when some layer does."""
     kind = table.backend.get("kind")
     # a q = 0 specialization (D = 0) keeps only L_0
     layers = divisor_matrix(table.poset)[: table.D + 1]
@@ -767,10 +777,10 @@ def _ring(table: MultTable) -> _Ring:
         p = table.backend["p"]
         node = np.array([table.backend["assignment"]], dtype=np.int64)
         L = _eval_array(layers, p, node)[0]
-        # every product the checks compare has q-degree <= 2D < p: its
-        # values at q = 0, ..., 2D differ exactly when some layer does
-        n = 2 * table.D + 1
-        return _Ring(_values(table.mats, 1, n, p), _values(L, 0, n, p), lambda A, B: _matmul_mod(A, B, p))
+        e = int(max(np.flatnonzero(table.mats.any(axis=(0, 2, 3))), default=0))
+        eL = int(max(np.flatnonzero(L.any(axis=(1, 2))), default=0))
+        n = e + eL + 1 if divisor else 2 * e + 1
+        return _Ring(_values(table.mats[:, : e + 1], 1, n, p), _values(L[: eL + 1], 0, n, p), lambda A, B: _matmul_mod(A, B, p))
     raise QKRingError(f"no coefficient ring to verify a {kind!r} table over")
 
 
@@ -958,7 +968,7 @@ def verify_ms_equations(table: MultTable) -> dict:
     They are three products over the ring: M_v L and L M_v for all v at
     once, and S L for the stack S[(w, u), v'] = M_v'.
     """
-    C, L, matmul = _ring(table)
+    C, L, matmul = _ring(table, divisor=True)
     k = table.k
     left = matmul(_rows(C), L).reshape(-1, k, k, k)
     mid = matmul(L, _cols(C)).reshape(-1, k, k, k).transpose(0, 2, 1, 3)
@@ -975,7 +985,7 @@ def verify_associativity(table: MultTable) -> dict:
     Once N^w_{u,v} = N^w_{v,u} holds, (O^u * O^v) * O^w = O^u * (O^v * O^w)
     for all triples is equivalent to [M_u, M_w] = 0 for all pairs.
     """
-    C, _, matmul = _ring(table)
+    C, _, matmul = _ring(table, divisor=False)
     k = table.k
     # asym[u, v, w]: N^w_{u,v} != N^w_{v,u} at some point
     asym = (C != C.transpose(3, 1, 2, 0)).any(axis=1).transpose(2, 0, 1)
@@ -1126,8 +1136,9 @@ def load_table(
     """The cached table, or with product=(u, v) only mats[v][:, :, u], the
     coefficients c[d, w] of q^d O^w in O^u * O^v, read from M_v alone.  None
     when the file is missing, unreadable, cut short, malformed or keyed
-    differently, or when the table's flags do not set `flag`; a basis
-    mismatch raises QKRingError."""
+    differently, when a mod-p column read holds a residue outside [0, p),
+    or when the table's flags do not set `flag`; a basis mismatch raises
+    QKRingError."""
     try:
         with open(cache_path(space, D, backend, cache_dir), "rb") as fh:
             obj = _read_header(fh, space, D, backend)
@@ -1154,6 +1165,9 @@ def load_table(
                     return None
                 fh.seek(start + vs[0] * slab)
                 mats = np.frombuffer(fh.read(len(vs) * slab), dtype="<i8").reshape(len(vs), D + 1, k, k)
+                # residues lie in [0, p); as unsigned, a negative one lies past p too
+                if (mats.view("<u8") >= backend["p"]).any():
+                    return None
         if product is None:
             return MultTable.from_json_obj(dict(obj, mats=mats))
         (col,), u = mats, product[0]

@@ -432,22 +432,38 @@ def test_probe_output_is_pinned(capsys, tmp_path, space):
     assert hashlib.sha256(out.encode()).hexdigest() == PROBE_JSON_SHA256[space]
 
 
-# sha256 of `verify <space> --suite=table --backend=mod-p --format=json`,
-# recorded from the layer-by-layer products over F_p[q], which the checks'
-# pointwise products at q = 0, ..., 2D replaced
+# sha256 of `verify <space> [flags] --suite=table --backend=mod-p
+# --format=json`.  The first three were recorded from the layer-by-layer
+# products over F_p[q], which the checks' pointwise products at q = 0, ...,
+# 2D replaced; the rest, and the --qmax=9 digest below, from those
+# pointwise products, which evaluation at the table's own degree replaced
+# (Gr(1,8) 7 -> 3 points, Gr(2,4) at --qmax=9 19 -> 5)
 MODP_TABLE_VERIFY_SHA256 = {
     "Gr(2,6)": "fe6ca722186ad670a36f55172fa0f42d7287ae2fae8f6d044d32f0ee4e06cc6d",
     "OG(5,10)": "4e8cb5c09089d3c689a1261815e6c08fb222962e552c59f45e3fb2254e3f3915",
     "LG(4,8)": "ec6c7c199404d82659f1b287080e398ccbb8d2f2f3ea7dd69702bf1515660461",
+    "Gr(1,8)": "e58214cb7d0e2123026edf8efeb16c26e60f58fe3f8b5b57926831551d5c1ddd",
+    "Gr(3,6)": "d5d6ead49ecb3cb3748e60a15f789f2217afef45409dd1d63a89bb2fc0e19a50",
+    "E6": "5ebfe29bd6c27b9c63d1132640eb8a0bb56fd62fa74a187bd7f33951ca1556d0",
 }
+# the same with --qmax=9: D = 9, but the table's top layer is d_max = 2
+GR24_QMAX9_TABLE_VERIFY_SHA256 = "a4244d83e623a47fdae8ef5ecfe7db9a91b0d5b54619f899e5d189b13372d140"
+
+
+def _modp_table_verify_sha256(capsys, tmp_path, *flags) -> str:
+    argv = ("verify", *flags, "--suite=table", "--backend=mod-p", "--format=json", f"--cache-dir={tmp_path}")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("space", list(MODP_TABLE_VERIFY_SHA256))
 def test_modp_table_verify_output_is_pinned(capsys, tmp_path, space):
-    argv = ("verify", space, "--suite=table", "--backend=mod-p", "--format=json", f"--cache-dir={tmp_path}")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == MODP_TABLE_VERIFY_SHA256[space]
+    assert _modp_table_verify_sha256(capsys, tmp_path, space) == MODP_TABLE_VERIFY_SHA256[space]
+
+
+def test_modp_table_verify_output_past_the_default_qmax_is_pinned(capsys, tmp_path):
+    assert _modp_table_verify_sha256(capsys, tmp_path, "Gr(2,4)", "--qmax=9") == GR24_QMAX9_TABLE_VERIFY_SHA256
 
 
 # sha256 of `verify <space> --suite=all --format=json` on exact tables,
@@ -651,15 +667,27 @@ def _v1_file(good: bytes) -> bytes:
     return json.dumps(obj).encode()
 
 
-@pytest.mark.parametrize("damage", ["header-cut", "payload-cut", "v1-file"])
+def _residue_file(good: bytes, residue: int) -> bytes:
+    # every column's first residue, the one a product read of that column
+    # decodes or not, replaced
+    head, payload = good.split(b"\n", 1)
+    mats = np.frombuffer(payload, dtype="<i8").reshape(json.loads(head)["shape"]).copy()
+    mats[:, 0, 0, 0] = residue
+    return head + b"\n" + mats.tobytes()
+
+
+@pytest.mark.parametrize("damage", ["header-cut", "payload-cut", "v1-file", "residue-p+1", "residue-1"])
 def test_damaged_modp_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch, damage):
     path, good = _modp_cache(capsys, tmp_path)
     if damage == "header-cut":
         path.write_bytes(good[: good.index(b"\n") // 2])
     elif damage == "payload-cut":
         path.write_bytes(good[:-1])
-    else:
+    elif damage == "v1-file":
         path.write_bytes(_v1_file(good))
+    else:
+        p = json.loads(good.split(b"\n", 1)[0])["backend"]["p"]
+        path.write_bytes(_residue_file(good, p + 1 if damage == "residue-p+1" else -1))
     builds = count_builds(monkeypatch)
     code, out, err = run(capsys, "product", "Gr(2,6)", "1", "2", "--backend=mod-p", f"--cache-dir={tmp_path}")
     assert code == 0 and out == GR26_TEXT

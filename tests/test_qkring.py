@@ -459,6 +459,20 @@ def _misses(args, columns) -> bool:
     return load_table(*args) is None and all(load_table(*args, product=(u, v)) is None for v in columns for u in us)
 
 
+@pytest.mark.parametrize("residue", ["p+1", "-1"])
+def test_load_table_treats_a_residue_outside_the_field_as_miss(tmp_path, residue):
+    # the column read is range-checked: a full read and every product read
+    # of the damaged column miss, and the other columns still answer
+    table = full_table(build_cominuscule("Gr(2,4)"), backend="mod-p")
+    args, k, p = (table.space, table.D, table.backend, str(tmp_path)), table.k, table.backend["p"]
+    assert table.mats[1, 0, 1, 0] == 1
+    mats = table.mats.copy()
+    mats[1, 0, 1, 0] = p + 1 if residue == "p+1" else -1
+    save_table(replace(table, mats=mats), str(tmp_path))
+    assert _misses(args, [1])
+    assert all((load_table(*args, product=(u, v)) == table.mats[v][:, :, u]).all() for v in (0, 2) for u in range(k))
+
+
 @pytest.mark.parametrize("backend", ["exact", "mod-p"])
 def test_load_table_treats_malformed_file_as_miss(tmp_path, backend):
     table = full_table(build_cominuscule("Gr(2,4)"), backend=backend)
@@ -1026,7 +1040,7 @@ def _packed_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return qkring._object_array(out, (A.shape[0], n))
 
 
-def _dict_ring(table):
+def _dict_ring(table, divisor):
     """The exact ring of the dict kernel, for the same check bodies."""
     layers = qkring.divisor_matrix(table.poset)[: table.D + 1]
     pack = _packing(table.poset.rs.rank, (table.mats, layers))
@@ -1214,7 +1228,7 @@ def test_term_checks_pass_where_the_dict_kernel_passes(monkeypatch, space):
     want = _dict_reports(monkeypatch, table)
     assert [verify_ms_equations(table), verify_associativity(table)] == want
     assert {r["status"] for r in want} == {"pass"}
-    assert qkring._ring(table).mats.coef.dtype == np.int64
+    assert qkring._ring(table, divisor=True).mats.coef.dtype == np.int64
 
 
 @pytest.mark.parametrize("change", [None, *CHECK_MUTATIONS])
@@ -1229,7 +1243,7 @@ def test_term_checks_past_int64_use_python_ints(monkeypatch, change):
     ((e, c), *rest) = mats.flat[at].terms.items()
     mats.flat[at] = GammaElement(rank, {e: c + (1 << 62), **dict(rest)})
     table = replace(table, mats=mats)
-    assert qkring._ring(table).mats.coef.dtype == object
+    assert qkring._ring(table, divisor=True).mats.coef.dtype == object
     want = _dict_reports(monkeypatch, table)
     assert [verify_ms_equations(table), verify_associativity(table)] == want
     assert "fail" in {r["status"] for r in want}
@@ -1417,23 +1431,74 @@ def _corruptions(table, seed: int = 0) -> list:
     return out
 
 
-@pytest.mark.parametrize("space", ["Gr(2,4)", "LG(2,4)"])
-def test_pointwise_checks_match_the_layer_convolution(space):
-    # values at q = 0, ..., 2D decide every product of q-degree <= 2D, so
-    # both checks report exactly what the layer convolution reports
-    table = full_table(build_cominuscule(space), backend="mod-p")
-    p = table.backend["p"]
-    reports = [verify_ms_equations(table), verify_associativity(table)]
-    assert reports == _reference_reports(table) and {r["status"] for r in reports} == {"pass"}
-    failing = 0
-    for v, w, u, poly in _corruptions(table):
-        bad = copy.deepcopy(table)
-        bad.mats = table.mats.copy()
-        bad.mats[v, :, w, u] = (bad.mats[v, :, w, u] + poly) % p
+def _top_layer(table) -> int:
+    return int(np.flatnonzero(table.mats.any(axis=(0, 2, 3)))[-1])
+
+
+def _layer_corruptions(table, d: int) -> list:
+    """Single-entry corruptions (v, w, u, poly) of layer d alone, in the
+    form of _corruptions."""
+    p, k = table.backend["p"], table.k
+    rng = random.Random(f"{table.space}:{table.D}:{d}")
+    out = []
+    for _ in range(6):
+        poly = [0] * (table.D + 1)
+        poly[d] = rng.randrange(1, p)
+        out.append((*(rng.randrange(k) for _ in range(3)), poly))
+    return out
+
+
+def _checked_reports(table, corruptions) -> list:
+    """Both checks' reports on the table and on each corruption of it,
+    each asserted equal to what the layer convolution reports."""
+    out = []
+    for v, w, u, poly in [(0, 0, 0, [0] * (table.D + 1)), *corruptions]:
+        bad = replace(table, mats=table.mats.copy())
+        bad.mats[v, :, w, u] = (bad.mats[v, :, w, u] + poly) % table.backend["p"]
         reports = [verify_ms_equations(bad), verify_associativity(bad)]
         assert reports == _reference_reports(bad), (v, w, u, poly)
-        failing += reports[0]["status"] == "fail"
-    assert failing >= 10
+        out.append(reports)
+    return out
+
+
+@pytest.mark.parametrize("space", ["Gr(2,4)", "LG(2,4)"])
+def test_pointwise_checks_match_the_layer_convolution(space):
+    # values at as many points as a product's q-degree plus one decide it,
+    # so both checks report exactly what the layer convolution reports
+    table = full_table(build_cominuscule(space), backend="mod-p")
+    clean, *corrupted = _checked_reports(table, _corruptions(table))
+    assert {r["status"] for r in clean} == {"pass"}
+    assert sum(ms["status"] == "fail" for ms, _ in corrupted) >= 10
+
+
+@pytest.mark.parametrize("D", [None, 9], ids=["default-qmax", "qmax=9"])
+@pytest.mark.parametrize("space", ["Gr(2,4)", "LG(2,4)"])
+def test_checks_take_the_degree_from_the_table(space, D):
+    # a check evaluates at as many points as the table's own top layer e
+    # needs, not 2D + 1; a corruption in a layer above e, zero in a
+    # certified table, raises e and must still be seen
+    table = full_table(build_cominuscule(space), D=D, backend="mod-p")
+    e = _top_layer(table)
+    assert e <= table.poset.d_max < table.D - 1
+    # L is linear in q, so e_L = 1
+    ring = qkring._ring(table, divisor=True)
+    assert len(ring.mats[0]) == len(ring.L) == e + 2
+    assert len(qkring._ring(table, divisor=False).mats[0]) == 2 * e + 1
+    # layer e + 1 is the first zero layer above the table's degree
+    clean, *corrupted = _checked_reports(table, _layer_corruptions(table, e + 1) + _layer_corruptions(table, table.D))
+    assert {r["status"] for r in clean} == {"pass"}
+    assert all("fail" in {r["status"] for r in reports} for reports in corrupted)
+
+
+@pytest.mark.parametrize("space", ["Gr(2,4)", "LG(2,4)"])
+def test_checks_of_the_q0_specialization_match_the_layer_convolution(space):
+    # D = 0: the table and L keep layer 0 alone, and each check one point
+    table = specialize(full_table(build_cominuscule(space), backend="mod-p"), "q0")
+    assert table.D == 0
+    assert len(qkring._ring(table, divisor=True).mats[0]) == len(qkring._ring(table, divisor=False).mats[0]) == 1
+    clean, *corrupted = _checked_reports(table, _layer_corruptions(table, 0))
+    assert {r["status"] for r in clean} == {"pass"}
+    assert all("fail" in {r["status"] for r in reports} for reports in corrupted)
 
 
 # ---------------------------------------------------------------------------
