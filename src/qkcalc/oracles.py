@@ -10,11 +10,12 @@ calculus: it expands a product of explicit K-classes on projective space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .chevalley import j_class, kt_chevalley
 from .gamma import GammaElement
 from .poset import CominusculePoset, NotContained, Shape
-from .rootsys import build_root_system, eps_to_root
+from .rootsys import RootSystem, build_root_system, eps_to_root
 
 
 class OracleError(Exception):
@@ -326,9 +327,12 @@ def lg_oracle_chi(n: int, u, w) -> GammaElement:
 
 def eps_to_root_cn(n: int, eps: tuple[int, ...]) -> tuple[int, ...]:
     """eps_1..eps_n coordinates to simple-root coordinates in type C_n."""
-    return eps_to_root(
-        build_root_system("C", n), {i + 1: c for i, c in enumerate(eps) if c}
-    )
+    return eps_to_root(_root_system_c(n), {i + 1: c for i, c in enumerate(eps) if c})
+
+
+@lru_cache(maxsize=None)
+def _root_system_c(n: int) -> RootSystem:
+    return build_root_system("C", n)
 
 
 def nu_weight(n: int, u, w) -> tuple[int, ...]:

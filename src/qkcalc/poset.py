@@ -18,12 +18,12 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from operator import le, sub
 
 from .rootsys import (
     RootSystem,
     RootVector,
     UnsupportedType,
-    _identity,
     build_root_system,
     eps_to_root,
     longest_word,
@@ -300,8 +300,8 @@ class CominusculePoset:
         self._build_labels()
         self._build_weyl()
         self._build_shapes()
-        self._wmat_cache: dict[int, tuple] = {}
-        self._winv_cache: dict[int, tuple] = {}
+        self._wmat_cache: dict[int, tuple] = {0: rs.simple_roots}
+        self._winv_cache: dict[int, tuple] = {0: rs.simple_roots}
         self._dual_cache: dict[int, int] = {}
 
         total = tuple(sum(col) for col in zip(*self.boxes))
@@ -320,7 +320,7 @@ class CominusculePoset:
         covers = [set() for _ in range(n)]  # covers[i] = boxes covered by i
         for i, a in enumerate(roots_px):
             for j, b in enumerate(roots_px):
-                if i != j and tuple(x - y for x, y in zip(a, b)) in simple:
+                if i != j and tuple(map(sub, a, b)) in simple:
                     covers[i].add(j)
         height = [sum(a) for a in roots_px]
         h0 = min(height)
@@ -403,7 +403,7 @@ class CominusculePoset:
         covers_down = [0] * n
         for i, a in enumerate(self.boxes):
             for j, b in enumerate(self.boxes):
-                if i != j and tuple(x - y for x, y in zip(a, b)) in simple:
+                if i != j and tuple(map(sub, a, b)) in simple:
                     covers_down[i] |= 1 << j
         # Transitive closure of covers, bottom-up in height order.
         order = sorted(range(n), key=lambda i: sum(self.boxes[i]))
@@ -421,7 +421,7 @@ class CominusculePoset:
         for i, a in enumerate(self.boxes):
             for j, b in enumerate(self.boxes):
                 closure = bool(down[j] >> i & 1)
-                coord = all(x <= y for x, y in zip(a, b))
+                coord = all(map(le, a, b))
                 if closure != coord:
                     raise BuildCheckError(
                         f"order mismatch between cover closure and coordinates "
@@ -583,25 +583,23 @@ class CominusculePoset:
 
     # -- Weyl actions ---------------------------------------------------------
 
-    def _word(self, mask: int) -> list[int]:
-        return [i for i in range(self.n_boxes) if mask >> i & 1]
-
     def weyl_matrix(self, mask: int) -> tuple:
+        """Product of the reflections in the boxes of mask, in box order:
+        the matrix of mask without its last box, times that box's."""
         cached = self._wmat_cache.get(mask)
         if cached is None:
-            mat = _identity(self.rs.rank)
-            for i in self._word(mask):
-                mat = mat_mult(mat, self._refl[i])
-            self._wmat_cache[mask] = cached = mat
+            last = mask.bit_length() - 1
+            cached = mat_mult(self.weyl_matrix(mask ^ 1 << last), self._refl[last])
+            self._wmat_cache[mask] = cached
         return cached
 
     def weyl_matrix_inv(self, mask: int) -> tuple:
+        """Inverse of weyl_matrix(mask): the reflections in reverse order."""
         cached = self._winv_cache.get(mask)
         if cached is None:
-            mat = _identity(self.rs.rank)
-            for i in reversed(self._word(mask)):
-                mat = mat_mult(mat, self._refl[i])
-            self._winv_cache[mask] = cached = mat
+            last = mask.bit_length() - 1
+            cached = mat_mult(self._refl[last], self.weyl_matrix_inv(mask ^ 1 << last))
+            self._winv_cache[mask] = cached
         return cached
 
     def negativity_shape(self, mat: tuple) -> Shape:
@@ -609,9 +607,9 @@ class CominusculePoset:
         mask = 0
         for i, a in enumerate(self.boxes):
             img = mat_apply(mat, a)
-            neg = all(c <= 0 for c in img) and any(c < 0 for c in img)
-            pos = all(c >= 0 for c in img) and any(c > 0 for c in img)
-            if not (neg or pos):
+            lo, hi = min(img), max(img)
+            neg = hi <= 0 and lo < 0
+            if not (neg or lo >= 0 and hi > 0):
                 raise BuildCheckError(f"image {img} of {a} is not a signed root")
             if neg:
                 mask |= 1 << i

@@ -3,15 +3,22 @@
 Roots are stored in simple-root coordinates: a root is a tuple of integers
 giving its expansion in the simple basis, with Bourbaki numbering throughout.
 The Cartan matrices are hard coded per family and every derived quantity
-(positive roots, lengths, reflections, pairings) is computed from them with
-integer arithmetic only.
+(positive roots, lengths, reflections, pairings, Weyl-group matrices) is
+computed from them with integer arithmetic only.  A word's matrix is built
+one simple reflection at a time, each a row update.  Epsilon coordinates of
+the classical families convert to simple-root coordinates in closed form:
+the coefficients are prefix sums, the last ones halved in types C and D.
+Only ``RootSystem.fundamental_weight``, which is rational in general, uses
+``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import mul
 
 RootVector = tuple[int, ...]
 
@@ -90,14 +97,9 @@ class RootSystem:
     _norm_cache: dict[RootVector, int] = field(default_factory=dict, repr=False)
     _max_norm: int = 0
 
-    @property
+    @cached_property
     def simple_roots(self) -> tuple[RootVector, ...]:
-        eye = []
-        for i in range(self.rank):
-            v = [0] * self.rank
-            v[i] = 1
-            eye.append(tuple(v))
-        return tuple(eye)
+        return _identity(self.rank)
 
     def is_root(self, v: RootVector) -> bool:
         return v in self._root_set or tuple(-c for c in v) in self._root_set
@@ -298,12 +300,19 @@ def longest_word(rs: RootSystem, subset: tuple[int, ...] | None = None) -> list[
 
 def word_matrix(rs: RootSystem, word: list[int]) -> tuple[tuple[int, ...], ...]:
     """Matrix of the Weyl element with the given word, first letter applied
-    first, acting on simple-root coordinates."""
-    mat = _identity(rs.rank)
+    first, acting on simple-root coordinates.
+
+    s_i changes only coordinate i, by minus <v, alpha_i^vee> = sum_j
+    cartan[i][j] v_j, so applying it after the matrix so far replaces row i
+    by row_i - sum_j cartan[i][j] row_j."""
+    rows = [list(r) for r in _identity(rs.rank)]
+    terms = [[(c, rows[j]) for j, c in enumerate(a) if c] for a in rs.cartan]
     for i in word:
-        refl = rs.reflection_matrix(rs.simple_roots[i])
-        mat = mat_mult(refl, mat)
-    return mat
+        # in place, since terms holds the row lists themselves
+        rows[i][:] = [
+            x - sum(c * row[k] for c, row in terms[i]) for k, x in enumerate(rows[i])
+        ]
+    return tuple(map(tuple, rows))
 
 
 def _identity(n: int) -> tuple[tuple[int, ...], ...]:
@@ -311,15 +320,14 @@ def _identity(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def mat_mult(a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum(map(mul, row, col)) for col in bt) for row in a
     )
 
 
 def mat_apply(mat: tuple[tuple[int, ...], ...], v: RootVector) -> RootVector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in mat)
+    return tuple(sum(map(mul, row, v)) for row in mat)
 
 
 # epsilon-coordinate conversion for the classical families; used for I/O only.
@@ -356,44 +364,30 @@ def root_to_eps(rs: RootSystem, v: RootVector) -> list[int]:
     return out
 
 
-def eps_to_root(rs: RootSystem, eps: dict[int, int | Fraction]) -> RootVector:
+def eps_to_root(rs: RootSystem, eps: dict[int, int]) -> RootVector:
     """Convert epsilon-coordinates {1-based index: coefficient} to
-    simple-root coordinates; raises NotARoot if not in the root lattice."""
+    simple-root coordinates; raises NotARoot if not in the root lattice.
+
+    With t the epsilon vector and S_i = t_1 + ... + t_i, the coefficient
+    c_i of alpha_i is S_i, except: in type A, S_{n+1} must vanish; in type
+    C, c_n = S_n / 2; in type D, c_{n-1} = (S_{n-1} - t_n) / 2 and
+    c_n = S_n / 2.  Both halvings are exact when S_n is even.
+    """
     basis = eps_basis(rs)
     if basis is None:
         raise UnsupportedType("no epsilon coordinates for exceptional types")
     dim = len(basis[0])
-    target = [Fraction(0)] * dim
+    t = [0] * dim
     for idx, coeff in eps.items():
         if not 1 <= idx <= dim:
             raise NotARoot(f"epsilon index {idx} out of range")
-        target[idx - 1] += Fraction(coeff)
-    # Solve basis * c = target by elimination over the rationals.
-    rows = [[Fraction(basis[j][i]) for j in range(rs.rank)] + [target[i]] for i in range(dim)]
-    coeffs: list[Fraction] = [Fraction(0)] * rs.rank
-    row = 0
-    pivots = []
-    for col in range(rs.rank):
-        piv = next((r for r in range(row, dim) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = 1 / rows[row][col]
-        rows[row] = [x * inv for x in rows[row]]
-        for r in range(dim):
-            if r != row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, dim):
-        if rows[r][rs.rank] != 0:
-            raise NotARoot(f"{dict(eps)} is not in the root lattice")
-    for r, col in enumerate(pivots):
-        coeffs[col] = rows[r][rs.rank]
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise NotARoot(f"{dict(eps)} is not in the root lattice")
-        out.append(int(c))
-    return tuple(out)
+        t[idx - 1] += coeff
+    c = list(accumulate(t))
+    halve = rs.family in ("C", "D")
+    if (c.pop() if rs.family == "A" else halve and c[-1] % 2):
+        raise NotARoot(f"{dict(eps)} is not in the root lattice")
+    if halve:
+        c[-1] //= 2
+    if rs.family == "D":
+        c[-2] = (c[-2] - t[-1]) // 2
+    return tuple(c)

@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from qkcalc import oracles
 from qkcalc.chevalley import j_class, kt_chevalley
 from qkcalc.gamma import GammaElement
 from qkcalc.oracles import (
@@ -107,6 +110,16 @@ def test_lg_oracle_small_spaces():
     for space in ("LG(2,4)", "LG(3,6)"):
         rep = verify_lg_oracle(build_cominuscule(space))
         assert rep["status"] == "pass", rep
+
+
+def test_lg_oracle_builds_one_root_system_per_rank(monkeypatch):
+    built = []
+    build = oracles.build_root_system
+    monkeypatch.setattr(oracles, "build_root_system", lambda *a: built.append(a) or build(*a))
+    monkeypatch.setattr(oracles, "_root_system_c", functools.lru_cache(oracles._root_system_c.__wrapped__))
+    for _ in range(2):
+        assert verify_lg_oracle(build_cominuscule("LG(3,6)"))["status"] == "pass"
+    assert built == [("C", 3)]
 
 
 def test_lg24_hand_value():

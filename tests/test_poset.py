@@ -1,14 +1,20 @@
+import fractions
+import hashlib
 from math import comb
 
 import pytest
 
+from qkcalc import cli, qkring
 from qkcalc.poset import (
+    BuildCheckError,
+    CominusculePoset,
     InvalidShape,
     NotContained,
     UnsupportedSpace,
     build_cominuscule,
+    parse_space,
 )
-from qkcalc.rootsys import root_to_eps
+from qkcalc.rootsys import _identity, mat_mult, root_to_eps
 
 SPACES = [
     "Gr(2,4)",
@@ -281,3 +287,108 @@ def test_addable_boxes(posets):
     # can grow to (2) or (1,1)
     grown = {poset.format_shape(poset.shape(u.mask | 1 << b)) for b in add}
     assert grown == {"2", "1,1"}
+
+
+# ---------------------------------------------------------------------------
+# The from-scratch Weyl matrices the poset built before it extended each
+# mask's cached matrix by one reflection, kept as references
+
+
+def _word(poset, mask: int) -> list[int]:
+    return [i for i in range(poset.n_boxes) if mask >> i & 1]
+
+
+def _reference_weyl_matrix(poset, mask: int) -> tuple:
+    mat = _identity(poset.rs.rank)
+    for i in _word(poset, mask):
+        mat = mat_mult(mat, poset._refl[i])
+    return mat
+
+
+def _reference_weyl_matrix_inv(poset, mask: int) -> tuple:
+    mat = _identity(poset.rs.rank)
+    for i in reversed(_word(poset, mask)):
+        mat = mat_mult(mat, poset._refl[i])
+    return mat
+
+
+@pytest.mark.parametrize("space", ["Gr(3,6)", "LG(4,8)", "OG(5,10)", "Q(7)", "E6"])
+def test_weyl_matrices_match_the_from_scratch_products(space):
+    poset = build_cominuscule(space)
+    ident = _identity(poset.rs.rank)
+    for m in poset.shape_masks:
+        w, winv = poset.weyl_matrix(m), poset.weyl_matrix_inv(m)
+        assert w == _reference_weyl_matrix(poset, m)
+        assert winv == _reference_weyl_matrix_inv(poset, m)
+        assert mat_mult(w, winv) == ident == mat_mult(winv, w)
+
+
+@pytest.mark.parametrize("space", ["Gr(2,4)", "LG(2,4)", "Q(5)"])
+def test_negativity_shape_rejects_images_that_are_not_signed_roots(space):
+    poset = build_cominuscule(space)
+    r = poset.rs.rank
+    zero = tuple((0,) * r for _ in range(r))
+    mixed = tuple(tuple(1 if i == j == 0 else -1 if i == j else 0 for j in range(r)) for i in range(r))
+    for mat in (zero, mixed):
+        with pytest.raises(BuildCheckError):
+            poset.negativity_shape(mat)
+
+
+# ---------------------------------------------------------------------------
+# Space setup: posets, Weyl data, duals, curve neighbourhoods and divisors,
+# pinned before the setup went to integer closed forms and cached prefixes
+
+
+SETUP_SHA256 = {
+    "P1": "f05df0d1aa6b4b580654250d79f22bfda2b4f4d53ece25f33b315e6c95198e48",
+    "Gr(1,8)": "0756cb283603384d547e1e96133bca62670048ab3cf504b930dfff3c9976540a",
+    "Gr(2,4)": "989f42751f459094e3e53b67c0533e42f22fb9f1a10b7070e6cabb751167b25c",
+    "Gr(2,6)": "7db2f6f31f3e42d458da92a9984921b4fee1f8a188dcd8e0e08705df4f391f0b",
+    "Gr(3,6)": "5271c0e884fbe774017176aca89f4d7ed505605fe1ce034b6f730ef450555e3f",
+    "Gr(3,7)": "d0129fa58befabab7f6a1e34aafa28abb73ac97408f29724b06d5c2e25b339a5",
+    "LG(2,4)": "e9de569487f0696759a7740463c1ab5eca4c883a52e01e64909b86b6ac594772",
+    "LG(3,6)": "c815950e18c209cea596a4e947497208bf9baa5cb970a7da5f6a7007bc0ffe92",
+    "LG(4,8)": "e31f07230fdb667447d061ae8ec9c10e9554423f950a433ca499f024dd799d20",
+    "OG(4,8)": "24461c34b931d5139029da8c1015a6bf29779488c56a0cca100b30a86e99ecb0",
+    "OG(5,10)": "d97a0a8c2a0f92558d392859155ecc38994d51f1c76ae257c38f217dc80bcc59",
+    "Q(3)": "427244ff04bc302c06fa1b555df6c00edf844d9e2eb1c2fb2ac48ce7d82a9efc",
+    "Q(5)": "f3259dd031c07ec16989e1c28ebbef8b82b96e6870f265704f40e60e23a365d2",
+    "Q(8)": "62bd3d06b61a7c56373a4899233378f5a39a90f5fcc61955ad9ef1ddf37c1568",
+    "Q(12)": "eee3b8f47eb3ae861813a8b4a968a3886bf24511ce4a1ce9f11eca16cbf8e8c1",
+    "E6": "b42632858e991b296a46527200c7ba0581e41c2f8fc0516b2b032a807a7a3e42",
+    "E7": "3a77a1cb49010157fdd98446603ebfd2f3f92da2d0e67b74ed1981e71e76b44e",
+}
+
+
+@pytest.mark.parametrize("space", list(SETUP_SHA256))
+def test_space_setup_is_pinned(capsys, space):
+    """One digest over `describe --format=json`, the box data, w0 and w_P,
+    the dual of every shape, u(d) and u(-d) for 0 < d <= d_max, and every
+    entry of the divisor matrix."""
+    assert cli.main(["describe", space, "--format=json"]) == 0
+    parts = [capsys.readouterr().out]
+    poset = build_cominuscule(space)
+    parts += [repr(x) for x in (poset.boxes, poset.delta, poset.short, poset.pairing_omega, poset.down_masks, poset._w0, poset._wp)]
+    for u in poset.shapes():
+        parts.append(repr((u.mask, poset.dual(u).mask)))
+        for d in range(1, poset.d_max + 1):
+            parts.append(repr((u.mask, d, poset.curve_nbhd(u, d).mask, poset.curve_nbhd(u, -d).mask)))
+    parts += [str(g) for g in qkring.divisor_matrix(poset).flat]
+    assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == SETUP_SHA256[space]
+
+
+@pytest.mark.parametrize("space", ["Gr(2,6)", "OG(5,10)", "LG(4,8)"])
+def test_space_setup_constructs_no_fraction(monkeypatch, space):
+    made = []
+    new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
+    monkeypatch.setattr(qkring, "_DIVISOR_CACHE", {})
+    assert fractions.Fraction(1, 2) and made == [(1, 2)]  # the counter counts
+    made.clear()
+    qkring.divisor_matrix(CominusculePoset(parse_space(space)))
+    assert made == []

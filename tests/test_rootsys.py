@@ -1,15 +1,21 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qkcalc.rootsys import (
     NotARoot,
     NotInPoset,
+    RootSystem,
     UnsupportedType,
+    _identity,
     build_root_system,
     eps_basis,
     eps_to_root,
     longest_word,
     mat_apply,
+    mat_mult,
     root_to_eps,
     word_matrix,
 )
@@ -135,3 +141,130 @@ def test_fundamental_weight_pairing():
             lhs = sum(Fraction(omega[k]) * rs.bilinear[k][j] for k in range(3))
             expected = Fraction(rs.norm2(alpha), 2) if i == j else Fraction(0)
             assert lhs == expected
+
+
+def test_simple_roots_are_built_once():
+    rs = build_root_system("D", 5)
+    assert rs.simple_roots is rs.simple_roots
+    assert rs.simple_roots == tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+
+
+# ---------------------------------------------------------------------------
+# The rational elimination and the dense word product the setup ran on before
+# its integer closed forms and row updates, kept as references
+
+
+def _reference_eps_to_root(rs: RootSystem, eps: dict[int, int | Fraction]) -> tuple[int, ...]:
+    """Convert epsilon-coordinates {1-based index: coefficient} to
+    simple-root coordinates; raises NotARoot if not in the root lattice."""
+    basis = eps_basis(rs)
+    if basis is None:
+        raise UnsupportedType("no epsilon coordinates for exceptional types")
+    dim = len(basis[0])
+    target = [Fraction(0)] * dim
+    for idx, coeff in eps.items():
+        if not 1 <= idx <= dim:
+            raise NotARoot(f"epsilon index {idx} out of range")
+        target[idx - 1] += Fraction(coeff)
+    # Solve basis * c = target by elimination over the rationals.
+    rows = [[Fraction(basis[j][i]) for j in range(rs.rank)] + [target[i]] for i in range(dim)]
+    coeffs: list[Fraction] = [Fraction(0)] * rs.rank
+    row = 0
+    pivots = []
+    for col in range(rs.rank):
+        piv = next((r for r in range(row, dim) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[row], rows[piv] = rows[piv], rows[row]
+        inv = 1 / rows[row][col]
+        rows[row] = [x * inv for x in rows[row]]
+        for r in range(dim):
+            if r != row and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[row])]
+        pivots.append(col)
+        row += 1
+    for r in range(row, dim):
+        if rows[r][rs.rank] != 0:
+            raise NotARoot(f"{dict(eps)} is not in the root lattice")
+    for r, col in enumerate(pivots):
+        coeffs[col] = rows[r][rs.rank]
+    out = []
+    for c in coeffs:
+        if c.denominator != 1:
+            raise NotARoot(f"{dict(eps)} is not in the root lattice")
+        out.append(int(c))
+    return tuple(out)
+
+
+def _reference_word_matrix(rs: RootSystem, word: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Matrix of the Weyl element with the given word, first letter applied
+    first, acting on simple-root coordinates."""
+    mat = _identity(rs.rank)
+    for i in word:
+        refl = rs.reflection_matrix(rs.simple_roots[i])
+        mat = mat_mult(refl, mat)
+    return mat
+
+
+CLASSICAL = (
+    [("A", n) for n in range(1, 8)]
+    + [("B", n) for n in range(2, 5)]
+    + [("C", n) for n in range(2, 5)]
+    + [("D", n) for n in range(3, 8)]
+)
+SYSTEMS = {(f, n): build_root_system(f, n) for f, n in CLASSICAL + [("E", 6), ("E", 7)]}
+
+
+def _outcome(convert, rs, eps):
+    try:
+        return convert(rs, eps)
+    except NotARoot:
+        return NotARoot
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_eps_to_root_matches_the_rational_elimination(data):
+    """A random point of the root lattice, moved off it half the time, and
+    now and then given an index out of range: the closed form agrees with
+    the elimination, or both raise NotARoot."""
+    rs = SYSTEMS[data.draw(st.sampled_from(CLASSICAL))]
+    dim = len(eps_basis(rs)[0])
+    small = st.integers(-3, 3)
+    coeffs = data.draw(st.lists(small, min_size=rs.rank, max_size=rs.rank))
+    eps = root_to_eps(rs, coeffs)
+    if data.draw(st.booleans()):
+        eps = [e + data.draw(small) for e in eps]
+    eps = {i + 1: e for i, e in enumerate(eps) if e}
+    if data.draw(st.integers(0, 9)) == 0:
+        eps[data.draw(st.sampled_from([-1, 0, dim + 1, dim + 2]))] = data.draw(small)
+    got = _outcome(eps_to_root, rs, eps)
+    assert got == _outcome(_reference_eps_to_root, rs, eps)
+    if got is not NotARoot:
+        assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("family,rank", CLASSICAL)
+def test_eps_to_root_inverts_root_to_eps_on_every_root(family, rank):
+    rs = SYSTEMS[family, rank]
+    for a in rs.positive_roots:
+        for v in (a, tuple(-c for c in a)):
+            eps = {i + 1: c for i, c in enumerate(root_to_eps(rs, v)) if c}
+            assert eps_to_root(rs, eps) == v == _reference_eps_to_root(rs, eps)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_word_matrix_matches_the_dense_product(data):
+    rs = SYSTEMS[data.draw(st.sampled_from(sorted(SYSTEMS)))]
+    word = data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=40))
+    assert word_matrix(rs, word) == _reference_word_matrix(rs, word)
+
+
+@pytest.mark.parametrize("key", sorted(SYSTEMS))
+def test_word_matrix_of_the_longest_words(key):
+    rs = SYSTEMS[key]
+    for subset in (None, tuple(range(1, rs.rank))):
+        w = longest_word(rs, subset)
+        assert word_matrix(rs, w) == _reference_word_matrix(rs, w)
