@@ -22,13 +22,16 @@ Both backends run one solve: mod p, batched over evaluation points that send
 each x_i = e^{-alpha_i} to a nonzero residue.  The mod-p backend is a single
 point.  The exact backend rebuilds every constant, a polynomial in the x_i
 with small integer coefficients, by dense interpolation (Brown's modular
-method).  L = M_{s_gamma} is a column of the table, so its degrees bound the
-table's from below, and a grid that they already put out of reach is refused
-before any solve.  Then line probes through a random point find the degree
-in each x_i, all pending variables' lines in one solve per rung of t = 8,
-16, ... nodes (in batches where one solve would pass the grid guard), until
-the interpolant's degree falls below t - 1 (early termination, after
-Kaltofen and Lee); the solve runs on the tensor grid of that many random
+method) modulo _INTERPOLATION_PRIME, the largest prime below 2^24, where
+its products are one float64 limb (below).  The 31-bit primes stay where
+they are outputs (the mod-p backend, backend agreement), so agreement checks
+an exact table at primes its build never used.  L = M_{s_gamma} is a column
+of the table, so its degrees bound the table's from below, and a grid that
+they already put out of reach is refused before any solve.  Then line
+probes through a random point find the degree in each x_i, all pending
+variables' lines in one solve per rung of t = 8, 16, ... nodes (in batches
+where one solve would pass the grid guard), until the interpolant's degree
+falls below t - 1 (early termination, after Kaltofen and Lee); the solve runs on the tensor grid of that many random
 nonzero nodes per variable, in blocks of columns; the inverse Vandermonde
 matrix of each axis turns the values of the live entries, those nonzero at
 some point, into coefficients, lifted to the symmetric range (-p/2, p/2).
@@ -59,8 +62,9 @@ q.
 
 Every mod-p matrix product runs through _matmul_mod, exact in float64 BLAS:
 the left factor splits into limbs narrow enough that no sum of products
-reaches 2^53.  The solver takes one product per q-layer, a block row of
-layers times a block column: C_d = -C_0 [K_1 ... K_d][C_{d-1}; ...; C_0] for
+reaches 2^53 (one limb, the factor itself, at the interpolation prime and
+up to 32 summands).  The solver takes one product per q-layer, a block row
+of layers times a block column: C_d = -C_0 [K_1 ... K_d][C_{d-1}; ...; C_0] for
 the layers of K^{-1}, and [C_0^T ... C_c^T][W_c^T; ...; W_0^T] for layer c
 of M_v^T.
 """
@@ -73,6 +77,7 @@ import os
 import random
 import tempfile
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import accumulate, product as iproduct
 from math import comb, prod
 from typing import Callable, NamedTuple
@@ -123,6 +128,13 @@ def _object_array(items: list, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
+@cache
+def _zero(rank: int) -> GammaElement:
+    """The zero that every zero entry of an exact table is: one object per
+    rank, not one per entry (group-ring elements are never changed in place)."""
+    return GammaElement.zero(rank)
+
+
 def _terms(G: np.ndarray):
     """The terms of the group-ring array G in G.flat order: entry indices,
     exponent rows (an int64 array (terms, rank)) and coefficients (Python ints)."""
@@ -142,8 +154,10 @@ def _eval_array(G: np.ndarray, p: int, nodes: np.ndarray, terms=None) -> np.ndar
     # e^{lam} = prod x_i^{-lam_i}
     for xs, lam in zip(nodes.T.tolist(), exps.T):
         lams, inv = np.unique(lam, return_inverse=True)
-        powers = np.array([[pow(x, -int(e), p) for e in lams] for x in xs], dtype=np.int64)
-        val = val * powers[:, inv] % p
+        lams = lams.tolist()
+        # a tensor grid repeats each value of x_i: one pow per distinct value
+        row = {x: [pow(x, -e, p) for e in lams] for x in dict.fromkeys(xs)}
+        val = val * np.array([row[x] for x in xs], dtype=np.int64)[:, inv] % p
     np.add.at(out, (slice(None), at), val)
     return (out % p).reshape(len(nodes), *G.shape)
 
@@ -237,7 +251,8 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     sums n products below 2^w p over the inner dimension n, so float64
     computes it exactly when w + p.bit_length() + ceil(log2 n) <= 53; the
     limbs recombine in int64 mod p.  For 31-bit primes that is two limbs up
-    to n = 64 and three up to n = 2048.
+    to n = 64 and three up to n = 2048; for _INTERPOLATION_PRIME, one limb
+    up to n = 32 and two up to n = 2^17.
     """
     n = B.shape[0] if B.ndim == 1 else B.shape[-2]
     # float64 holds every integer below 2^53 exactly
@@ -267,10 +282,12 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 def _limb_product(A: np.ndarray, B: np.ndarray, p: int, w: int) -> np.ndarray:
     """A @ B mod p from the w-bit limbs of A, the top limb first."""
     Bf = B.astype(np.float64)
-    out = None
-    for shift in range(w * ((p.bit_length() - 1) // w), -1, -w):
+    out, top = None, w * ((p.bit_length() - 1) // w)
+    for shift in range(top, -1, -w):
+        # one limb (top = 0) is A itself: its residues lie below p <= 2^w
+        limb = A if not top else (A >> shift) & ((1 << w) - 1)
         # below 2^53, so the int64 cast is exact
-        limb = (((A >> shift) & ((1 << w) - 1)).astype(np.float64) @ Bf).astype(np.int64)
+        limb = (limb.astype(np.float64) @ Bf).astype(np.int64)
         if out is None:
             out = limb
         else:
@@ -448,6 +465,10 @@ def _degree_probe(L: np.ndarray, D: int, p: int, rng: random.Random, S: int) -> 
     raise QKRingError(f"table degree in x_{pending[0] + 1} exceeds {t - 2}")
 
 
+# The exact build's prime, the largest below 2^24: a product mod p of inner
+# dimension n is one float64 limb when 2 * 24 + ceil(log2 n) <= 53
+# (_matmul_mod), that is up to n = 32.  The lift needs |coefficients| < p/2.
+_INTERPOLATION_PRIME = 16777213
 # The solve keeps a few int64 arrays of (grid points, D+1, k, k) entries;
 # past this many entries each of them would pass 64 MB.
 _GRID_ENTRIES = 1 << 23
@@ -474,9 +495,10 @@ def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: rand
     axes = [rng.sample(range(1, p), n) for n in counts]
     inverses = [_interpolation_matrix(xs, p) for xs in axes]
     solver = _ModPSolver(L, S, p, np.array(list(iproduct(*axes)), dtype=np.int64))
+    zero = _zero(rank)
     for vs, M in solver.blocks():
         terms = _coefficients(M, counts, inverses, p)
-        yield from _object_array([GammaElement(rank, t) for t in terms], (len(vs), S + 1, k, k))
+        yield from _object_array([GammaElement(rank, t) if t else zero for t in terms], (len(vs), S + 1, k, k))
 
 
 def _coefficients(M: np.ndarray, counts: list, inverses: list, p: int) -> list:
@@ -520,14 +542,14 @@ def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) 
 
     The solves stop at q^S, S = min(D, d_max), and layers S+1..D are zero:
     the certificate compares untruncated products, so it proves them zero."""
-    p, k = DEFAULT_PRIMES[0], L.shape[-1]
+    p, k = _INTERPOLATION_PRIME, L.shape[-1]
     rng = random.Random(f"nodes:{poset.space}:{D}")
     S = min(D, poset.d_max)
     counts = None
     for _ in range(2):
         try:
             counts = counts or _degree_probe(L, D, p, rng, S)
-            mats = np.full((k, D + 1, k, k), GammaElement.zero(poset.rs.rank), dtype=object)
+            mats = np.full((k, D + 1, k, k), _zero(poset.rs.rank), dtype=object)
             mats[:, :S + 1] = np.stack(list(_interpolated_columns(L, D, counts, p, rng, S)))
             table = _assemble(poset, D, backend, mats)
         except SingularKrylov:
@@ -580,7 +602,8 @@ class MultTable:
     def to_json_obj(self) -> dict:
         mats = self.mats.tolist()
         if self.is_exact:
-            mats = [[[[x.to_json_obj() for x in row] for row in mat] for mat in layers] for layers in mats]
+            zero = _zero(self.mats.flat[0].rank).to_json_obj()
+            mats = [[[[x.to_json_obj() if x.terms else zero for x in row] for row in mat] for mat in layers] for layers in mats]
         return self._json_obj(mats=mats)
 
     def _json_obj(self, **payload) -> dict:
@@ -604,7 +627,7 @@ class MultTable:
             D=obj["D"],
             backend=obj["backend"],
             masks=tuple(obj["masks"]),
-            mats=_table_array(obj["backend"], obj["mats"], (k, obj["D"] + 1, k, k)),
+            mats=_table_array(obj["backend"], obj["mats"], (k, obj["D"] + 1, k, k), poset.rs.rank),
             poset=poset,
             flags=dict(obj.get("flags", {})),
         )
@@ -618,19 +641,27 @@ def _space_of(obj: dict) -> CominusculePoset:
     return poset
 
 
-def _table_array(backend: dict, mats, shape: tuple) -> np.ndarray:
+def _table_array(backend: dict, mats, shape: tuple, rank: int) -> np.ndarray:
     """An array of table layers of the given shape from its JSON form: nested
     lists of GammaElement objects (exact) or of residues (mod-p; an int64
     array is used as it is)."""
     if backend.get("kind") == "exact":
-        # looked up per call, so that a wrapper on the class attribute sees it
-        de = GammaElement.from_json_obj
-        mats = _object_array([de(x) for layers in mats for mat in layers for row in mat for x in row], shape)
+        mats = _object_array(_decoded([x for layers in mats for mat in layers for row in mat for x in row], rank), shape)
     else:
         mats = np.asarray(mats, dtype=np.int64)
     if mats.shape != shape:
         raise ValueError(f"table array of shape {mats.shape}, expected {shape}")
     return mats
+
+
+def _decoded(entries: list, rank: int) -> list:
+    """The GammaElements of a table's JSON entries: the JSON of that rank's
+    zero is _zero(rank), and any other entry, one without "rank" too, goes
+    through GammaElement.from_json_obj (looked up per call, so that a
+    wrapper on the class attribute sees it)."""
+    de, zero = GammaElement.from_json_obj, _zero(rank)
+    blank = zero.to_json_obj()
+    return [zero if x == blank else de(x) for x in entries]
 
 
 def default_truncation(poset: CominusculePoset) -> int:
@@ -1147,7 +1178,8 @@ def load_table(
             flags = dict(obj.get("flags", {}))
             if flag is not None and not flags.get(flag):
                 return None
-            k = len(_space_of(obj).shape_masks)
+            poset = _space_of(obj)
+            k = len(poset.shape_masks)
             if product is not None and not all(0 <= i < k for i in product):
                 raise IndexError(f"no product {product} in a table of {k} classes")
             vs = range(k) if product is None else range(product[1], product[1] + 1)
@@ -1176,7 +1208,6 @@ def load_table(
         # the whole line's shape is checked, and only the printed entries decoded
         if len(col) != D + 1 or any(len(mat) != k or any(len(row) != k for row in mat) for mat in col):
             return None
-        de = GammaElement.from_json_obj  # looked up per call, as in _table_array
-        return _object_array([de(row[u]) for mat in col for row in mat], (D + 1, k))
+        return _object_array(_decoded([row[u] for mat in col for row in mat], poset.rs.rank), (D + 1, k))
     except (OSError, KeyError, TypeError, ValueError):
         return None

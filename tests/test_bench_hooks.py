@@ -12,6 +12,9 @@ import sys
 
 import pytest
 
+from qkcalc.poset import build_cominuscule
+from qkcalc.qkring import full_table
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TRACED_RUN = """
@@ -78,12 +81,18 @@ def test_tracer_sees_a_warm_product(tmp_path, backend):
 
 def test_warm_exact_product_decodes_one_column(tmp_path):
     # an exact query decodes only the product it prints, mats[v][:, :, u]:
-    # (D+1) k coefficients, not M_v's (D+1) k^2 or the table
+    # of its (D+1) k coefficients, not M_v's (D+1) k^2 or the table, only the
+    # nonzero ones go through from_json_obj; a zero is the table's shared zero
     _traced_table(tmp_path, "exact")
     layers = _traced("product", "Gr(2,4)", "1", "2,1", "--backend=exact", f"--cache-dir={tmp_path}")
     assert layers["qkring.load_table.hits"] == 1
+    poset = build_cominuscule("Gr(2,4)")
+    mats = full_table(poset).mats
     D, k = 4, 6  # Gr(2,4): qmax = d_max + 2 = 4, six classes
-    assert layers["gamma.from_json.calls"] == (D + 1) * k
+    assert mats.shape == (k, D + 1, k, k)
+    u, v = poset.index_of(poset.parse_shape("1")), poset.index_of(poset.parse_shape("2,1"))
+    printed = sum(not x.is_zero() for x in mats[v, :, :, u].flat)
+    assert 0 < layers["gamma.from_json.calls"] == printed < sum(not x.is_zero() for x in mats[v].flat)
 
 
 def test_tracer_sees_the_probe(tmp_path):

@@ -1505,6 +1505,8 @@ def test_checks_of_the_q0_specialization_match_the_layer_convolution(space):
 # The float64 kernel against Python-int products
 
 KERNEL_DIMS = [1, 2, 63, 64, 65, 2047, 2048, 2049]
+# the exact build's prime, below 2^24
+PI = qkring._INTERPOLATION_PRIME
 
 
 def _kernel_operands(kind: str, p: int, shape_a: tuple, shape_b: tuple, seed: int):
@@ -1537,8 +1539,7 @@ def test_matmul_mod_is_exact_at_the_limb_bounds(p, n, kind):
     assert _matmul_mod(A, B, p).tolist() == _int_product(A, B, p)
 
 
-@pytest.mark.parametrize("n", [64, 65, 2049])
-@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+@pytest.mark.parametrize("p, n", [(p, n) for p in DEFAULT_PRIMES for n in (64, 65, 2049)] + [(PI, 32), (PI, 33)])
 def test_matmul_mod_stacks_broadcast(p, n):
     A, B = _kernel_operands("full-limbs", p, (2, 3, n), (2, n, 2), seed=n)
     want = _int_product(A, B, p)
@@ -1567,3 +1568,95 @@ def test_matmul_mod_refuses_an_inner_dimension_past_the_bound():
     A = np.broadcast_to(np.int64(1), (1, n + 1))
     with pytest.raises(ValueError, match="inner dimension"):
         _matmul_mod(A, A.T, p)
+
+
+# ---------------------------------------------------------------------------
+# The exact build's 24-bit prime
+
+
+def test_interpolation_prime_is_the_largest_prime_below_2_24():
+    assert all(PI % d for d in range(2, math.isqrt(PI) + 1))
+    assert PI < 1 << 24 and all(any(q % d == 0 for d in range(2, 4)) for q in range(PI + 1, 1 << 24))
+    # one float64 limb up to an inner dimension of 32: 2 * 24 + 5 = 53
+    assert 2 * PI.bit_length() + (32 - 1).bit_length() == 53
+
+
+@pytest.mark.parametrize("kind", ["p-1", "random", "full-limbs"])
+@pytest.mark.parametrize("n, limbs", [(32, 1), (33, 2), (1 << 17, 2), ((1 << 17) + 1, 3)])
+def test_matmul_mod_is_exact_at_the_interpolation_prime(monkeypatch, n, limbs, kind):
+    widths = []
+    product = qkring._limb_product
+    monkeypatch.setattr(qkring, "_limb_product", lambda A, B, p, w: widths.append(w) or product(A, B, p, w))
+    A, B = _kernel_operands(kind, PI, (2, n), (n, 2), seed=n)
+    assert _matmul_mod(A, B, PI).tolist() == _int_product(A, B, PI)
+    assert [(PI.bit_length() - 1) // w + 1 for w in widths] == [limbs]
+
+
+def test_exact_builds_interpolate_at_the_interpolation_prime(monkeypatch):
+    # the probe and every solve of an exact build run mod the 24-bit prime;
+    # backend agreement still checks the table at the 31-bit primes
+    seen = []
+    probe, solver = qkring._degree_probe, qkring._ModPSolver
+    monkeypatch.setattr(qkring, "_degree_probe", lambda L, D, p, *rest: seen.append(("probe", p)) or probe(L, D, p, *rest))
+    monkeypatch.setattr(qkring, "_ModPSolver", lambda L, D, p, nodes: seen.append(("solver", p)) or solver(L, D, p, nodes))
+    poset = build_cominuscule("Gr(2,4)")
+    table = full_table(poset)
+    assert _digest(table) == PINNED_EXACT_TABLES["Gr(2,4)"]
+    assert {who for who, _ in seen} == {"probe", "solver"} and {p for _, p in seen} == {PI}
+    seen.clear()
+    tables = modp_tables(poset, D=table.D)
+    assert [t.backend["p"] for t in tables] == [p for p in DEFAULT_PRIMES[:2] for _ in range(2)]
+    assert {p for _, p in seen} == set(DEFAULT_PRIMES[:2])
+    assert tables_agree(table, *tables)
+
+
+def _one_zero(entries, rank: int) -> bool:
+    """Whether every zero among entries is one object, of the given rank."""
+    zeros = [x for x in entries if x.is_zero()]
+    return len({id(x) for x in zeros}) == 1 and zeros[0] == GammaElement.zero(rank) and zeros[0].rank == rank
+
+
+def test_exact_table_zero_entries_are_one_object(tmp_path):
+    poset = build_cominuscule("Q(4)")
+    rank, k = poset.rs.rank, len(poset.shape_masks)
+    built = full_table(poset)
+    args = (built.space, built.D, built.backend, str(tmp_path))
+    save_table(built, str(tmp_path))
+    loaded = load_table(*args)
+    assert _digest(loaded) == _digest(built)
+    assert _one_zero(built.mats.flat, rank) and _one_zero(loaded.mats.flat, rank)
+    # the product path decodes through the same rule
+    pairs = list(itertools.product(range(k), repeat=2))
+    product = [load_table(*args, product=uv) for uv in pairs]
+    assert _one_zero([c for col in product for c in col.flat], rank)
+    assert all(np.array_equal(c, built.mats[v][:, :, u]) for c, (u, v) in zip(product, pairs))
+
+
+def test_load_table_refuses_a_zero_entry_without_rank(tmp_path, gr24_table):
+    # a zero entry is read as the shared zero only once its rank is read
+    table = gr24_table
+    args = (table.space, table.D, table.backend, str(tmp_path))
+    path = save_table(table, str(tmp_path))
+    head, lines = _exact_lines(path)
+    col = json.loads(lines[2])
+    d, w, u = next((d, w, u) for d, mat in enumerate(col) for w, row in enumerate(mat) for u, x in enumerate(row) if not x["terms"])
+    assert col[d][w][u] == {"rank": table.poset.rs.rank, "terms": []}
+    del col[d][w][u]["rank"]
+    lines[2] = json.dumps(col).encode() + b"\n"
+    _write_exact(path, head, lines)
+    assert load_table(*args) is None and load_table(*args, product=(u, 2)) is None
+    # the product reads that do not decode the damaged entry still answer
+    others = [(x, v) for v in range(table.k) for x in range(table.k) if (x, v) != (u, 2)]
+    assert all(np.array_equal(load_table(*args, product=(x, v)), table.mats[v][:, :, x]) for x, v in others)
+
+
+@pytest.mark.parametrize("p", [PI, P0])
+def test_eval_array_on_a_grid_with_repeated_values(p):
+    L = qkring.divisor_matrix(build_cominuscule("Gr(2,4)"))
+    grid = list(itertools.product([5, 2, p - 1], [7, 7, 11], [2, 13]))
+    nodes = np.array(random.Random(0).sample(grid, len(grid)), dtype=np.int64)
+    want = [
+        [sum(c * math.prod(pow(x, -e, p) for x, e in zip(node, exp)) for exp, c in g.terms.items()) % p for g in L.flat]
+        for node in nodes.tolist()
+    ]
+    assert qkring._eval_array(L, p, nodes).reshape(len(nodes), -1).tolist() == want
