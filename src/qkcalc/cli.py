@@ -17,7 +17,6 @@ from . import __version__
 from .chevalley import j_class, j_weight, qkt_chevalley, sgamma_star
 from .gamma import QPolynomial
 from .poset import (
-    CominusculePoset,
     InvalidShape,
     NotContained,
     ParseError,
@@ -53,12 +52,6 @@ def _default_cache_dir() -> str:
     if env:
         return env
     return os.path.join(os.path.expanduser("~"), ".cache", "qkcalc")
-
-
-def _default_backends(poset: CominusculePoset) -> list:
-    """Backends to try without --backend: exact up to 20 classes, then mod-p
-    for a space whose exact grid is out of reach."""
-    return ["exact", "mod-p"] if len(poset.shape_masks) <= 20 else ["mod-p"]
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +190,14 @@ def _load_or_build_table(args, poset, product=None) -> tuple:
     qmax = args.qmax if args.qmax is not None else bound
     D = next((qmax << i for i in range(3) if qmax << i >= bound), qmax << 3)
     cache_dir = args.cache_dir or _default_cache_dir()
-    names = [args.backend] if args.backend else _default_backends(poset)
+    # without --backend: exact, then mod-p if the exact grid is out of reach
+    names = [args.backend] if args.backend else ["exact", "mod-p"]
     descs = [make_field(poset, b, seed=args.seed) for b in names]
     space = str(poset.space)
     for desc in descs:
-        # under the default rule a mod-p file answers a space of at most 20
-        # classes only if its exact build was out of reach; a readable file
-        # without that mark is passed over, not unreadable
+        # under the default rule a mod-p file answers only if the space's
+        # exact build was out of reach; a readable file without that mark is
+        # passed over, not unreadable
         flag = None if desc is descs[0] else _FALLBACK_FLAG
         cached = load_table(space, D, desc, cache_dir, product=product, flag=flag)
         if cached is not None:

@@ -306,6 +306,12 @@ class CominusculePoset:
 
         total = tuple(sum(col) for col in zip(*self.boxes))
         self.fano_index = rs.pairing(total, self.gamma_root)
+        # the largest exponent of x_i = e^{-alpha_i} over the QK_T table:
+        # -w0 of the sum of the boxes, fano_index * omega_{gamma*} in
+        # simple-root coordinates.  It matched a line probe's degrees on 27
+        # spaces up to E6; the exact build's certificate, not this count,
+        # is what makes its tables right.
+        self.table_degrees = tuple(-c for c in mat_apply(self._w0, total))
 
     # -- construction helpers ------------------------------------------------
 

@@ -25,22 +25,21 @@ with small integer coefficients, by dense interpolation (Brown's modular
 method) modulo _INTERPOLATION_PRIME, the largest prime below 2^24, where
 its products are one float64 limb (below).  The 31-bit primes stay where
 they are outputs (the mod-p backend, backend agreement), so agreement checks
-an exact table at primes its build never used.  L = M_{s_gamma} is a column
-of the table, so its degrees bound the table's from below, and a grid that
-they already put out of reach is refused before any solve.  Then line
-probes through a random point find the degree in each x_i, all pending
-variables' lines in one solve per rung of t = 8, 16, ... nodes (in batches
-where one solve would pass the grid guard), until the interpolant's degree
-falls below t - 1 (early termination, after Kaltofen and Lee); the solve runs on the tensor grid of that many random
-nonzero nodes per variable, in blocks of columns; the inverse Vandermonde
-matrix of each axis turns the values of the live entries, those nonzero at
-some point, into coefficients, lifted to the symmetric range (-p/2, p/2).
-The grid guard counts D + 1 layers whatever S is.  The candidate is then certified exactly: M_v L = L M_v
-(verify_ms_equations) and M_v e_1 = e_v (the identity row).  L is cyclic, so
-its commutant holds exactly one operator sending e_1 to e_v, and a candidate
-that passes is the true table whatever the degree box or the prime.  A failed
-certificate redraws the nodes once with a doubled box, a singular node on the
-same box; a second failure raises QKRingError.
+an exact table at primes its build never used.  The grid is computed once,
+before any solve: one more random nonzero node per variable than the
+table's degree in x_i, which the poset gives in closed form
+(CominusculePoset.table_degrees), so a grid past the guard is refused
+before any solver is built, with its real size.  The guard counts D + 1
+layers whatever S is.  One solve runs on the tensor grid, in blocks of
+columns; the inverse Vandermonde matrix of each axis turns the values of
+the live entries, those nonzero at some point, into coefficients, lifted to
+the symmetric range (-p/2, p/2).  The candidate is then certified exactly:
+M_v L = L M_v (verify_ms_equations) and M_v e_1 = e_v (the identity row).  L
+is cyclic, so its commutant holds exactly one operator sending e_1 to e_v,
+and a candidate that passes is the true table whatever the degree box or the
+prime.  A failed certificate redraws the nodes once with a doubled box, a
+singular node on the same box; a second failure raises QKRingError.  So a
+closed form that under-counts a degree costs a redraw, never a wrong table.
 
 The certificate and the verify checks multiply exactly on term arrays: the
 terms of the table and of L as numpy arrays of int64 codes, each an entry
@@ -402,9 +401,9 @@ class _ModPSolver:
         return Mt.reshape(n, D + 1, k, k, len(vs)).transpose(0, 4, 1, 3, 2)
 
     def blocks(self):
-        """(vs, columns(vs)) over all v in blocks of about _PROBE_ENTRIES entries,
+        """(vs, columns(vs)) over all v in blocks of about _BLOCK_ENTRIES entries,
         a larger column alone: larger arrays cost more than they save in calls."""
-        step = max(1, _PROBE_ENTRIES // (len(self.L) * (self.D + 1) * self.k**2))
+        step = max(1, _BLOCK_ENTRIES // (len(self.L) * (self.D + 1) * self.k**2))
         for v in range(0, self.k, step):
             vs = range(v, min(v + step, self.k))
             yield vs, self.columns(vs)
@@ -424,47 +423,6 @@ def _interpolation_matrix(xs, p: int) -> np.ndarray:
     return _inverse_mod(V, p)
 
 
-def _degree_probe(L: np.ndarray, D: int, p: int, rng: random.Random, S: int) -> list:
-    """Nodes per variable for dense interpolation: one more than the table's
-    degree in x_i, read off a line along x_i through a random point.  A rung
-    of t nodes solves the lines of all pending variables at once, mod
-    q^{S+1}, in batches within the grid guard of truncation D; a variable
-    goes on to 2t while its interpolant's degree reaches t - 1."""
-    k, rank = L.shape[-1], L.flat[0].rank
-    base = [rng.randrange(1, p) for _ in range(rank)]
-    # the least nodes each x_i is known to need: L = M_{s_gamma} is a column
-    # of the table, so the table's degrees are at least L's, and a grid that
-    # L already puts out of reach is refused before any solve
-    need = (1 - _terms(L)[1].min(axis=0, initial=0)).tolist()
-    _check_grid(need, D, k)
-    # the points one solve may hold: a batch stays within the grid guard, or
-    # is a single line
-    pending, fit = list(range(rank)), _GRID_ENTRIES // ((D + 1) * k * k)
-    for t in (8, 16, 32, 64, 128):
-        lines = [(i, rng.sample(range(1, p), t)) for i in pending]
-        step = max(1, fit // t)
-        for batch in (lines[at:at + step] for at in range(0, len(lines), step)):
-            nodes = np.array([base[:i] + [x] + base[i + 1:] for i, xs in batch for x in xs], dtype=np.int64)
-            solver, Vinv = _ModPSolver(L, S, p, nodes), _interpolation_matrix([xs for _, xs in batch], p)
-            ids, top = [i for i, _ in batch], np.zeros(len(batch), dtype=np.int64)
-            for _, M in solver.blocks():
-                c = _matmul_mod(Vinv, M.reshape(len(batch), t, -1), p)
-                # the degree of each line: its last nonzero coefficient row
-                top = np.maximum(top, t - 1 - c.any(axis=2)[:, ::-1].argmax(axis=1))
-                # stop as soon as the grid is known to be out of reach: need
-                # and the degrees seen so far are both lower bounds
-                bound = np.array(need)
-                bound[ids] = np.maximum(bound[ids], top + 1)
-                _check_grid(bound.tolist(), D, k)
-            for i, deg in zip(ids, top.tolist()):
-                need[i] = deg + 1
-        pending = [i for i in pending if need[i] == t]
-        if not pending:
-            return need
-    # a constant that is not a polynomial in x_i would never terminate
-    raise QKRingError(f"table degree in x_{pending[0] + 1} exceeds {t - 2}")
-
-
 # The exact build's prime, the largest below 2^24: a product mod p of inner
 # dimension n is one float64 limb when 2 * 24 + ceil(log2 n) <= 53
 # (_matmul_mod), that is up to n = 32.  The lift needs |coefficients| < p/2.
@@ -472,26 +430,20 @@ _INTERPOLATION_PRIME = 16777213
 # The solve keeps a few int64 arrays of (grid points, D+1, k, k) entries;
 # past this many entries each of them would pass 64 MB.
 _GRID_ENTRIES = 1 << 23
-# the probe's and the interpolation's blocks; measured level from 2^16 to
-# 2^18 on E6 and on the small spaces
-_PROBE_ENTRIES = 1 << 17
-
-
-def _check_grid(counts: list, D: int, k: int) -> None:
-    """Refuse a grid of at least prod(counts) points that is out of reach; the
-    probe checks its lower bounds as it goes, so it stops as soon as it knows."""
-    if prod(counts) * (D + 1) * k * k > _GRID_ENTRIES:
-        points = prod(counts)
-        raise GridOutOfReach(f"exact interpolation needs a grid of at least {points} points; use the mod-p backend")
+# the grid's column blocks, the term joins and the positivity slices;
+# measured level from 2^16 to 2^18 on E6 and on the small spaces
+_BLOCK_ENTRIES = 1 << 17
 
 
 def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: random.Random, S: int):
     """Layers C[d, w, u], d <= S, of every M_v over the group ring,
     interpolated from the solve mod q^{S+1} on a grid of counts[i] random
-    nonzero nodes per variable, in blocks of columns of about _PROBE_ENTRIES
-    entries (a larger column alone); the grid guard is that of truncation D."""
-    rank, k = len(counts), L.shape[-1]
-    _check_grid(counts, D, k)
+    nonzero nodes per variable, in blocks of columns of about _BLOCK_ENTRIES
+    entries (a larger column alone).  A grid past the guard of truncation D
+    is refused before the solver is built."""
+    rank, k, points = len(counts), L.shape[-1], prod(counts)
+    if points * (D + 1) * k * k > _GRID_ENTRIES:
+        raise GridOutOfReach(f"exact interpolation needs a grid of {points} points; use the mod-p backend")
     axes = [rng.sample(range(1, p), n) for n in counts]
     inverses = [_interpolation_matrix(xs, p) for xs in axes]
     solver = _ModPSolver(L, S, p, np.array(list(iproduct(*axes)), dtype=np.int64))
@@ -505,10 +457,10 @@ def _coefficients(M: np.ndarray, counts: list, inverses: list, p: int) -> list:
     """The terms {exponents: coefficient} of each entry of M[j, ...] in
     row-major order, from its values at the grid points j.  Only the live
     entries, nonzero at some point, are transformed (the transform sends
-    zero values to zero), in slices of about _PROBE_ENTRIES values."""
+    zero values to zero), in slices of about _BLOCK_ENTRIES values."""
     M = M.reshape(len(M), -1)
     live = np.flatnonzero(M.any(axis=0))
-    step = max(1, _PROBE_ENTRIES // len(M))
+    step = max(1, _BLOCK_ENTRIES // len(M))
     terms = [{} for _ in range(M.shape[1])]
     for at in range(0, len(live), step):
         # axes (n_1, ..., n_rank, entries); transforming the leading axis and
@@ -537,27 +489,29 @@ def _certified(table: MultTable) -> bool:
 
 
 def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) -> MultTable:
-    """Probe, interpolate and certify, on two draws of the nodes: after a
-    singular node on the same box, after a failed certificate on a doubled one.
+    """Interpolate and certify, on two draws of the nodes: after a singular
+    node on the same box, after a failed certificate on a doubled one.  The
+    first box has one node more than the table's degree in each x_i.
 
     The solves stop at q^S, S = min(D, d_max), and layers S+1..D are zero:
     the certificate compares untruncated products, so it proves them zero."""
     p, k = _INTERPOLATION_PRIME, L.shape[-1]
     rng = random.Random(f"nodes:{poset.space}:{D}")
     S = min(D, poset.d_max)
-    counts = None
+    counts = [d + 1 for d in poset.table_degrees]
     for _ in range(2):
         try:
-            counts = counts or _degree_probe(L, D, p, rng, S)
             mats = np.full((k, D + 1, k, k), _zero(poset.rs.rank), dtype=object)
             mats[:, :S + 1] = np.stack(list(_interpolated_columns(L, D, counts, p, rng, S)))
             table = _assemble(poset, D, backend, mats)
         except SingularKrylov:
+            failure = "exact interpolation hit a singular Krylov node on its last draw"
             continue
         if _certified(table):
             return table
+        failure = "interpolated table failed its exact certificate"
         counts = [2 * n for n in counts]
-    raise QKRingError("interpolated table failed its exact certificate")
+    raise QKRingError(failure)
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +887,7 @@ def _term_arrays(rank: int, arrays) -> list:
 def _term_matmul(A: _TermArray, B: _TermArray) -> _TermArray:
     """A @ B for term arrays of shapes (J, n, m) and (J, m, r): a join of
     each term of A with the terms of B in the row its column names.  The
-    pairs run in blocks of A's terms, about _PROBE_ENTRIES pairs each (more
+    pairs run in blocks of A's terms, about _BLOCK_ENTRIES pairs each (more
     when one term alone has more), and each block is collected on its own,
     so an entry may keep a key in several blocks; comparisons collect again."""
     J, n, m = A.shape
@@ -956,8 +910,8 @@ def _term_matmul(A: _TermArray, B: _TermArray) -> _TermArray:
     # pair number p of A's term a is with B's term p - shift[a]
     shift = end - count - first[t]
     total = int(end[-1]) if len(end) else 0
-    # the term holding pair 0, pair _PROBE_ENTRIES, ... starts each block
-    cuts = list(dict.fromkeys(end.searchsorted(np.arange(0, total, _PROBE_ENTRIES), side="right").tolist()))
+    # the term holding pair 0, pair _BLOCK_ENTRIES, ... starts each block
+    cuts = list(dict.fromkeys(end.searchsorted(np.arange(0, total, _BLOCK_ENTRIES), side="right").tolist()))
     parts = []
     for lo, hi in zip(cuts, cuts[1:] + [len(at)]):
         a = np.arange(lo, hi).repeat(count[lo:hi])
@@ -1039,7 +993,7 @@ def verify_positivity_signs(table: MultTable) -> dict:
     an entry's y-coefficients are its dense box of x-coefficients times the
     Pascal matrix P[m, j] = C(m, j) along each axis; a term with a positive
     exponent fails its entry.  Each column M_v is transformed over the box of
-    its own terms, in blocks of about _PROBE_ENTRIES values: in int64 where
+    its own terms, in blocks of about _BLOCK_ENTRIES values: in int64 where
     the bound |y-coefficient| <= ||g||_1 2^(sum(n_i - 1)) stays below 2^63,
     in Python ints past that.
 
@@ -1064,7 +1018,7 @@ def verify_positivity_signs(table: MultTable) -> dict:
     for start, stop in zip(runs, runs[1:]):
         first, last = np.searchsorted(row, [start, stop])
         n = (m[first:last][keep[first:last]].max(axis=0, initial=0) + 1).tolist()
-        step = max(1, _PROBE_ENTRIES // prod(n))
+        step = max(1, _BLOCK_ENTRIES // prod(n))
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
             first, last = np.searchsorted(row, [lo, hi])

@@ -302,15 +302,33 @@ def test_output_does_not_depend_on_other_cached_truncations(capsys, tmp_path):
     assert run(capsys, *argv, cache) == clean
 
 
-@pytest.mark.parametrize("space", ["E7", "Gr(4,8)", "OG(6,12)", "LG(5,10)", "Q(17)"])
+# points of the exact interpolation grid, the product of table_degrees + 1
+REFUSED_GRIDS = {
+    "E7": 51593338720,
+    "Gr(4,8)": 5817825,
+    "OG(6,12)": 3902976,
+    "LG(5,10)": 691600,
+    "Q(17)": 198359290368,
+    "E6": 17751825,
+    "Gr(3,7)": 163800,
+    "Gr(3,6)": 7840,
+    "LG(4,8)": 11616,
+    "OG(5,10)": 45045,
+    "Gr(1,8)": 40320,
+}
+
+
+@pytest.mark.parametrize("space", list(REFUSED_GRIDS))
 def test_exact_build_is_refused_before_any_solve(capsys, tmp_path, monkeypatch, space):
-    # the degrees of the divisor alone put these grids out of reach
+    # the grid is known before any work, so a refusal builds no solver and
+    # states the grid's real size
     def refuse(*args):
         raise AssertionError("a solve started before the refusal")
 
     monkeypatch.setattr(qkring, "_ModPSolver", refuse)
     code, out, err = run(capsys, "table", space, "--backend=exact", f"--cache-dir={tmp_path}")
-    assert code == 1 and out == "" and "use the mod-p backend" in err
+    assert code == 1 and out == ""
+    assert f"needs a grid of {REFUSED_GRIDS[space]} points; use the mod-p backend" in err
 
 
 def test_truncated_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch):
@@ -737,37 +755,37 @@ def test_loaded_modp_table_is_the_read_only_array(capsys, tmp_path, monkeypatch)
     assert code == 1 and "fail" in out and builds == []
 
 
-@pytest.mark.parametrize("space", ["Gr(3,6)", "LG(4,8)", "Gr(1,8)"])
+@pytest.mark.parametrize("space", ["Gr(3,6)", "LG(4,8)", "Gr(1,8)", "E6"])
 def test_default_backend_falls_back_to_modp(capsys, tmp_path, monkeypatch, space):
-    # at most 20 classes, but the exact grid is out of reach: mod-p, with one
-    # line on stderr saying so
+    # the exact grid is out of reach: mod-p, with one line on stderr saying so
     cache = f"--cache-dir={tmp_path}"
     code, out, err = run(capsys, "table", space, cache)
     assert code == 0 and "backend=mod-p" in out
     assert len(err.splitlines()) == 1 and "building mod-p" in err
     assert run(capsys, "table", space, "--backend=mod-p", cache) == (0, out, "")
 
-    # a warm query reads the mod-p file without probing the exact grid
+    # a warm query reads the mod-p file without building
     def refuse(*args):
-        raise AssertionError("a warm query probed the exact grid")
+        raise AssertionError("a warm query started a build")
 
-    monkeypatch.setattr(qkring, "_degree_probe", refuse)
+    monkeypatch.setattr(qkring, "_ModPSolver", refuse)
     monkeypatch.setattr(cli, "full_table", refuse)
     assert run(capsys, "table", space, cache) == (0, out, "")
-    code, _, err = run(capsys, "product", space, "1", "1", cache)
+    poset = build_cominuscule(space)
+    u = poset.format_shape(poset.shapes()[1])
+    code, _, err = run(capsys, "product", space, u, u, cache)
     assert code == 0 and err == ""
 
 
 def test_default_fallback_refuses_after_one_probe_rung(capsys, tmp_path, monkeypatch):
-    # P^7's degrees are 1, ..., 7: the first rung of 8 nodes finds six of
-    # them, and the seventh reaches 7, so it needs at least 8 nodes and the
-    # grid at least 8! points, out of reach; then the mod-p point
+    # P^7's degrees are 1, ..., 7, so its grid has 8! points, out of reach:
+    # the only solver built is the mod-p point's
     built = []
     solver = qkring._ModPSolver
     monkeypatch.setattr(qkring, "_ModPSolver", lambda *args: built.append(solver(*args)) or built[-1])
     code, out, err = run(capsys, "table", "Gr(1,8)", f"--cache-dir={tmp_path}")
-    assert code == 0 and "backend=mod-p" in out and "at least 40320 points" in err
-    assert [len(s.L) for s in built] == [7 * 8, 1]
+    assert code == 0 and "backend=mod-p" in out and "a grid of 40320 points" in err
+    assert [len(s.L) for s in built] == [1]
 
 
 def test_default_backend_reads_the_exact_file_first(capsys, tmp_path, monkeypatch):

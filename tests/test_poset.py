@@ -80,6 +80,49 @@ def test_fano_index_table(posets):
         assert posets[s].fano_index == f, s
 
 
+# nodes per variable of the exact interpolation grid, one more than the
+# table's degree in each x_i, as a line probe through a random point found
+# them before the closed form table_degrees replaced it
+PROBED_NODES = {
+    "P1": [2],
+    "Gr(1,4)": [2, 3, 4],
+    "Gr(1,6)": [2, 3, 4, 5, 6],
+    "Gr(1,7)": [2, 3, 4, 5, 6, 7],
+    "Gr(1,8)": [2, 3, 4, 5, 6, 7, 8],
+    "LG(2,4)": [4, 4],
+    "Q(3)": [4, 4],
+    "Gr(2,4)": [3, 5, 3],
+    "Q(4)": [5, 3, 3],
+    "Q(5)": [6, 6, 6],
+    "Gr(2,5)": [3, 5, 7, 4],
+    "Gr(3,5)": [4, 7, 5, 3],
+    "LG(3,6)": [5, 9, 7],
+    "Q(6)": [7, 7, 4, 4],
+    "OG(4,8)": [4, 7, 4, 7],
+    "Q(7)": [8, 8, 8, 8],
+    "Gr(2,6)": [3, 5, 7, 9, 5],
+    "Gr(4,6)": [5, 9, 7, 5, 3],
+    "Q(8)": [9, 9, 9, 5, 5],
+    "Q(9)": [10, 10, 10, 10, 10],
+    "Gr(3,6)": [4, 7, 10, 7, 4],
+    "LG(4,8)": [6, 11, 16, 11],
+    "OG(5,10)": [5, 9, 13, 11, 7],
+    "Gr(2,7)": [3, 5, 7, 9, 11, 6],
+    "Gr(5,7)": [6, 11, 9, 7, 5, 3],
+    "Gr(3,7)": [4, 7, 10, 13, 9, 5],
+    "E6": [17, 13, 21, 25, 17, 9],
+}
+
+
+def test_table_degrees_match_the_probed_nodes():
+    for s, nodes in PROBED_NODES.items():
+        poset = build_cominuscule(s)
+        assert [d + 1 for d in poset.table_degrees] == nodes, s
+        # fano_index * omega_{gamma*}, where -w0 sends gamma to gamma*
+        dual = poset._w0[poset.rs.cominuscule].index(-1)
+        assert poset.table_degrees == tuple(poset.fano_index * x for x in poset.rs.fundamental_weight(dual)), s
+
+
 def test_masks_are_ideals_and_closed_under_lattice_ops(posets):
     for s in ("Gr(2,4)", "LG(3,6)", "Q(4)", "E6"):
         poset = posets[s]

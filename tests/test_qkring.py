@@ -84,8 +84,7 @@ def test_divisor_column_matches_chevalley(gr24_table):
                 got[wm] = p.truncate(table.D)
         want = {m: p.truncate(table.D) for m, p in want.items()}
         assert got == want
-    # the divisor array is that column, L[d, w, u] = mats[s_gamma, d, w, u],
-    # which the degree probe's floor relies on
+    # the divisor array is that column, L[d, w, u] = mats[s_gamma, d, w, u]
     L = qkring.divisor_matrix(poset)
     assert (table.mats[si, :2] == L).all() and not table.mats[si, 2:].astype(bool).any()
     assert not L.flags.writeable and qkring.divisor_matrix(poset) is L
@@ -357,7 +356,7 @@ POSITIVITY_MUTATIONS = ("flip", "positive-exponent", "flip-past-the-cap", "huge-
 def test_positivity_report_matches_the_per_term_expansion(monkeypatch, space, change, entries):
     table = _exact(space) if change is None else _positivity_mutant(space, change)
     if entries is not None:
-        monkeypatch.setattr(qkring, "_PROBE_ENTRIES", entries)
+        monkeypatch.setattr(qkring, "_BLOCK_ENTRIES", entries)
     want = _positivity_reference(table)
     assert verify_positivity_signs(table) == want
     assert want["checked"] == len(_nonzero(table))
@@ -689,18 +688,22 @@ def test_exact_build_redraws_after_a_failed_certificate(monkeypatch):
     # the certificate rejects them and the doubled box gives the true table
     outcomes = []
     certified = qkring._certified
-    monkeypatch.setattr(qkring, "_degree_probe", lambda *args: [3, 4, 3])
+    poset = build_cominuscule("Gr(2,4)")
+    monkeypatch.setattr(poset, "table_degrees", (2, 3, 2))
     monkeypatch.setattr(qkring, "_certified", lambda t: outcomes.append(certified(t)) or outcomes[-1])
-    table = full_table(build_cominuscule("Gr(2,4)"))
+    table = full_table(poset)
     assert outcomes == [False, True]
     assert _digest(table) == PINNED_EXACT_TABLES["Gr(2,4)"]
 
 
 def test_exact_build_refuses_a_grid_out_of_reach(monkeypatch):
     # 8e6 nodes would take gigabytes; the build stops before allocating them
-    monkeypatch.setattr(qkring, "_degree_probe", lambda *args: [200, 200, 200])
-    with pytest.raises(qkring.QKRingError, match="mod-p backend"):
-        full_table(build_cominuscule("Gr(2,4)"))
+    poset = build_cominuscule("Gr(2,4)")
+    monkeypatch.setattr(poset, "table_degrees", (199, 199, 199))
+    solvers = _recording_solvers(monkeypatch)
+    with pytest.raises(qkring.GridOutOfReach, match="a grid of 8000000 points; use the mod-p backend"):
+        full_table(poset)
+    assert solvers == []
 
 
 def _recording_solvers(monkeypatch) -> list:
@@ -711,67 +714,26 @@ def _recording_solvers(monkeypatch) -> list:
     return built
 
 
-def _recording_nodes(monkeypatch) -> list:
-    """The points of every _ModPSolver built from now on, in order."""
-    built = []
-    solver = qkring._ModPSolver
-    monkeypatch.setattr(qkring, "_ModPSolver", lambda *args: built.append(args[3]) or solver(*args))
-    return built
-
-
-def test_degree_probe_stops_at_the_grid_guard(monkeypatch):
-    # once the degrees of L put the grid out of reach, the probe refuses
-    # before any solve
-    monkeypatch.setattr(qkring, "_GRID_ENTRIES", 1)
-    lines = _recording_nodes(monkeypatch)
-    with pytest.raises(qkring.QKRingError, match="mod-p backend"):
-        full_table(build_cominuscule("Gr(2,4)"))
-    assert lines == []
-
-
-@pytest.mark.parametrize("space, fit, sizes", [
-    ("P1", 2, [8, 2]),  # a line of 8 alone, then the grid
-    ("Gr(2,4)", 5, []),  # L's degrees alone put the grid out of reach
-    ("Gr(2,4)", 20, [16]),  # two lines of 8, then the refusal
-])
-def test_degree_probe_solves_stay_within_the_grid_guard(monkeypatch, space, fit, sizes):
-    # with room for `fit` grid points, a probe solve holds at most that many
-    # points unless it is a single line
-    poset = build_cominuscule(space)
-    D, k = qkring.default_truncation(poset), len(poset.shape_masks)
-    monkeypatch.setattr(qkring, "_GRID_ENTRIES", fit * (D + 1) * k * k)
-    built = _recording_nodes(monkeypatch)
-    if space == "P1":
-        assert _digest(full_table(poset)) == PINNED_EXACT_TABLES[space]
-    else:
-        with pytest.raises(qkring.QKRingError, match="mod-p backend"):
-            full_table(poset)
-    assert [len(nodes) for nodes in built] == sizes
-    assert all(len(nodes) <= fit or np.count_nonzero(np.ptp(nodes, axis=0)) == 1 for nodes in built)
-
-
 @pytest.mark.parametrize("one_column", [False, True], ids=["blocks", "one-column"])
 @pytest.mark.parametrize("space", ["P1", "LG(2,4)", "Q(3)", "Gr(2,4)", "Q(4)", "Q(5)"])
 def test_exact_build_runs_two_batched_solves(monkeypatch, space, one_column):
-    # one probe rung for all variables and one grid; the grid's columns come
-    # in blocks of at most _PROBE_ENTRIES entries, or one column at a time
+    # one solve, on the grid of table_degrees + 1 nodes per variable; its
+    # columns come in blocks of at most _BLOCK_ENTRIES entries, or one
+    # column at a time
     poset = build_cominuscule(space)
-    k, rank = len(poset.shape_masks), poset.rs.rank
+    k = len(poset.shape_masks)
     if one_column:
-        monkeypatch.setattr(qkring, "_PROBE_ENTRIES", 1)
-    calls = []
+        monkeypatch.setattr(qkring, "_BLOCK_ENTRIES", 1)
+    grid = []
     columns = qkring._ModPSolver.columns
-    monkeypatch.setattr(qkring._ModPSolver, "columns", lambda solver, vs: calls.append((solver, len(vs))) or columns(solver, vs))
+    monkeypatch.setattr(qkring._ModPSolver, "columns", lambda solver, vs: grid.append(len(vs)) or columns(solver, vs))
     solvers = _recording_solvers(monkeypatch)
     assert _digest(full_table(poset)) == PINNED_EXACT_TABLES[space]
-    assert len(solvers) == 2 and len(solvers[0].L) == rank * 8
-    if not one_column:
-        assert [n for solver, n in calls if solver is solvers[0]] == [k]
-    grid = [n for solver, n in calls if solver is solvers[1]]
-    size = len(solvers[1].L) * (solvers[1].D + 1) * k * k  # entries of one column
-    assert sum(grid) == k and all(n == 1 or n * size <= qkring._PROBE_ENTRIES for n in grid)
+    assert len(solvers) == 1 and len(solvers[0].L) == math.prod(d + 1 for d in poset.table_degrees)
+    size = len(solvers[0].L) * (solvers[0].D + 1) * k * k  # entries of one column
+    assert sum(grid) == k and all(n == 1 or n * size <= qkring._BLOCK_ENTRIES for n in grid)
     # every block but the last is as large as the bound allows
-    assert all((n + 1) * size > qkring._PROBE_ENTRIES for n in grid[:-1])
+    assert all((n + 1) * size > qkring._BLOCK_ENTRIES for n in grid[:-1])
 
 
 @pytest.mark.parametrize("double", [False, True], ids=["default-D", "doubled-D"])
@@ -784,7 +746,7 @@ def test_exact_solves_stop_at_d_max(monkeypatch, space, double):
     D = 2 * default if double else default
     solvers = _recording_solvers(monkeypatch)
     table = full_table(poset, D=D)
-    assert len(solvers) == 2 and [solver.D for solver in solvers] == [min(D, poset.d_max)] * 2
+    assert [solver.D for solver in solvers] == [min(D, poset.d_max)]
     assert table.D == D and table.mats.shape == (table.k, D + 1, table.k, table.k)
     assert all(g.is_zero() for g in table.mats[:, poset.d_max + 1:].flat)
     if double:
@@ -815,18 +777,6 @@ def test_exact_refusals_stay_where_they_are(space, builds):
             full_table(poset)
 
 
-@pytest.mark.parametrize("space", ["Gr(3,7)", "E6"])
-def test_degree_probe_refuses_in_the_middle_of_a_rung(monkeypatch, space):
-    # the degrees seen in the first columns already put the grid out of
-    # reach, so the probe stops before it has solved every column
-    solved = []
-    columns = qkring._ModPSolver.columns
-    monkeypatch.setattr(qkring._ModPSolver, "columns", lambda solver, vs: solved.append(len(vs)) or columns(solver, vs))
-    poset = build_cominuscule(space)
-    with pytest.raises(qkring.GridOutOfReach, match="mod-p backend"):
-        full_table(poset)
-    assert 0 < sum(solved) < len(poset.shape_masks)
-
 # sha256 of the exact cache file that save_table writes, recorded at the
 # parent of the batched probe
 PINNED_EXACT_CACHE_FILES = {
@@ -840,31 +790,6 @@ def test_exact_cache_file_bytes_are_pinned(tmp_path, space):
     path = save_table(full_table(build_cominuscule(space)), str(tmp_path))
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == PINNED_EXACT_CACHE_FILES[space]
-
-
-@pytest.mark.parametrize("entries", [qkring._PROBE_ENTRIES, 8100], ids=["one-call", "chunked"])
-def test_degree_probe_solves_a_line_in_few_calls(monkeypatch, entries):
-    # all columns of a probe rung in one call, split only where a call would
-    # hold more than _PROBE_ENTRIES entries: Gr(2,4)'s rung of three lines of
-    # 8 nodes, solved mod q^{d_max+1}, holds 15552
-    calls = {}
-    columns = qkring._ModPSolver.columns
-
-    def recording(solver, vs):
-        calls.setdefault(solver, []).append(len(vs))
-        return columns(solver, vs)
-
-    monkeypatch.setattr(qkring, "_PROBE_ENTRIES", entries)
-    monkeypatch.setattr(qkring._ModPSolver, "columns", recording)
-    poset = build_cominuscule("Gr(2,4)")
-    dv, D, k = qkring.divisor_matrix(poset), qkring.default_truncation(poset), len(poset.shape_masks)
-    rng = random.Random(f"nodes:{poset.space}:{D}")
-    assert qkring._degree_probe(dv, D, P0, rng, poset.d_max) == [3, 5, 3]
-    assert all(sum(sizes) == k for sizes in calls.values())
-    assert all(len(solver.L) * n * (solver.D + 1) * k * k <= entries for solver, sizes in calls.items() for n in sizes)
-    split = [len(sizes) > 1 for sizes in calls.values()]
-    assert any(split) if entries == 8100 else not any(split)
-    assert _digest(full_table(poset)) == PINNED_EXACT_TABLES["Gr(2,4)"]
 
 
 def test_exact_build_redraws_a_singular_node(monkeypatch):
@@ -883,6 +808,25 @@ def test_exact_build_redraws_a_singular_node(monkeypatch):
     # the second draw keeps the box: only a failed certificate doubles it
     assert len(calls) == 2 and calls[1][2] == calls[0][2] == [3, 5, 3]
     assert _digest(table) == PINNED_EXACT_TABLES["Gr(2,4)"]
+
+
+def test_exact_build_names_a_singular_node_on_both_draws(monkeypatch):
+    # two singular draws are reported as such, not as a failed certificate
+    def singular(*args):
+        raise SingularKrylov("Krylov matrix is singular mod q")
+
+    monkeypatch.setattr(qkring, "_interpolated_columns", singular)
+    with pytest.raises(qkring.QKRingError) as err:
+        full_table(build_cominuscule("Gr(2,4)"))
+    assert type(err.value) is qkring.QKRingError
+    assert "singular Krylov node" in str(err.value) and "certificate" not in str(err.value)
+
+
+@pytest.mark.parametrize("space", EXACT_BUILD_SPACES + ("Q(6)",))
+def test_table_degrees_are_the_largest_exponents(space):
+    # the closed form is reached: the table's largest degree in each x_i
+    exps = qkring._terms(_exact(space).mats)[1]
+    assert tuple((-exps).max(axis=0).tolist()) == build_cominuscule(space).table_degrees
 
 
 P0 = DEFAULT_PRIMES[0]
@@ -1169,9 +1113,9 @@ def test_term_arrays_act_like_their_dense_forms(pair, row, small_blocks):
     want = np.zeros((J, n, B.shape[2], 5), dtype=np.int64)
     for k1, k2 in itertools.product(range(3), repeat=2):
         want[..., k1 + k2] += DA[..., k1] @ DB[..., k2]
-    entries = 1 if small_blocks else qkring._PROBE_ENTRIES
+    entries = 1 if small_blocks else qkring._BLOCK_ENTRIES
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qkring, "_PROBE_ENTRIES", entries)
+        mp.setattr(qkring, "_BLOCK_ENTRIES", entries)
         got = qkring._term_matmul(A, B)
     assert np.array_equal(_densify(got, 5), want)
     # != marks the entries whose polynomials differ
@@ -1217,7 +1161,7 @@ def test_term_checks_report_what_the_dict_kernel_reports(monkeypatch, space, cha
     table = _check_mutant(space, change, seed)
     want = _dict_reports(monkeypatch, table)
     if entries is not None:
-        monkeypatch.setattr(qkring, "_PROBE_ENTRIES", entries)
+        monkeypatch.setattr(qkring, "_BLOCK_ENTRIES", entries)
     assert [verify_ms_equations(table), verify_associativity(table)] == want
     assert "fail" in {r["status"] for r in want}
 
@@ -1331,11 +1275,11 @@ def _dense_coefficients(M, counts, inverses, p):
     ]
 
 
-@pytest.mark.parametrize("entries", [qkring._PROBE_ENTRIES, 12], ids=["one-slice", "slices"])
+@pytest.mark.parametrize("entries", [qkring._BLOCK_ENTRIES, 12], ids=["one-slice", "slices"])
 def test_coefficients_transform_only_live_entries(monkeypatch, entries):
     # a block of zero entries, and one whose entries are nonzero at a single
     # grid point (and a dense one beside them)
-    monkeypatch.setattr(qkring, "_PROBE_ENTRIES", entries)
+    monkeypatch.setattr(qkring, "_BLOCK_ENTRIES", entries)
     rng = np.random.default_rng(7)
     counts = [2, 3]
     inverses = [qkring._interpolation_matrix(rng.choice(np.arange(1, 1000), n, replace=False), P0) for n in counts]
@@ -1593,20 +1537,19 @@ def test_matmul_mod_is_exact_at_the_interpolation_prime(monkeypatch, n, limbs, k
 
 
 def test_exact_builds_interpolate_at_the_interpolation_prime(monkeypatch):
-    # the probe and every solve of an exact build run mod the 24-bit prime;
-    # backend agreement still checks the table at the 31-bit primes
+    # the solve of an exact build runs mod the 24-bit prime; backend
+    # agreement still checks the table at the 31-bit primes
     seen = []
-    probe, solver = qkring._degree_probe, qkring._ModPSolver
-    monkeypatch.setattr(qkring, "_degree_probe", lambda L, D, p, *rest: seen.append(("probe", p)) or probe(L, D, p, *rest))
-    monkeypatch.setattr(qkring, "_ModPSolver", lambda L, D, p, nodes: seen.append(("solver", p)) or solver(L, D, p, nodes))
+    solver = qkring._ModPSolver
+    monkeypatch.setattr(qkring, "_ModPSolver", lambda L, D, p, nodes: seen.append(p) or solver(L, D, p, nodes))
     poset = build_cominuscule("Gr(2,4)")
     table = full_table(poset)
     assert _digest(table) == PINNED_EXACT_TABLES["Gr(2,4)"]
-    assert {who for who, _ in seen} == {"probe", "solver"} and {p for _, p in seen} == {PI}
+    assert seen == [PI]
     seen.clear()
     tables = modp_tables(poset, D=table.D)
     assert [t.backend["p"] for t in tables] == [p for p in DEFAULT_PRIMES[:2] for _ in range(2)]
-    assert {p for _, p in seen} == set(DEFAULT_PRIMES[:2])
+    assert set(seen) == set(DEFAULT_PRIMES[:2])
     assert tables_agree(table, *tables)
 
 
