@@ -11,7 +11,14 @@ Main entry points:
     build_cominuscule(space)   poset + root system for "Gr(3,7)", "LG(4,8)", ...
     qkt_chevalley, sgamma_star quantum Chevalley products of O^{s_gamma}
     full_table(poset)          all structure constants, certified in q-degree
-    verify_ktchev2, lg_oracle_chi, ms_solve_classical    independent oracles
+    load_table, save_table     the table cache (qkcalc.store)
+
+The independent oracles live in their modules: qkcalc.oracles.verify_ktchev2
+and qkcalc.oracles.lg_oracle_chi, qkcalc.cohomology.ms_solve_classical.
+
+`import qkcalc` loads the numpy-free modules: rootsys, gamma, poset,
+chevalley and store.  The solver's names (full_table, MultTable,
+modp_tables, ...) import qkcalc.qkring, and with it numpy, on first use.
 """
 
 __version__ = "0.1.0"
@@ -34,17 +41,20 @@ from .poset import (
     UnsupportedSpace,
     build_cominuscule,
 )
-from .qkring import (
-    MultTable,
-    TruncationTooSmall,
-    full_table,
-    load_table,
-    modp_tables,
-    save_table,
-    specialize,
-    tables_agree,
-)
 from .rootsys import RootSystem, build_root_system
+from .store import load_table, save_table
+
+# the solver's names, imported from qkring on first use (PEP 562)
+_SOLVER_NAMES = ("MultTable", "TruncationTooSmall", "full_table", "modp_tables", "specialize", "tables_agree")
+
+
+def __getattr__(name: str):
+    if name in _SOLVER_NAMES:
+        from . import qkring
+
+        return getattr(qkring, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ChernPolynomial",

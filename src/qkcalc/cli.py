@@ -24,21 +24,30 @@ from .poset import (
     build_cominuscule,
     eps_string,
 )
-from .qkring import (
-    GridOutOfReach,
-    cache_flags,
-    cache_path,
-    default_truncation,
-    full_table,
-    load_table,
-    make_field,
-    modp_tables,
-    save_table,
-    tables_agree,
-    verify_associativity,
-    verify_ms_equations,
-    verify_positivity_signs,
+from .store import cache_path, default_truncation, exact_grid, grid_refusal, load_table, make_field, save_table
+
+# the solver's names, bound in this module on first use (PEP 562), so that
+# a query the cache answers loads neither numpy nor qkring; a name already
+# bound here, a wrapper or a test's stand-in, is kept
+_SOLVER_NAMES = (
+    "full_table", "modp_tables", "tables_agree",
+    "verify_associativity", "verify_ms_equations", "verify_positivity_signs",
 )
+
+
+def _solver() -> None:
+    from . import qkring
+
+    for name in _SOLVER_NAMES:
+        globals().setdefault(name, getattr(qkring, name))
+
+
+def __getattr__(name: str):
+    if name in _SOLVER_NAMES:
+        _solver()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -174,15 +183,10 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-# set in the flags of a mod-p table that the default rule built because the
-# exact build was out of reach
-_FALLBACK_FLAG = "exact_out_of_reach"
-
-
 def _load_or_build_table(args, poset, product=None) -> tuple:
     """The table's backend descriptor and the table, or with product=(u, v)
-    only the (D+1, k) array c[d, w] of q^d O^w in O^u * O^v: read from the
-    cache when a file there answers, else built, saved and sliced."""
+    only the coefficients c[d][w] of q^d O^w in O^u * O^v, as lists: read
+    from the cache when its file answers, else built, saved and sliced."""
     # q-degrees reach d_max (BCMP), so the truncation is known before any
     # work: --qmax, doubled at most three times towards the default, whose
     # certificate fails if it is still short
@@ -190,39 +194,29 @@ def _load_or_build_table(args, poset, product=None) -> tuple:
     qmax = args.qmax if args.qmax is not None else bound
     D = next((qmax << i for i in range(3) if qmax << i >= bound), qmax << 3)
     cache_dir = args.cache_dir or _default_cache_dir()
-    # without --backend: exact, then mod-p if the exact grid is out of reach
-    names = [args.backend] if args.backend else ["exact", "mod-p"]
-    descs = [make_field(poset, b, seed=args.seed) for b in names]
+    # so is the exact grid: without --backend, exact where it is in reach and
+    # mod-p past it, one backend and one cache file
+    refusal = None if args.backend else grid_refusal(exact_grid(poset), D, len(poset.shape_masks))
+    desc = make_field(poset, args.backend or ("mod-p" if refusal else "exact"), seed=args.seed)
     space = str(poset.space)
-    for desc in descs:
-        # under the default rule a mod-p file answers only if the space's
-        # exact build was out of reach; a readable file without that mark is
-        # passed over, not unreadable
-        flag = None if desc is descs[0] else _FALLBACK_FLAG
-        cached = load_table(space, D, desc, cache_dir, product=product, flag=flag)
-        if cached is not None:
-            return desc, cached
-        path = cache_path(space, D, desc, cache_dir)
-        if not os.path.exists(path):
-            continue
-        flags = None if flag is None else cache_flags(space, D, desc, cache_dir)
-        if flags is None or flags.get(flag):
-            _warn(f"ignoring unreadable cache file {path}")
-    for desc in descs:
-        try:
-            table = full_table(poset, D=D, backend=desc)
-            break
-        except GridOutOfReach as e:
-            if desc is descs[-1]:
-                raise
-            _warn(f"exact table out of reach, building mod-p: {e}")
-    if desc is not descs[0]:
-        table.flags[_FALLBACK_FLAG] = True
+    cached = load_table(space, D, desc, cache_dir, product=product)
+    if cached is not None:
+        return desc, cached
+    path = cache_path(space, D, desc, cache_dir)
+    if os.path.exists(path):
+        _warn(f"ignoring unreadable cache file {path}")
+    if refusal:
+        _warn(f"exact table out of reach, building mod-p: {refusal}")
+    _solver()
+    table = full_table(poset, D=D, backend=desc)
     try:
         save_table(table, cache_dir)
     except OSError as e:
         _warn(f"table not cached: {e}")
-    return desc, table if product is None else table.mats[product[1]][:, :, product[0]]
+    if product is None:
+        return desc, table
+    u, v = product
+    return desc, table.mats[v][:, :, u].tolist()
 
 
 def _cmd_product(args) -> int:
@@ -232,14 +226,14 @@ def _cmd_product(args) -> int:
     backend, c = _load_or_build_table(args, poset, product=(poset.index_of(u), poset.index_of(v)))
     exact = backend["kind"] == "exact"
     items = []
-    # c[d, w] is the coefficient of q^d O^w in O^u * O^v
-    for mask, val in zip(poset.shape_masks, c.T.tolist()):
+    # c[d][w] is the coefficient of q^d O^w in O^u * O^v
+    for mask, val in zip(poset.shape_masks, zip(*c)):
         if exact:
             val = QPolynomial(poset.rs.rank, val)
             if not val.is_zero():
                 items.append((mask, val))
         elif any(val):
-            items.append((mask, tuple(val)))
+            items.append((mask, val))
     if args.format == "json":
         obj = {
             "space": str(poset.space),
@@ -273,11 +267,7 @@ def _cmd_table(args) -> int:
     k = table.k
     nonzero = int(table.mats.astype(bool).any(axis=1).sum())
     if args.format == "json":
-        obj = table.to_json_obj()
-        # which query built the table is the cache's business: a marked and
-        # an unmarked mod-p table print the same
-        obj["flags"] = {f: x for f, x in table.flags.items() if f != _FALLBACK_FLAG}
-        print(json.dumps(obj, sort_keys=True))
+        print(json.dumps(table.to_json_obj(), sort_keys=True))
     else:
         print(
             f"table {poset.space}: k={k}, qmax={table.D}, "
@@ -340,6 +330,7 @@ def _suite_lg_oracle(poset, args, table) -> list[dict]:
 
 
 def _suite_table(poset, args, table) -> list[dict]:
+    _solver()
     table = table()
     reports = [
         verify_ms_equations(table),
@@ -358,6 +349,7 @@ def _suite_table(poset, args, table) -> list[dict]:
 
 
 def _suite_positivity(poset, args, table) -> list[dict]:
+    _solver()
     return [verify_positivity_signs(table())]
 
 

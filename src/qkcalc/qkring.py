@@ -66,18 +66,17 @@ up to 32 summands).  The solver takes one product per q-layer, a block row
 of layers times a block column: C_d = -C_0 [K_1 ... K_d][C_{d-1}; ...; C_0] for
 the layers of K^{-1}, and [C_0^T ... C_c^T][W_c^T; ...; W_0^T] for layer c
 of M_v^T.
+
+Backend descriptors, the grid's guard and the table cache live in
+qkcalc.store, which loads no numpy, so that a query the cache answers
+never imports this module; the names are imported back here.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import random
-import tempfile
 from dataclasses import dataclass, field, replace
-from functools import cache
-from itertools import accumulate, product as iproduct
+from itertools import product as iproduct
 from math import comb, prod
 from typing import Callable, NamedTuple
 
@@ -86,14 +85,18 @@ import numpy as np
 from .gamma import (
     DEFAULT_PRIMES,
     GammaElement,
-    GammaError,
     QPolynomial,
-    ZeroAssignment,
     default_assignments,
     exact_divide,  # noqa: F401  perfbench/tracer.py counts calls through this name
 )
 from .chevalley import j_class, j_weight, sgamma_star
-from .poset import CominusculePoset, build_cominuscule
+from .poset import CominusculePoset, build_cominuscule  # noqa: F401  perfbench/tracer.py wraps this name
+# the table store; cache_key, cache_path, load_table and save_table are
+# re-exported, so that qkring.* keeps naming them
+from .store import (  # noqa: F401
+    _decoded, _space_of, _zero, cache_key, cache_path, default_truncation, exact_grid, grid_refusal, load_table,
+    make_field, save_table,
+)
 
 
 class QKRingError(Exception):
@@ -113,7 +116,8 @@ class TruncationTooSmall(QKRingError):
 
 
 class GridOutOfReach(QKRingError):
-    """The exact build's interpolation grid would pass _GRID_ENTRIES."""
+    """The exact build's interpolation grid would pass the store's guard
+    (store.grid_refusal)."""
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +129,6 @@ def _object_array(items: list, shape) -> np.ndarray:
     out = np.empty(len(items), dtype=object)
     out[:] = items
     return out.reshape(shape)
-
-
-@cache
-def _zero(rank: int) -> GammaElement:
-    """The zero that every zero entry of an exact table is: one object per
-    rank, not one per entry (group-ring elements are never changed in place)."""
-    return GammaElement.zero(rank)
 
 
 def _terms(G: np.ndarray):
@@ -202,34 +199,6 @@ def divisor_matrix(poset: CominusculePoset) -> np.ndarray:
     L.flags.writeable = False
     _DIVISOR_CACHE[key] = L
     return L
-
-
-# ---------------------------------------------------------------------------
-# Backends
-
-
-def make_field(poset: CominusculePoset, backend="exact", seed=0) -> dict:
-    """Resolve a backend name ("exact", "mod-p") or check a descriptor dict.
-
-    The result is the descriptor a table carries and its cache key is made
-    of: {"kind": "exact", "rank": r} or {"kind": "mod-p", "rank": r, "p": p,
-    "assignment": [...]}, the residues of the x_i = e^{-alpha_i}.
-    """
-    rank = poset.rs.rank
-    if backend in ("mod-p", "modp"):
-        p = DEFAULT_PRIMES[0]
-        backend = {"kind": "mod-p", "p": p, "assignment": default_assignments(rank, p, 1, seed)[0]}
-    if backend == "exact" or isinstance(backend, dict) and backend.get("kind") == "exact":
-        return {"kind": "exact", "rank": rank}
-    if not isinstance(backend, dict) or backend.get("kind") != "mod-p":
-        raise ValueError(f"unknown backend {backend!r}")
-    p, assignment = backend["p"], backend["assignment"]
-    if len(assignment) != rank:
-        raise GammaError("assignment length does not match rank")
-    if any(t % p == 0 for t in assignment):
-        raise ZeroAssignment("mod-p assignment contains a zero residue")
-    # cache files write the keys in this order
-    return {"kind": "mod-p", "rank": rank, "p": p, "assignment": [t % p for t in assignment]}
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +396,6 @@ def _interpolation_matrix(xs, p: int) -> np.ndarray:
 # dimension n is one float64 limb when 2 * 24 + ceil(log2 n) <= 53
 # (_matmul_mod), that is up to n = 32.  The lift needs |coefficients| < p/2.
 _INTERPOLATION_PRIME = 16777213
-# The solve keeps a few int64 arrays of (grid points, D+1, k, k) entries;
-# past this many entries each of them would pass 64 MB.
-_GRID_ENTRIES = 1 << 23
 # the grid's column blocks, the term joins and the positivity slices;
 # measured level from 2^16 to 2^18 on E6 and on the small spaces
 _BLOCK_ENTRIES = 1 << 17
@@ -441,9 +407,10 @@ def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: rand
     nonzero nodes per variable, in blocks of columns of about _BLOCK_ENTRIES
     entries (a larger column alone).  A grid past the guard of truncation D
     is refused before the solver is built."""
-    rank, k, points = len(counts), L.shape[-1], prod(counts)
-    if points * (D + 1) * k * k > _GRID_ENTRIES:
-        raise GridOutOfReach(f"exact interpolation needs a grid of {points} points; use the mod-p backend")
+    rank, k = len(counts), L.shape[-1]
+    refusal = grid_refusal(counts, D, k)
+    if refusal:
+        raise GridOutOfReach(refusal)
     axes = [rng.sample(range(1, p), n) for n in counts]
     inverses = [_interpolation_matrix(xs, p) for xs in axes]
     solver = _ModPSolver(L, S, p, np.array(list(iproduct(*axes)), dtype=np.int64))
@@ -498,7 +465,7 @@ def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) 
     p, k = _INTERPOLATION_PRIME, L.shape[-1]
     rng = random.Random(f"nodes:{poset.space}:{D}")
     S = min(D, poset.d_max)
-    counts = [d + 1 for d in poset.table_degrees]
+    counts = exact_grid(poset)
     for _ in range(2):
         try:
             mats = np.full((k, D + 1, k, k), _zero(poset.rs.rank), dtype=object)
@@ -587,14 +554,6 @@ class MultTable:
         )
 
 
-def _space_of(obj: dict) -> CominusculePoset:
-    """The space of a table's JSON object, once the table's basis matches it."""
-    poset = build_cominuscule(obj["space"])
-    if tuple(obj["masks"]) != poset.shape_masks:
-        raise QKRingError("cached table does not match the space basis")
-    return poset
-
-
 def _table_array(backend: dict, mats, shape: tuple, rank: int) -> np.ndarray:
     """An array of table layers of the given shape from its JSON form: nested
     lists of GammaElement objects (exact) or of residues (mod-p; an int64
@@ -606,22 +565,6 @@ def _table_array(backend: dict, mats, shape: tuple, rank: int) -> np.ndarray:
     if mats.shape != shape:
         raise ValueError(f"table array of shape {mats.shape}, expected {shape}")
     return mats
-
-
-def _decoded(entries: list, rank: int) -> list:
-    """The GammaElements of a table's JSON entries: the JSON of that rank's
-    zero is _zero(rank), and any other entry, one without "rank" too, goes
-    through GammaElement.from_json_obj (looked up per call, so that a
-    wrapper on the class attribute sees it)."""
-    de, zero = GammaElement.from_json_obj, _zero(rank)
-    blank = zero.to_json_obj()
-    return [zero if x == blank else de(x) for x in entries]
-
-
-def default_truncation(poset: CominusculePoset) -> int:
-    """Smallest D whose certificate can hold: q-degrees reach d_max, and the
-    certificate needs layers D-1 and D to vanish."""
-    return poset.d_max + 2
 
 
 def full_table(poset: CominusculePoset, D: int | None = None, backend="exact") -> MultTable:
@@ -1037,131 +980,3 @@ def verify_positivity_signs(table: MultTable) -> dict:
     rep = _report("positivity-signs", table, list(zip(u, v, w, d)), {"checked": len(entries)})
     rep["note"] = "conjectural sign condition, report only"
     return rep
-
-
-# ---------------------------------------------------------------------------
-# Table cache
-#
-# A cache file starts with one line of JSON, the table's to_json_obj()
-# without "mats", and the table's columns M_v follow it, v = 0, ..., k-1, so
-# that a query reads only the column it needs and decodes only the product
-# O^u * O^v it prints, mats[v][:, :, u].  An exact table's header has
-# "columns", the payload offsets of the k columns and of the payload's end;
-# column v is the JSON line of mats[v], the (D+1, k, k) layers of M_v.  A
-# mod-p table's header has "shape", and the array follows as raw
-# little-endian int64, column v in the v-th slab of 8(D+1)k^2 bytes.
-
-# part of every cache key, so that no reader opens a file of another format
-_CACHE_FORMAT = 3
-
-
-def cache_key(space: str, D: int, backend: dict) -> str:
-    blob = json.dumps([space, D, backend, _CACHE_FORMAT], sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:20]
-
-
-def cache_path(space: str, D: int, backend: dict, cache_dir: str) -> str:
-    # perfbench/tracer.py recomputes this name to size the file a hit read
-    return os.path.join(cache_dir, f"qk-{cache_key(space, D, backend)}.json")
-
-
-def save_table(table: MultTable, cache_dir: str) -> str:
-    """Write the table atomically; concurrent writers never share a temp file."""
-    if table.is_exact:
-        lines = [json.dumps(col).encode() + b"\n" for col in table.to_json_obj()["mats"]]
-        head = table._json_obj(columns=list(accumulate(map(len, lines), initial=0)))
-        payload = b"".join(lines)
-    else:
-        head = table._json_obj(shape=list(table.mats.shape))
-        payload = np.ascontiguousarray(table.mats, dtype="<i8").tobytes()
-    os.makedirs(cache_dir, exist_ok=True)
-    path = cache_path(table.space, table.D, table.backend, cache_dir)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".qk-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            # mkstemp makes the file owner-only; a shared cache needs open()'s mode
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(json.dumps(head).encode() + b"\n")
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return path
-
-
-def _read_header(fh, space: str, D: int, backend: dict) -> dict | None:
-    """The header line of an open cache file, or None when it is not a JSON
-    object keyed by space, D and backend.  Raises ValueError when it is not
-    JSON at all."""
-    obj = json.loads(fh.readline())
-    if not isinstance(obj, dict):
-        return None
-    if obj.get("space") != space or obj.get("D") != D or obj.get("backend") != backend:
-        return None
-    return obj
-
-
-def cache_flags(space: str, D: int, backend: dict, cache_dir: str) -> dict | None:
-    """The flags in a cache file's header, read without its payload, or None
-    when the file is missing or its header unreadable or keyed differently."""
-    try:
-        with open(cache_path(space, D, backend, cache_dir), "rb") as fh:
-            obj = _read_header(fh, space, D, backend)
-        return None if obj is None else dict(obj.get("flags", {}))
-    except (OSError, TypeError, ValueError):
-        return None
-
-
-def load_table(
-    space: str, D: int, backend: dict, cache_dir: str, *, product: tuple[int, int] | None = None, flag: str | None = None
-) -> MultTable | np.ndarray | None:
-    """The cached table, or with product=(u, v) only mats[v][:, :, u], the
-    coefficients c[d, w] of q^d O^w in O^u * O^v, read from M_v alone.  None
-    when the file is missing, unreadable, cut short, malformed or keyed
-    differently, when a mod-p column read holds a residue outside [0, p),
-    or when the table's flags do not set `flag`; a basis mismatch raises
-    QKRingError."""
-    try:
-        with open(cache_path(space, D, backend, cache_dir), "rb") as fh:
-            obj = _read_header(fh, space, D, backend)
-            if obj is None:
-                return None
-            flags = dict(obj.get("flags", {}))
-            if flag is not None and not flags.get(flag):
-                return None
-            poset = _space_of(obj)
-            k = len(poset.shape_masks)
-            if product is not None and not all(0 <= i < k for i in product):
-                raise IndexError(f"no product {product} in a table of {k} classes")
-            vs = range(k) if product is None else range(product[1], product[1] + 1)
-            start, size = fh.tell(), os.fstat(fh.fileno()).st_size
-            if backend["kind"] == "exact":
-                # k nonempty lines from the header to the end of the file
-                ends = obj.pop("columns")
-                if len(ends) != k + 1 or ends != sorted(set(ends)) or ends[0] != 0 or start + ends[-1] != size:
-                    return None
-                fh.seek(start + ends[vs[0]])
-                mats = [json.loads(fh.read(ends[v + 1] - ends[v])) for v in vs]
-            else:
-                slab = 8 * (D + 1) * k * k
-                if obj.pop("shape") != [k, D + 1, k, k] or size - start != k * slab:
-                    return None
-                fh.seek(start + vs[0] * slab)
-                mats = np.frombuffer(fh.read(len(vs) * slab), dtype="<i8").reshape(len(vs), D + 1, k, k)
-                # residues lie in [0, p); as unsigned, a negative one lies past p too
-                if (mats.view("<u8") >= backend["p"]).any():
-                    return None
-        if product is None:
-            return MultTable.from_json_obj(dict(obj, mats=mats))
-        (col,), u = mats, product[0]
-        if backend["kind"] != "exact":
-            return col[:, :, u]
-        # the whole line's shape is checked, and only the printed entries decoded
-        if len(col) != D + 1 or any(len(mat) != k or any(len(row) != k for row in mat) for mat in col):
-            return None
-        return _object_array(_decoded([row[u] for mat in col for row in mat], poset.rs.rank), (D + 1, k))
-    except (OSError, KeyError, TypeError, ValueError):
-        return None

@@ -9,7 +9,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from qkcalc import cli, qkring
+from qkcalc import cli, qkring, store
 from qkcalc.chevalley import sgamma_star
 from qkcalc.gamma import QPolynomial
 from qkcalc.poset import build_cominuscule
@@ -95,6 +95,50 @@ def test_every_family_renders_in_every_format():
     proc = _python(FORMAT_SWEEP, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+NUMPY_FREE = """
+import contextlib, io, json, sys
+
+seen = []
+
+def loaded(label):
+    seen.append([label, "numpy" in sys.modules, "qkcalc.qkring" in sys.modules])
+
+import qkcalc
+loaded("import qkcalc")
+from qkcalc import cli
+loaded("import qkcalc.cli")
+warm = f"--cache-dir={sys.argv[1]}"
+commands = [
+    ["describe", "E6"], ["dual", "Gr(2,4)", "1"], ["nbhd", "Gr(2,4)", "1", "1"], ["chevalley", "Gr(2,4)", "1"],
+    ["product", "Gr(2,4)", "1", "2,1", "--backend=exact", warm],
+    ["product", "Gr(2,4)", "1", "2,1", "--backend=exact", "--format=json", warm],
+    ["product", "Gr(2,4)", "1", "2,1", "--backend=exact", "--format=latex", warm],
+    ["product", "Gr(2,4)", "1", "2,1", "--backend=mod-p", warm],
+    ["product", "Gr(2,4)", "1", "2,1", "--backend=mod-p", "--format=json", warm],
+    ["product", "Gr(2,4)", "1", "1", warm],
+    ["table", "P1", f"--cache-dir={sys.argv[2]}"],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv):
+            raise SystemExit(f"{argv} failed")
+    loaded(" ".join(argv[:2] + argv[4:5]))
+print(json.dumps(seen))
+"""
+
+
+def test_cache_answers_and_poset_commands_load_no_numpy(capsys, tmp_path):
+    # neither numpy nor the solver loads until a command needs a table that
+    # the cache does not hold
+    for backend in ("exact", "mod-p"):
+        assert run(capsys, "table", "Gr(2,4)", f"--backend={backend}", f"--cache-dir={tmp_path / 'warm'}")[0] == 0
+    proc = _python(NUMPY_FREE, str(tmp_path / "warm"), str(tmp_path / "cold"), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert len(seen) == 13 and seen[-1] == ["table P1", True, True]
+    assert [s for s in seen[:-1] if s[1] or s[2]] == []
 
 
 def test_product_json_roundtrip(capsys, tmp_path):
@@ -355,7 +399,7 @@ def _read_only_product(capsys, tmp_path, monkeypatch, *argv):
         def denied(*args, **kwargs):
             raise PermissionError(13, "Permission denied", str(ro))
 
-        monkeypatch.setattr(qkring.tempfile, "mkstemp", denied)
+        monkeypatch.setattr(store.tempfile, "mkstemp", denied)
     code, out, err = run(capsys, "product", *argv, f"--cache-dir={ro}")
     assert code == 0
     assert "warning" in err and "not cached" in err
@@ -797,7 +841,7 @@ def test_default_backend_reads_the_exact_file_first(capsys, tmp_path, monkeypatc
 
 
 def test_explicit_modp_file_does_not_answer_a_default_query(capsys, tmp_path):
-    # only the default rule's own fallback marks a mod-p table as its answer
+    # the default rule answers exact where the exact grid is in reach
     cache = f"--cache-dir={tmp_path}"
     code, out, _ = run(capsys, "table", "Q(3)", "--backend=mod-p", cache)
     assert code == 0 and "backend=mod-p" in out
@@ -807,31 +851,63 @@ def test_explicit_modp_file_does_not_answer_a_default_query(capsys, tmp_path):
     assert code == 0 and json.loads(out)["backend"]["kind"] == "exact" and err == ""
 
 
-def test_default_fallback_marks_its_modp_table(capsys, tmp_path):
+def test_default_query_reads_only_its_backends_file(capsys, tmp_path, monkeypatch):
+    # the backend is chosen before any work: exact on Q(3), whose mod-p file
+    # is never opened, and mod-p on E6, whose explicit mod-p file answers
+    # without a build
+    cache = f"--cache-dir={tmp_path}"
+    for space in ("Q(3)", "E6"):
+        assert run(capsys, "table", space, "--backend=mod-p", cache)[0] == 0
+    read = []
+    load = cli.load_table
+    monkeypatch.setattr(cli, "load_table", lambda *args, **kw: read.append(args[2]["kind"]) or load(*args, **kw))
+    builds = count_builds(monkeypatch)
+    for argv in (("table", "Q(3)"), ("product", "Q(3)", "1", "1"), ("product", "Q(3)", "1", "1", "--format=json")):
+        code, out, err = run(capsys, *argv, cache)
+        assert code == 0 and "mod-p" not in out and err == ""
+    D = qkring.default_truncation(build_cominuscule("Q(3)"))
+    assert read == ["exact"] * 3 and builds == [D]
+    read.clear()
+    code, out, err = run(capsys, "table", "E6", cache)
+    assert code == 0 and "backend=mod-p" in out and err == ""
+    assert read == ["mod-p"] and builds == [D]
+
+
+def test_default_and_explicit_modp_builds_write_one_file(capsys, tmp_path):
+    # past the exact grid the default rule builds the file --backend=mod-p
+    # builds, byte for byte: its header does not say which query built it
     argv = ("table", "Gr(1,8)", "--format=json")
     code, out, _ = run(capsys, *argv, f"--cache-dir={tmp_path / 'default'}")
     assert code == 0 and json.loads(out)["backend"]["kind"] == "mod-p"
+    assert run(capsys, *argv, "--backend=mod-p", f"--cache-dir={tmp_path / 'explicit'}") == (0, out, "")
     (path,) = (tmp_path / "default").glob("qk-*.json")
-    assert json.loads(path.read_bytes().split(b"\n", 1)[0])["flags"]["exact_out_of_reach"] is True
-    # the marker stays in the cache: the output does not depend on who built the file
-    for cache in ("default", "explicit"):
-        assert run(capsys, *argv, "--backend=mod-p", f"--cache-dir={tmp_path / cache}") == (0, out, "")
+    assert (tmp_path / "explicit" / path.name).read_bytes() == path.read_bytes()
+    head, payload = path.read_bytes().split(b"\n", 1)
+    assert json.loads(head)["flags"] == {"stabilized": True}
+    # a file an older default rule marked with its fallback flag still
+    # answers both rules, and prints as it did then
+    marked = dict(json.loads(head), flags={"exact_out_of_reach": True, "stabilized": True})
+    path.write_bytes(json.dumps(marked).encode() + b"\n" + payload)
+    for backend in ((), ("--backend=mod-p",)):
+        assert run(capsys, *argv, *backend, f"--cache-dir={tmp_path / 'default'}") == (0, out, "")
+    assert path.read_bytes() == json.dumps(marked).encode() + b"\n" + payload
 
 
-def test_default_rule_warns_about_a_damaged_modp_file(capsys, tmp_path):
-    # unreadable is not unmarked: the default rule warns, answers exact and
-    # leaves the damaged mod-p file in place
+def test_default_rule_leaves_a_damaged_modp_file_unread(capsys, tmp_path):
+    # on a space the exact backend reaches the default rule never opens the
+    # mod-p file: no warning, and the damaged file stays as it is
     cache = f"--cache-dir={tmp_path}"
     assert run(capsys, "table", "Q(3)", "--backend=mod-p", cache)[0] == 0
     (path,) = tmp_path.glob("qk-*.json")
     path.write_bytes(path.read_bytes()[:100])
     code, out, err = run(capsys, "table", "Q(3)", cache)
     assert code == 0 and "backend=exact" in out
-    assert err == f"warning: ignoring unreadable cache file {path}\n"
+    assert err == ""
     assert path.stat().st_size == 100
 
 
 def test_default_rule_warns_about_a_damaged_marked_file(capsys, tmp_path):
+    # a damaged file of the default rule's mod-p fallback is warned about and rebuilt
     cache = f"--cache-dir={tmp_path}"
     code, out, _ = run(capsys, "table", "Gr(1,8)", cache)
     assert code == 0 and "backend=mod-p" in out

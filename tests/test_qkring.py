@@ -543,20 +543,23 @@ def test_column_read_is_the_table_column(tmp_path, space, backend):
     for v in range(k):
         for u in range(k):
             c = load_table(*args, product=(u, v))
-            assert c.shape == (table.D + 1, k) and c.dtype == table.mats.dtype
-            assert (c == full.mats[v][:, :, u]).all()
+            assert len(c) == table.D + 1 and all(len(row) == k for row in c)
+            assert all(type(x) is (GammaElement if table.is_exact else int) for row in c for x in row)
+            assert c == full.mats[v][:, :, u].tolist()
     for product in ((-1, 0), (k, 0), (0, -1), (0, k)):
         with pytest.raises(IndexError):
             load_table(*args, product=product)
 
 
-def test_load_table_flag_filters_the_header(tmp_path, gr24_table):
-    table = gr24_table
+def test_load_table_reads_a_file_with_the_old_fallback_flag(tmp_path):
+    # older default rules marked their mod-p fallback "exact_out_of_reach":
+    # such a file answers full and product reads, without the mark
+    table = full_table(build_cominuscule("Gr(2,4)"), backend="mod-p")
     args = (table.space, table.D, table.backend, str(tmp_path))
-    save_table(table, str(tmp_path))
-    assert load_table(*args, flag="stabilized") is not None
-    assert load_table(*args, flag="exact_out_of_reach") is None
-    assert load_table(*args, product=(2, 1), flag="exact_out_of_reach") is None
+    _rewrite_header(save_table(table, str(tmp_path)), flags={"exact_out_of_reach": True, "stabilized": True})
+    full = load_table(*args)
+    assert full.flags == {"stabilized": True} and (full.mats == table.mats).all()
+    assert load_table(*args, product=(2, 1)) == table.mats[1][:, :, 2].tolist()
 
 
 def test_save_table_leaves_no_temp_file(tmp_path, gr24_table):
@@ -1571,7 +1574,7 @@ def test_exact_table_zero_entries_are_one_object(tmp_path):
     # the product path decodes through the same rule
     pairs = list(itertools.product(range(k), repeat=2))
     product = [load_table(*args, product=uv) for uv in pairs]
-    assert _one_zero([c for col in product for c in col.flat], rank)
+    assert _one_zero([c for col in product for row in col for c in row], rank)
     assert all(np.array_equal(c, built.mats[v][:, :, u]) for c, (u, v) in zip(product, pairs))
 
 
