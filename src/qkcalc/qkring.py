@@ -29,17 +29,19 @@ an exact table at primes its build never used.  The grid is computed once,
 before any solve: one more random nonzero node per variable than the
 table's degree in x_i, which the poset gives in closed form
 (CominusculePoset.table_degrees), so a grid past the guard is refused
-before any solver is built, with its real size.  The guard counts D + 1
-layers whatever S is.  One solve runs on the tensor grid, in blocks of
-columns; the inverse Vandermonde matrix of each axis turns the values of
-the live entries, those nonzero at some point, into coefficients, lifted to
-the symmetric range (-p/2, p/2).  The candidate is then certified exactly:
+before any solve, with its real size.  The guard counts D + 1 layers
+whatever S is.  The grid is solved in blocks of points, all columns at
+once; the inverse Vandermonde matrix of each axis turns the values of the
+live entries, those nonzero somewhere in the first block, into
+coefficients, lifted to the symmetric range (-p/2, p/2).  The candidate is
+then certified exactly:
 M_v L = L M_v (verify_ms_equations) and M_v e_1 = e_v (the identity row).  L
 is cyclic, so its commutant holds exactly one operator sending e_1 to e_v,
 and a candidate that passes is the true table whatever the degree box or the
 prime.  A failed certificate redraws the nodes once with a doubled box, a
-singular node on the same box; a second failure raises QKRingError.  So a
-closed form that under-counts a degree costs a redraw, never a wrong table.
+singular node or a missed live entry on the same box; a second failure
+raises QKRingError.  So a closed form that under-counts a degree costs a
+redraw, never a wrong table.
 
 The certificate and the verify checks multiply exactly on term arrays: the
 terms of the table and of L as numpy arrays of int64 codes, each an entry
@@ -62,7 +64,7 @@ q.
 Every mod-p matrix product runs through _matmul_mod, exact in float64 BLAS:
 the left factor splits into limbs narrow enough that no sum of products
 reaches 2^53 (one limb, the factor itself, at the interpolation prime and
-up to 32 summands).  The solver takes one product per q-layer, a block row
+up to 32 summands).  The solve takes one product per q-layer, a block row
 of layers times a block column: C_d = -C_0 [K_1 ... K_d][C_{d-1}; ...; C_0] for
 the layers of K^{-1}, and [C_0^T ... C_c^T][W_c^T; ...; W_0^T] for layer c
 of M_v^T.
@@ -109,6 +111,11 @@ class SingularKrylov(QKRingError):
     At a fixed mod-p assignment this is an error; at the random nodes of an
     exact build it means two J_u coincide there, and the nodes are redrawn.
     """
+
+
+class LiveSetMissed(QKRingError):
+    """An entry zero on the exact grid's first block of points is nonzero on
+    a later one; the nodes are redrawn on the same box."""
 
 
 class TruncationTooSmall(QKRingError):
@@ -318,64 +325,39 @@ def _inverse_mod(A: np.ndarray, p: int) -> np.ndarray:
     return m[:, :, k:].reshape(shape)
 
 
-class _ModPSolver:
-    """Krylov data of one space and truncation at n evaluation points.
+def _solve(L: np.ndarray, D: int, p: int, nodes: np.ndarray) -> np.ndarray:
+    """The layers M[j, v, d, w, u] of every M_v mod q^{D+1} at each point j.
 
     nodes[j] holds the residues of x_1, ..., x_rank at point j; the mod-p
-    backend is the case n = 1.  M_v K = W_v, where column i of W_v is
-    L^i e_v, so M_v = W_v K^{-1}: the solver keeps K^{-1} and builds W_v only
-    for the columns asked for.
+    backend is the case of one point.  M_v K = W_v, where column i of W_v is
+    L^i e_v, so M_v = W_v K^{-1}, and K is W_v of the identity class e_1.
     """
-
-    def __init__(self, L: np.ndarray, D: int, p: int, nodes: np.ndarray):
-        k, n = L.shape[-1], len(nodes)
-        self.D, self.p, self.k = D, p, k
-        # rows 0..k-1 hold L's q^0 layer, rows k..2k-1 its q^1 layer
-        self.L = _eval_array(L, p, nodes).reshape(n, 2 * k, k)
-        # Krylov layers: column i of K is L^i e_1 (e_1 = the identity class);
-        # K[j, w, d, i] holds layer d, so K[:, :, 1:d+1] is the block row [K_1 ... K_d]
-        K = self._krylov([0])[:, :, 0]
-        C = np.zeros((n, D + 1, k, k), dtype=np.int64)
-        C[:, 0] = _inverse_mod(K[:, :, 0], p)
-        # C_d = -C_0 [K_1 ... K_d][C_{d-1}; ...; C_0]: one product per layer
-        for d in range(1, D + 1):
-            S = _matmul_mod(K[:, :, 1:d + 1].reshape(n, k, d * k), C[:, d - 1::-1].reshape(n, d * k, k), p)
-            C[:, d] = -_matmul_mod(C[:, 0], S, p) % p
-        # Ct[j, w, d, i] = (layer d of K^{-1} at point j)^T [w, i], so that
-        # Ct[:, :, :c+1] is the block row [C_0^T ... C_c^T]
-        self.Ct = C.transpose(0, 3, 1, 2)
-
-    def _krylov(self, vs) -> np.ndarray:
-        """W[j, w, v, d, i] = layer d of (L^i e_v)_w at point j, mod q^{D+1}."""
-        n, k, D, p = len(self.L), self.k, self.D, self.p
-        W = np.zeros((n, k, len(vs), D + 1, k), dtype=np.int64)
-        W[:, vs, range(len(vs)), 0, 0] = 1
-        for i in range(1, k):
-            Y = _matmul_mod(self.L, W[..., i - 1].reshape(n, k, -1), p).reshape(n, 2, k, len(vs), D + 1)
-            W[..., i] = Y[:, 0]
-            W[..., 1:, i] += Y[:, 1, ..., :-1]
-            W[..., i] %= p
-        return W
-
-    def columns(self, vs) -> np.ndarray:
-        """Layers of M_v = W_v K^{-1} mod q^{D+1} for each v in vs at every
-        point: M[j, v, d, w, u]."""
-        n, k, D, p = len(self.L), self.k, self.D, self.p
-        # transposed, M_v^T = K^{-T} W_v^T with the (w, v) pairs as columns:
-        # layer c is [C_0^T ... C_c^T][W_c^T; ...; W_0^T], one product per layer
-        Wt = self._krylov(vs).transpose(0, 3, 4, 1, 2).reshape(n, D + 1, k, k * len(vs))
-        Mt = np.empty((n, D + 1, k, k * len(vs)), dtype=np.int64)
-        for c in range(D + 1):
-            Mt[:, c] = _matmul_mod(self.Ct[:, :, :c + 1].reshape(n, k, -1), Wt[:, c::-1].reshape(n, -1, k * len(vs)), p)
-        return Mt.reshape(n, D + 1, k, k, len(vs)).transpose(0, 4, 1, 3, 2)
-
-    def blocks(self):
-        """(vs, columns(vs)) over all v in blocks of about _BLOCK_ENTRIES entries,
-        a larger column alone: larger arrays cost more than they save in calls."""
-        step = max(1, _BLOCK_ENTRIES // (len(self.L) * (self.D + 1) * self.k**2))
-        for v in range(0, self.k, step):
-            vs = range(v, min(v + step, self.k))
-            yield vs, self.columns(vs)
+    k, n = L.shape[-1], len(nodes)
+    # rows 0..k-1 hold L's q^0 layer, rows k..2k-1 its q^1 layer
+    Lj = _eval_array(L, p, nodes).reshape(n, 2 * k, k)
+    # one Krylov pass for all columns: W[j, w, v, d, i] = layer d of (L^i)_{wv}
+    W = np.zeros((n, k, k, D + 1, k), dtype=np.int64)
+    W[:, range(k), range(k), 0, 0] = 1
+    for i in range(1, k):
+        Y = _matmul_mod(Lj, W[..., i - 1].reshape(n, k, -1), p).reshape(n, 2, k, k, D + 1)
+        W[..., i] = Y[:, 0]
+        W[..., 1:, i] += Y[:, 1, ..., :-1]
+        W[..., i] %= p
+    # K[j, w, d, i] holds layer d, so K[:, :, 1:d+1] is the block row [K_1 ... K_d]
+    K = W[:, :, 0]
+    C = np.zeros((n, D + 1, k, k), dtype=np.int64)
+    C[:, 0] = _inverse_mod(K[:, :, 0], p)
+    # C_d = -C_0 [K_1 ... K_d][C_{d-1}; ...; C_0]: one product per layer
+    for d in range(1, D + 1):
+        S = _matmul_mod(K[:, :, 1:d + 1].reshape(n, k, d * k), C[:, d - 1::-1].reshape(n, d * k, k), p)
+        C[:, d] = -_matmul_mod(C[:, 0], S, p) % p
+    # transposed, M_v^T = K^{-T} W_v^T with the (w, v) pairs as columns: layer
+    # c is [C_0^T ... C_c^T][W_c^T; ...; W_0^T], one product per layer
+    Ct, Wt = C.transpose(0, 3, 1, 2), W.transpose(0, 3, 4, 1, 2).reshape(n, D + 1, k, k * k)
+    Mt = np.empty((n, D + 1, k, k * k), dtype=np.int64)
+    for c in range(D + 1):
+        Mt[:, c] = _matmul_mod(Ct[:, :, :c + 1].reshape(n, k, -1), Wt[:, c::-1].reshape(n, -1, k * k), p)
+    return Mt.reshape(n, D + 1, k, k, k).transpose(0, 4, 1, 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -396,35 +378,47 @@ def _interpolation_matrix(xs, p: int) -> np.ndarray:
 # dimension n is one float64 limb when 2 * 24 + ceil(log2 n) <= 53
 # (_matmul_mod), that is up to n = 32.  The lift needs |coefficients| < p/2.
 _INTERPOLATION_PRIME = 16777213
-# the grid's column blocks, the term joins and the positivity slices;
-# measured level from 2^16 to 2^18 on E6 and on the small spaces
+# the grid's blocks of points, the coefficient slices, the term joins and
+# the positivity slices; point blocks measured level from 2^17 to 2^19 on
+# Gr(2,6), Q(6) and Gr(2,5), slower at 2^15, with memory growing past 2^17
 _BLOCK_ENTRIES = 1 << 17
 
 
-def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: random.Random, S: int):
-    """Layers C[d, w, u], d <= S, of every M_v over the group ring,
+def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: random.Random, S: int) -> np.ndarray:
+    """Layers C[v, d, w, u], d <= S, of every M_v over the group ring,
     interpolated from the solve mod q^{S+1} on a grid of counts[i] random
-    nonzero nodes per variable, in blocks of columns of about _BLOCK_ENTRIES
-    entries (a larger column alone).  A grid past the guard of truncation D
-    is refused before the solver is built."""
+    nonzero nodes per variable, in blocks of points of about _BLOCK_ENTRIES
+    entries (a larger point alone).  A grid past the guard of truncation D
+    is refused before any solve.  Only the live entries, nonzero somewhere
+    in the first block, keep their values; LiveSetMissed when a later block
+    has another."""
     rank, k = len(counts), L.shape[-1]
     refusal = grid_refusal(counts, D, k)
     if refusal:
         raise GridOutOfReach(refusal)
     axes = [rng.sample(range(1, p), n) for n in counts]
-    inverses = [_interpolation_matrix(xs, p) for xs in axes]
-    solver = _ModPSolver(L, S, p, np.array(list(iproduct(*axes)), dtype=np.int64))
+    nodes = np.array(list(iproduct(*axes)), dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // ((S + 1) * k**3))
+    for at in range(0, len(nodes), step):
+        M = _solve(L, S, p, nodes[at:at + step]).reshape(-1, k * (S + 1) * k * k)
+        if not at:
+            live = np.flatnonzero(M.any(axis=0))
+            values = np.empty((len(nodes), len(live)), dtype=np.int32)  # residues below p < 2^24
+        values[at:at + step] = M[:, live]
+        if np.count_nonzero(M) != np.count_nonzero(values[at:at + step]):
+            raise LiveSetMissed("an entry zero on the grid's first block of points is not zero on a later one")
+    terms = _coefficients(values, counts, [_interpolation_matrix(xs, p) for xs in axes], p)
     zero = _zero(rank)
-    for vs, M in solver.blocks():
-        terms = _coefficients(M, counts, inverses, p)
-        yield from _object_array([GammaElement(rank, t) if t else zero for t in terms], (len(vs), S + 1, k, k))
+    mats = np.full(k * (S + 1) * k * k, zero, dtype=object)
+    mats[live] = _object_array([GammaElement(rank, t) if t else zero for t in terms], len(live))
+    return mats.reshape(k, S + 1, k, k)
 
 
 def _coefficients(M: np.ndarray, counts: list, inverses: list, p: int) -> list:
     """The terms {exponents: coefficient} of each entry of M[j, ...] in
-    row-major order, from its values at the grid points j.  Only the live
-    entries, nonzero at some point, are transformed (the transform sends
-    zero values to zero), in slices of about _BLOCK_ENTRIES values."""
+    row-major order, from its values at the grid points j.  Only the
+    entries nonzero at some point are transformed (the transform sends zero
+    values to zero), in slices of about _BLOCK_ENTRIES values."""
     M = M.reshape(len(M), -1)
     live = np.flatnonzero(M.any(axis=0))
     step = max(1, _BLOCK_ENTRIES // len(M))
@@ -457,8 +451,9 @@ def _certified(table: MultTable) -> bool:
 
 def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) -> MultTable:
     """Interpolate and certify, on two draws of the nodes: after a singular
-    node on the same box, after a failed certificate on a doubled one.  The
-    first box has one node more than the table's degree in each x_i.
+    node or a missed live entry on the same box, after a failed certificate
+    on a doubled one.  The first box has one node more than the table's
+    degree in each x_i.
 
     The solves stop at q^S, S = min(D, d_max), and layers S+1..D are zero:
     the certificate compares untruncated products, so it proves them zero."""
@@ -469,10 +464,13 @@ def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) 
     for _ in range(2):
         try:
             mats = np.full((k, D + 1, k, k), _zero(poset.rs.rank), dtype=object)
-            mats[:, :S + 1] = np.stack(list(_interpolated_columns(L, D, counts, p, rng, S)))
+            mats[:, :S + 1] = _interpolated_columns(L, D, counts, p, rng, S)
             table = _assemble(poset, D, backend, mats)
         except SingularKrylov:
             failure = "exact interpolation hit a singular Krylov node on its last draw"
+            continue
+        except LiveSetMissed:
+            failure = "exact interpolation missed a live entry in its first block of points on its last draw"
             continue
         if _certified(table):
             return table
@@ -595,9 +593,8 @@ def _modp_point_tables(poset: CominusculePoset, L: np.ndarray, D: int, backends:
     """The tables of mod-p backends of one prime, from one solve batched over
     their assignments."""
     nodes = np.array([b["assignment"] for b in backends], dtype=np.int64)
-    solver = _ModPSolver(L, D, backends[0]["p"], nodes)
     tables = []
-    for backend, mats in zip(backends, solver.columns(range(solver.k))):
+    for backend, mats in zip(backends, _solve(L, D, backends[0]["p"], nodes)):
         tables.append(_assemble(poset, D, backend, mats))
         _check_identity_row(tables[-1])
     return tables

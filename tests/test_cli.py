@@ -364,12 +364,12 @@ REFUSED_GRIDS = {
 
 @pytest.mark.parametrize("space", list(REFUSED_GRIDS))
 def test_exact_build_is_refused_before_any_solve(capsys, tmp_path, monkeypatch, space):
-    # the grid is known before any work, so a refusal builds no solver and
+    # the grid is known before any work, so a refusal starts no solve and
     # states the grid's real size
     def refuse(*args):
         raise AssertionError("a solve started before the refusal")
 
-    monkeypatch.setattr(qkring, "_ModPSolver", refuse)
+    monkeypatch.setattr(qkring, "_solve", refuse)
     code, out, err = run(capsys, "table", space, "--backend=exact", f"--cache-dir={tmp_path}")
     assert code == 1 and out == ""
     assert f"needs a grid of {REFUSED_GRIDS[space]} points; use the mod-p backend" in err
@@ -812,7 +812,7 @@ def test_default_backend_falls_back_to_modp(capsys, tmp_path, monkeypatch, space
     def refuse(*args):
         raise AssertionError("a warm query started a build")
 
-    monkeypatch.setattr(qkring, "_ModPSolver", refuse)
+    monkeypatch.setattr(qkring, "_solve", refuse)
     monkeypatch.setattr(cli, "full_table", refuse)
     assert run(capsys, "table", space, cache) == (0, out, "")
     poset = build_cominuscule(space)
@@ -821,15 +821,15 @@ def test_default_backend_falls_back_to_modp(capsys, tmp_path, monkeypatch, space
     assert code == 0 and err == ""
 
 
-def test_default_fallback_refuses_after_one_probe_rung(capsys, tmp_path, monkeypatch):
+def test_default_fallback_solves_only_the_modp_point(capsys, tmp_path, monkeypatch):
     # P^7's degrees are 1, ..., 7, so its grid has 8! points, out of reach:
-    # the only solver built is the mod-p point's
+    # the only solve is the mod-p point's
     built = []
-    solver = qkring._ModPSolver
-    monkeypatch.setattr(qkring, "_ModPSolver", lambda *args: built.append(solver(*args)) or built[-1])
+    solve = qkring._solve
+    monkeypatch.setattr(qkring, "_solve", lambda L, D, p, nodes: built.append(len(nodes)) or solve(L, D, p, nodes))
     code, out, err = run(capsys, "table", "Gr(1,8)", f"--cache-dir={tmp_path}")
     assert code == 0 and "backend=mod-p" in out and "a grid of 40320 points" in err
-    assert [len(s.L) for s in built] == [1]
+    assert built == [1]
 
 
 def test_default_backend_reads_the_exact_file_first(capsys, tmp_path, monkeypatch):

@@ -29,8 +29,8 @@ from qkcalc.qkring import (
     TruncationTooSmall,
     _inverse_mod,
     _matmul_mod,
-    _ModPSolver,
     _row_reduce_mod,
+    _solve,
     full_table,
     load_table,
     make_field,
@@ -595,9 +595,10 @@ except QKRingError as exc:
 # a corrupted interpolant fails the exact certificate on both attempts
 interpolate = qkring._interpolated_columns
 def corrupted(*args):
-    for M in interpolate(*args):
+    mats = interpolate(*args)
+    for M in mats:
         M[0][1][1] = M[0][1][1] + GammaElement.from_int(M[0][1][1].rank, 1)
-        yield M
+    return mats
 qkring._interpolated_columns = corrupted
 try:
     full_table(build_cominuscule("Gr(2,4)"))
@@ -703,40 +704,75 @@ def test_exact_build_refuses_a_grid_out_of_reach(monkeypatch):
     # 8e6 nodes would take gigabytes; the build stops before allocating them
     poset = build_cominuscule("Gr(2,4)")
     monkeypatch.setattr(poset, "table_degrees", (199, 199, 199))
-    solvers = _recording_solvers(monkeypatch)
+    solves = _recording_solves(monkeypatch)
     with pytest.raises(qkring.GridOutOfReach, match="a grid of 8000000 points; use the mod-p backend"):
         full_table(poset)
-    assert solvers == []
+    assert solves == []
 
 
-def _recording_solvers(monkeypatch) -> list:
-    """Every _ModPSolver built from now on, in order."""
-    built = []
-    solver = qkring._ModPSolver
-    monkeypatch.setattr(qkring, "_ModPSolver", lambda *args: built.append(solver(*args)) or built[-1])
-    return built
+def _recording_solves(monkeypatch) -> list:
+    """(D, p, points) of every _solve call from now on, in order."""
+    seen = []
+    solve = qkring._solve
+    monkeypatch.setattr(qkring, "_solve", lambda L, D, p, nodes: seen.append((D, p, len(nodes))) or solve(L, D, p, nodes))
+    return seen
 
 
-@pytest.mark.parametrize("one_column", [False, True], ids=["blocks", "one-column"])
-@pytest.mark.parametrize("space", ["P1", "LG(2,4)", "Q(3)", "Gr(2,4)", "Q(4)", "Q(5)"])
-def test_exact_build_runs_two_batched_solves(monkeypatch, space, one_column):
-    # one solve, on the grid of table_degrees + 1 nodes per variable; its
-    # columns come in blocks of at most _BLOCK_ENTRIES entries, or one
-    # column at a time
+# digests of exact tables past the benchmark's spaces, recorded from the
+# column-blocked solve that the point blocks replaced
+LARGER_EXACT_TABLES = {"Gr(2,5)": "543239b4e8d0f04f", "LG(3,6)": "1111ab0c181cad66", "OG(4,8)": "d07126d50412fa50"}
+
+
+@pytest.mark.parametrize("one_point", [False, True], ids=["default-blocks", "one-point-blocks"])
+@pytest.mark.parametrize("space", [*EXACT_BUILD_SPACES, "Gr(2,5)", "LG(3,6)", "Q(6)", "OG(4,8)"])
+def test_exact_build_solves_the_grid_in_blocks_of_points(monkeypatch, space, one_point):
+    # the grid of table_degrees + 1 nodes per variable is solved in blocks of
+    # points, every column at once: each block holds at most _BLOCK_ENTRIES
+    # entries, or is one point
     poset = build_cominuscule(space)
     k = len(poset.shape_masks)
-    if one_column:
+    if one_point:
         monkeypatch.setattr(qkring, "_BLOCK_ENTRIES", 1)
-    grid = []
-    columns = qkring._ModPSolver.columns
-    monkeypatch.setattr(qkring._ModPSolver, "columns", lambda solver, vs: grid.append(len(vs)) or columns(solver, vs))
-    solvers = _recording_solvers(monkeypatch)
-    assert _digest(full_table(poset)) == PINNED_EXACT_TABLES[space]
-    assert len(solvers) == 1 and len(solvers[0].L) == math.prod(d + 1 for d in poset.table_degrees)
-    size = len(solvers[0].L) * (solvers[0].D + 1) * k * k  # entries of one column
-    assert sum(grid) == k and all(n == 1 or n * size <= qkring._BLOCK_ENTRIES for n in grid)
+    solves = _recording_solves(monkeypatch)
+    assert _digest(full_table(poset)) == {**PINNED_EXACT_TABLES, **LARGER_EXACT_TABLES}[space]
+    assert sum(n for _, _, n in solves) == math.prod(d + 1 for d in poset.table_degrees)
+    assert all(n == 1 or n * (D + 1) * k**3 <= qkring._BLOCK_ENTRIES for D, _, n in solves)
     # every block but the last is as large as the bound allows
-    assert all((n + 1) * size > qkring._BLOCK_ENTRIES for n in grid[:-1])
+    assert all((n + 1) * (D + 1) * k**3 > qkring._BLOCK_ENTRIES for D, _, n in solves[:-1])
+
+
+def test_exact_build_redraws_after_a_missed_live_entry(monkeypatch):
+    # an entry zero on the first block of points but not on the second: the
+    # nodes are redrawn on the same box, and the second draw builds the table
+    poset = build_cominuscule("Q(5)")
+    k = len(poset.shape_masks)
+    monkeypatch.setattr(qkring, "_BLOCK_ENTRIES", 100 * 3 * k**3)
+    solve, interpolate = qkring._solve, qkring._interpolated_columns
+    blocks, draws, dead = [], [], []
+
+    def planted(L, D, p, nodes):
+        M = solve(L, D, p, nodes)
+        blocks.append(len(nodes))
+        if len(blocks) == 1:
+            dead.extend(np.argwhere(~M.any(axis=0))[0])
+        elif len(blocks) == 2:
+            M[(-1, *dead)] = 1
+        return M
+
+    monkeypatch.setattr(qkring, "_solve", planted)
+    monkeypatch.setattr(qkring, "_interpolated_columns", lambda *args: draws.append(list(args[2])) or interpolate(*args))
+    assert _digest(full_table(poset)) == PINNED_EXACT_TABLES["Q(5)"]
+    # one redraw, on the same box; the first draw stops at its second block
+    assert draws == [[6, 6, 6]] * 2 and blocks == [100, 100, 100, 100, 16]
+
+
+def test_exact_build_names_a_missed_live_entry_on_both_draws(monkeypatch):
+    def missed(*args):
+        raise qkring.LiveSetMissed("planted")
+
+    monkeypatch.setattr(qkring, "_interpolated_columns", missed)
+    with pytest.raises(qkring.QKRingError, match="missed a live entry in its first block of points on its last draw"):
+        full_table(build_cominuscule("Q(5)"))
 
 
 @pytest.mark.parametrize("double", [False, True], ids=["default-D", "doubled-D"])
@@ -747,9 +783,9 @@ def test_exact_solves_stop_at_d_max(monkeypatch, space, double):
     poset = build_cominuscule(space)
     default = qkring.default_truncation(poset)
     D = 2 * default if double else default
-    solvers = _recording_solvers(monkeypatch)
+    solves = _recording_solves(monkeypatch)
     table = full_table(poset, D=D)
-    assert [solver.D for solver in solvers] == [min(D, poset.d_max)]
+    assert {S for S, _, _ in solves} == {min(D, poset.d_max)}
     assert table.D == D and table.mats.shape == (table.k, D + 1, table.k, table.k)
     assert all(g.is_zero() for g in table.mats[:, poset.d_max + 1:].flat)
     if double:
@@ -1216,22 +1252,32 @@ def test_backend_agreement_scans_the_exact_table_once(monkeypatch, gr24_table):
     assert all(tables_agree(gr24_table, m) for m in modp)
 
 
-def _pair_loop_solve(solver):
-    """The layers of K^{-1} and of every column M_v at each point, with one
-    product per pair of layers: C[j, d] = layer d of K^{-1} and M[j, v, d, w, u]."""
-    n, k, D, p = len(solver.L), solver.k, solver.D, solver.p
-    K = solver._krylov([0])[:, :, 0].transpose(0, 2, 1, 3)
+def _pair_loop_solve(L, D, p, nodes):
+    """The layers of K and K^{-1} and of every column M_v at each point, with
+    one product per pair of layers: K[j, d] and C[j, d] are layer d of K and
+    of K^{-1}, and M[j, v, d, w, u].  The powers of L come from their own
+    loop, one product per layer of L: P[i][j, d] is layer d of L^i."""
+    n, k = len(nodes), L.shape[-1]
+    L0, L1 = qkring._eval_array(L, p, nodes).transpose(1, 0, 2, 3)
+    P = [np.zeros((n, D + 1, k, k), dtype=np.int64)]
+    P[0][:, 0] = np.eye(k, dtype=np.int64)
+    for i in range(1, k):
+        Q = _matmul_mod(L0[:, None], P[-1], p)
+        Q[:, 1:] += _matmul_mod(L1[:, None], P[-1][:, :-1], p)
+        P.append(Q % p)
+    # column i of K is L^i e_1, column i of W_v is L^i e_v
+    K = np.stack([Pi[..., 0] for Pi in P], axis=-1)
     C = [_inverse_mod(K[:, 0], p)]
     for d in range(1, D + 1):
         S = sum(_matmul_mod(K[:, a], C[d - a], p) for a in range(1, d + 1)) % p
         C.append(-_matmul_mod(C[0], S, p) % p)
-    Wt = solver._krylov(range(k)).transpose(0, 3, 4, 1, 2).reshape(n, D + 1, k, k * k)
-    Mt = np.zeros((n, D + 1, k, k * k), dtype=np.int64)
-    for a in range(D + 1):
-        for b in range(D + 1 - a):
-            Mt[:, a + b] += _matmul_mod(C[b].swapaxes(1, 2), Wt[:, a], p)
-    Mt %= p
-    return np.stack(C, axis=1), Mt.reshape(n, D + 1, k, k, k).transpose(0, 4, 1, 3, 2)
+    M = np.zeros((n, k, D + 1, k, k), dtype=np.int64)
+    for v in range(k):
+        W = np.stack([Pi[..., v] for Pi in P], axis=-1)
+        for a in range(D + 1):
+            for b in range(D + 1 - a):
+                M[:, v, a + b] += _matmul_mod(W[:, a], C[b], p)
+    return K, np.stack(C, axis=1), M % p
 
 
 @st.composite
@@ -1248,22 +1294,30 @@ def divisors_and_points(draw):
 @given(divisors_and_points())
 def test_modp_solver_takes_one_product_per_layer(LDpn):
     # the block products of the lifting and of the columns are the sums over
-    # pairs of layers that they replace
+    # pairs of layers that they replace, on powers of L computed apart
     L, D, p, nodes = LDpn
     try:
-        solver = _ModPSolver(L, D, p, nodes)
+        M = _solve(L, D, p, nodes)
     except SingularKrylov:
         assume(False)
-    C, M = _pair_loop_solve(solver)
-    k = solver.k
-    # solver.Ct[j, w, d, i] is layer d of K^{-1}, transposed
-    assert np.array_equal(solver.Ct.transpose(0, 2, 3, 1), C)
-    assert np.array_equal(solver.columns(range(k)), M)
-    # and K^{-1} inverts K mod q^{D+1}
-    K = solver._krylov([0])[:, :, 0].transpose(0, 2, 1, 3)
+    K, C, want = _pair_loop_solve(L, D, p, nodes)
+    assert np.array_equal(M, want)
+    # and the reference's K^{-1} inverts its K mod q^{D+1}
+    k = L.shape[-1]
     for d in range(D + 1):
         KC = sum(_matmul_mod(K[:, a], C[:, d - a], p) for a in range(d + 1)) % p
         assert np.array_equal(KC, np.broadcast_to(np.eye(k, dtype=np.int64) * (d == 0), KC.shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(divisors_and_points())
+def test_solving_points_together_equals_solving_each_alone(LDpn):
+    L, D, p, nodes = LDpn
+    try:
+        M = _solve(L, D, p, nodes)
+    except SingularKrylov:
+        assume(False)
+    assert np.array_equal(M, np.concatenate([_solve(L, D, p, nodes[j:j + 1]) for j in range(len(nodes))]))
 
 
 def _dense_coefficients(M, counts, inverses, p):
@@ -1305,7 +1359,7 @@ def test_modp_solver_rejects_singular_krylov_matrix():
     flat = np.full((2, k, k), zero, dtype=object)
     d = make_field(poset, "mod-p")
     with pytest.raises(SingularKrylov):
-        _ModPSolver(flat, 4, d["p"], np.array([d["assignment"]]))
+        _solve(flat, 4, d["p"], np.array([d["assignment"]]))
 
 
 # ---------------------------------------------------------------------------
@@ -1542,17 +1596,16 @@ def test_matmul_mod_is_exact_at_the_interpolation_prime(monkeypatch, n, limbs, k
 def test_exact_builds_interpolate_at_the_interpolation_prime(monkeypatch):
     # the solve of an exact build runs mod the 24-bit prime; backend
     # agreement still checks the table at the 31-bit primes
-    seen = []
-    solver = qkring._ModPSolver
-    monkeypatch.setattr(qkring, "_ModPSolver", lambda L, D, p, nodes: seen.append(p) or solver(L, D, p, nodes))
+    seen = _recording_solves(monkeypatch)
     poset = build_cominuscule("Gr(2,4)")
     table = full_table(poset)
     assert _digest(table) == PINNED_EXACT_TABLES["Gr(2,4)"]
-    assert seen == [PI]
+    assert [p for _, p, _ in seen] == [PI]
     seen.clear()
     tables = modp_tables(poset, D=table.D)
     assert [t.backend["p"] for t in tables] == [p for p in DEFAULT_PRIMES[:2] for _ in range(2)]
-    assert set(seen) == set(DEFAULT_PRIMES[:2])
+    # one solve per prime, at both of its assignments
+    assert [(p, n) for _, p, n in seen] == [(p, 2) for p in DEFAULT_PRIMES[:2]]
     assert tables_agree(table, *tables)
 
 
