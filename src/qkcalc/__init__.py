@@ -16,21 +16,17 @@ Main entry points:
 The independent oracles live in their modules: qkcalc.oracles.verify_ktchev2
 and qkcalc.oracles.lg_oracle_chi, qkcalc.cohomology.ms_solve_classical.
 
-`import qkcalc` loads the numpy-free modules: rootsys, gamma, poset,
-chevalley and store.  The solver's names (full_table, MultTable,
-modp_tables, ...) import qkcalc.qkring, and with it numpy, on first use.
+`import qkcalc` loads the modules a cached query runs: rootsys, gamma,
+poset and store, and none of dataclasses, fractions or numpy.  The
+Chevalley names (sgamma_star, qkt_chevalley, ...) import qkcalc.chevalley on
+first use, and the solver's names (full_table, MultTable, modp_tables, ...)
+import qkcalc.qkring, and with it numpy.
 """
 
 __version__ = "0.1.0"
 
-from .chevalley import (
-    chev_constants_closed,
-    j_class,
-    j_weight,
-    kt_chevalley,
-    qkt_chevalley,
-    sgamma_star,
-)
+from importlib import import_module
+
 from .gamma import ChernPolynomial, GammaElement, QPolynomial
 from .poset import (
     CominusculePoset,
@@ -44,15 +40,17 @@ from .poset import (
 from .rootsys import RootSystem, build_root_system
 from .store import load_table, save_table
 
-# the solver's names, imported from qkring on first use (PEP 562)
-_SOLVER_NAMES = ("MultTable", "TruncationTooSmall", "full_table", "modp_tables", "specialize", "tables_agree")
+# names imported from their module on first use (PEP 562)
+_LAZY_NAMES = {
+    "chevalley": ("chev_constants_closed", "j_class", "j_weight", "kt_chevalley", "qkt_chevalley", "sgamma_star"),
+    "qkring": ("MultTable", "TruncationTooSmall", "full_table", "modp_tables", "specialize", "tables_agree"),
+}
 
 
 def __getattr__(name: str):
-    if name in _SOLVER_NAMES:
-        from . import qkring
-
-        return getattr(qkring, name)
+    for module, names in _LAZY_NAMES.items():
+        if name in names:
+            return getattr(import_module(f".{module}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -12,9 +12,9 @@ import functools
 import json
 import os
 import sys
+from importlib import import_module
 
 from . import __version__
-from .chevalley import j_class, j_weight, qkt_chevalley, sgamma_star
 from .gamma import QPolynomial
 from .poset import (
     InvalidShape,
@@ -26,26 +26,30 @@ from .poset import (
 )
 from .store import cache_path, default_truncation, exact_grid, grid_refusal, load_table, make_field, save_table
 
-# the solver's names, bound in this module on first use (PEP 562), so that
-# a query the cache answers loads neither numpy nor qkring; a name already
-# bound here, a wrapper or a test's stand-in, is kept
-_SOLVER_NAMES = (
-    "full_table", "modp_tables", "tables_agree",
-    "verify_associativity", "verify_ms_equations", "verify_positivity_signs",
-)
+# names bound in this module on first use (PEP 562), a module's at a time:
+# chevalley's, which only the chevalley command and suite call, and the
+# solver's, which load numpy with qkring; so a query the cache answers loads
+# neither.  A name already bound here, a wrapper or a test's stand-in, is kept
+_LAZY_NAMES = {
+    "chevalley": ("j_class", "j_weight", "qkt_chevalley", "sgamma_star"),
+    "qkring": (
+        "full_table", "modp_tables", "tables_agree",
+        "verify_associativity", "verify_ms_equations", "verify_positivity_signs",
+    ),
+}
 
 
-def _solver() -> None:
-    from . import qkring
-
-    for name in _SOLVER_NAMES:
-        globals().setdefault(name, getattr(qkring, name))
+def _bind(module: str) -> None:
+    mod = import_module(f".{module}", __package__)
+    for name in _LAZY_NAMES[module]:
+        globals().setdefault(name, getattr(mod, name))
 
 
 def __getattr__(name: str):
-    if name in _SOLVER_NAMES:
-        _solver()
-        return globals()[name]
+    for module, names in _LAZY_NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -135,6 +139,7 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_chevalley(args) -> int:
+    _bind("chevalley")
     poset = build_cominuscule(args.space)
     u = poset.parse_shape(args.shape)
     jw = j_weight(poset, u.mask)
@@ -207,7 +212,7 @@ def _load_or_build_table(args, poset, product=None) -> tuple:
         _warn(f"ignoring unreadable cache file {path}")
     if refusal:
         _warn(f"exact table out of reach, building mod-p: {refusal}")
-    _solver()
+    _bind("qkring")
     table = full_table(poset, D=D, backend=desc)
     try:
         save_table(table, cache_dir)
@@ -297,6 +302,7 @@ def _cmd_nbhd(args) -> int:
 def _suite_chevalley(poset, args, table) -> list[dict]:
     from .chevalley import chev_constants_closed
 
+    _bind("chevalley")
     failures = 0
     for mask in poset.shape_masks:
         closed = chev_constants_closed(poset, mask)
@@ -330,7 +336,7 @@ def _suite_lg_oracle(poset, args, table) -> list[dict]:
 
 
 def _suite_table(poset, args, table) -> list[dict]:
-    _solver()
+    _bind("qkring")
     table = table()
     reports = [
         verify_ms_equations(table),
@@ -349,7 +355,7 @@ def _suite_table(poset, args, table) -> list[dict]:
 
 
 def _suite_positivity(poset, args, table) -> list[dict]:
-    _solver()
+    _bind("qkring")
     return [verify_positivity_signs(table())]
 
 

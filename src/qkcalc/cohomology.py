@@ -380,7 +380,9 @@ def _ms_solution_dimension(H: np.ndarray, p: int) -> int:
     S = np.zeros((k, k * k, m, k), dtype=np.int64)  # rows (v, u, w), columns (j, v')
     for v in range(k):
         nz = np.flatnonzero(H[v])
-        S[v][..., nz] = _matmul_mod(col, H[v:v + 1, nz], p).reshape(k * k, m, len(nz))
+        # an outer product; the probe's primes are below 2^31, so its
+        # products stay below 2^62
+        S[v][..., nz] = (col * H[v, nz] % p).reshape(k * k, m, len(nz))
         S[v, ..., v] -= BH
     return k * m - _row_reduce_mod(S.reshape(k**3, m * k), p)[1]
 

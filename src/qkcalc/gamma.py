@@ -25,7 +25,6 @@ The module also provides
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, gcd
 
 Exponent = tuple[int, ...]
@@ -504,18 +503,32 @@ def default_assignments(rank: int, p: int, count: int = 2, seed: int = 0) -> lis
 
 
 class ChernPolynomial(SparsePolynomial):
-    """Sparse polynomial over Q in rank-many variables."""
+    """Sparse polynomial over Q in rank-many variables.
+
+    Its coefficients are ``Fraction``s; ``fractions`` is imported where they
+    are made, so that loading this module loads neither ``fractions`` nor
+    ``decimal``.
+    """
 
     __slots__ = ()
-    _scalars = (int, Fraction)
+
+    @property
+    def _scalars(self) -> tuple[type, ...]:
+        from fractions import Fraction
+
+        return (int, Fraction)
 
     @staticmethod
     def from_fraction(rank: int, c) -> "ChernPolynomial":
+        from fractions import Fraction
+
         c = Fraction(c)
         return ChernPolynomial(rank, {(0,) * rank: c} if c else {})
 
     @staticmethod
     def linear(rank: int, coeffs) -> "ChernPolynomial":
+        from fractions import Fraction
+
         terms = {}
         for i, c in enumerate(coeffs):
             if c:
@@ -562,6 +575,8 @@ def ch_character(a: GammaElement, up_to: int) -> ChernPolynomial:
     Each e^lam contributes exp(c(lam)) = sum_m c(lam)^m / m!, where c(lam) is
     the linear form sum_i lam_i x_i in the simple-root variables.
     """
+    from fractions import Fraction
+
     rank = a.rank
     out = ChernPolynomial.zero(rank)
     for e, c in a.terms.items():

@@ -15,7 +15,6 @@ the box enumeration order and is validated against computed diagonal labels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from operator import le, sub
@@ -62,11 +61,34 @@ class BuildCheckError(PosetError):
 # Space specifications
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
-    kind: str  # "Gr", "LG", "OG", "Q", "E6", "E7"
-    a: int = 0
-    b: int = 0
+class _Frozen:
+    """Attributes set once, in ``__init__``, through ``object.__setattr__``."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SpaceSpec(_Frozen):
+    """A space's family, "Gr", "LG", "OG", "Q", "E6" or "E7", and its numbers."""
+
+    def __init__(self, kind: str, a: int = 0, b: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __repr__(self) -> str:
+        return f"SpaceSpec(kind={self.kind!r}, a={self.a!r}, b={self.b!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.a, self.b) == (other.kind, other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.a, self.b))
 
     def __str__(self) -> str:
         if self.kind in ("E6", "E7"):
@@ -224,12 +246,12 @@ def _space_root_system(spec: SpaceSpec) -> RootSystem:
 # Shapes
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(_Frozen):
     """Lower order ideal of a cominuscule poset, stored as a bitmask."""
 
-    poset: "CominusculePoset"
-    mask: int
+    def __init__(self, poset: "CominusculePoset", mask: int):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def size(self) -> int:

@@ -146,23 +146,41 @@ def _terms(G: np.ndarray):
     return np.array([i for i, t in nz for _ in t], dtype=np.int64), exps, [c for _, t in nz for c in t.values()]
 
 
+def _node_powers(exps: np.ndarray, p: int, axes: list) -> list:
+    """x^{-lam_i} for each node x of axes[i], a list of residues of
+    x_i = e^{-alpha_i}, and each term's exponent lam (a row of exps): one
+    int64 array (len(axes[i]), terms) per variable, one pow per distinct
+    value of lam_i."""
+    out = []
+    for xs, lam in zip(axes, exps.T):
+        lams, inv = np.unique(lam, return_inverse=True)
+        lams = lams.tolist()
+        out.append(np.array([[pow(x, -e, p) for e in lams] for x in xs], dtype=np.int64)[:, inv])
+    return out
+
+
+def _eval_at(size: int, terms, powers: list, index, p: int) -> np.ndarray:
+    """The values (points, size) of an array of `size` entries with terms
+    `terms` (from _terms) at the points j whose node of x_i is row
+    index[i][j] of powers[i] (from _node_powers): e^{lam} = prod x_i^{-lam_i}."""
+    at, _, coeffs = terms
+    val = np.array(coeffs, dtype=np.int64) % p
+    for P, ix in zip(powers, index):
+        val = val * P[ix] % p
+    out = np.zeros((len(index[0]), size), dtype=np.int64)
+    np.add.at(out, (slice(None), at), val)
+    return out % p
+
+
 def _eval_array(G: np.ndarray, p: int, nodes: np.ndarray, terms=None) -> np.ndarray:
     """The group-ring array G at every row of nodes, the residues of the
     x_i = e^{-alpha_i}: an int64 array of shape (len(nodes), *G.shape).
     terms, when given, is _terms(G), so that a caller evaluating G at
     several primes scans it once."""
-    at, exps, coeffs = _terms(G) if terms is None else terms
-    out = np.zeros((len(nodes), G.size), dtype=np.int64)
-    val = np.array(coeffs, dtype=np.int64) % p
-    # e^{lam} = prod x_i^{-lam_i}
-    for xs, lam in zip(nodes.T.tolist(), exps.T):
-        lams, inv = np.unique(lam, return_inverse=True)
-        lams = lams.tolist()
-        # a tensor grid repeats each value of x_i: one pow per distinct value
-        row = {x: [pow(x, -e, p) for e in lams] for x in dict.fromkeys(xs)}
-        val = val * np.array([row[x] for x in xs], dtype=np.int64)[:, inv] % p
-    np.add.at(out, (slice(None), at), val)
-    return (out % p).reshape(len(nodes), *G.shape)
+    terms = _terms(G) if terms is None else terms
+    powers = _node_powers(terms[1], p, nodes.T.tolist())
+    index = [np.arange(len(nodes))] * nodes.shape[1]
+    return _eval_at(G.size, terms, powers, index, p).reshape(len(nodes), *G.shape)
 
 
 _DIVISOR_CACHE: dict[str, np.ndarray] = {}
@@ -329,12 +347,15 @@ def _solve(L: np.ndarray, D: int, p: int, nodes: np.ndarray) -> np.ndarray:
     """The layers M[j, v, d, w, u] of every M_v mod q^{D+1} at each point j.
 
     nodes[j] holds the residues of x_1, ..., x_rank at point j; the mod-p
-    backend is the case of one point.  M_v K = W_v, where column i of W_v is
-    L^i e_v, so M_v = W_v K^{-1}, and K is W_v of the identity class e_1.
+    backend is the case of one point.  L is the divisor matrix (2, k, k)
+    over the group ring, or its values at the points, an int64 array
+    (points, 2, k, k), which an exact build evaluates from L's terms and
+    node powers computed once per grid.  M_v K = W_v, where column i of W_v
+    is L^i e_v, so M_v = W_v K^{-1}, and K is W_v of the identity class e_1.
     """
     k, n = L.shape[-1], len(nodes)
     # rows 0..k-1 hold L's q^0 layer, rows k..2k-1 its q^1 layer
-    Lj = _eval_array(L, p, nodes).reshape(n, 2 * k, k)
+    Lj = (L if L.dtype == np.int64 else _eval_array(L, p, nodes)).reshape(n, 2 * k, k)
     # one Krylov pass for all columns: W[j, w, v, d, i] = layer d of (L^i)_{wv}
     W = np.zeros((n, k, k, D + 1, k), dtype=np.int64)
     W[:, range(k), range(k), 0, 0] = 1
@@ -398,9 +419,14 @@ def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: rand
         raise GridOutOfReach(refusal)
     axes = [rng.sample(range(1, p), n) for n in counts]
     nodes = np.array(list(iproduct(*axes)), dtype=np.int64)
+    Lterms = _terms(L)
+    powers = _node_powers(Lterms[1], p, axes)
     step = max(1, _BLOCK_ENTRIES // ((S + 1) * k**3))
     for at in range(0, len(nodes), step):
-        M = _solve(L, S, p, nodes[at:at + step]).reshape(-1, k * (S + 1) * k * k)
+        block = nodes[at:at + step]
+        # point j of the grid takes node unravel_index(j, counts)[i] of axes[i]
+        Lj = _eval_at(L.size, Lterms, powers, np.unravel_index(np.arange(at, at + len(block)), counts), p)
+        M = _solve(Lj.reshape(-1, *L.shape), S, p, block).reshape(-1, k * (S + 1) * k * k)
         if not at:
             live = np.flatnonzero(M.any(axis=0))
             values = np.empty((len(nodes), len(live)), dtype=np.int32)  # residues below p < 2^24

@@ -9,13 +9,12 @@ one simple reflection at a time, each a row update.  Epsilon coordinates of
 the classical families convert to simple-root coordinates in closed form:
 the coefficients are prefix sums, the last ones halved in types C and D.
 Only ``RootSystem.fundamental_weight``, which is rational in general, uses
-``Fraction``.
+``Fraction``; it imports ``fractions`` when first called, so that loading
+this module loads neither ``fractions`` nor ``decimal``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
@@ -84,18 +83,53 @@ def _cartan_and_symmetrizer(family: str, rank: int) -> tuple[list[list[int]], li
     raise UnsupportedType(f"no root system of type {family}{rank}")
 
 
-@dataclass
 class RootSystem:
-    family: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[int, ...]
-    bilinear: tuple[tuple[int, ...], ...]  # (alpha_i, alpha_j), scaled
-    positive_roots: tuple[RootVector, ...]
-    cominuscule: int | None = None  # 0-based index of gamma, if assigned
-    _root_set: frozenset[RootVector] = field(default=frozenset(), repr=False)
-    _norm_cache: dict[RootVector, int] = field(default_factory=dict, repr=False)
-    _max_norm: int = 0
+    """A root system's data; ``==`` compares every field, and it is unhashable."""
+
+    def __init__(
+        self,
+        family: str,
+        rank: int,
+        cartan: tuple[tuple[int, ...], ...],
+        symmetrizer: tuple[int, ...],
+        bilinear: tuple[tuple[int, ...], ...],  # (alpha_i, alpha_j), scaled
+        positive_roots: tuple[RootVector, ...],
+        cominuscule: int | None = None,  # 0-based index of gamma, if assigned
+        _root_set: frozenset[RootVector] = frozenset(),
+        _norm_cache: dict[RootVector, int] | None = None,
+        _max_norm: int = 0,
+    ):
+        self.family = family
+        self.rank = rank
+        self.cartan = cartan
+        self.symmetrizer = symmetrizer
+        self.bilinear = bilinear
+        self.positive_roots = positive_roots
+        self.cominuscule = cominuscule
+        self._root_set = _root_set
+        self._norm_cache = {} if _norm_cache is None else _norm_cache
+        self._max_norm = _max_norm
+
+    def _fields(self) -> tuple:
+        return (
+            self.family, self.rank, self.cartan, self.symmetrizer, self.bilinear, self.positive_roots,
+            self.cominuscule, self._root_set, self._norm_cache, self._max_norm,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable: build_root_system sets cominuscule and _max_norm
+
+    def __repr__(self) -> str:
+        return (
+            f"RootSystem(family={self.family!r}, rank={self.rank!r}, cartan={self.cartan!r}, "
+            f"symmetrizer={self.symmetrizer!r}, bilinear={self.bilinear!r}, "
+            f"positive_roots={self.positive_roots!r}, cominuscule={self.cominuscule!r}, "
+            f"_max_norm={self._max_norm!r})"
+        )
 
     @cached_property
     def simple_roots(self) -> tuple[RootVector, ...]:
@@ -180,8 +214,11 @@ class RootSystem:
             raise NotInPoset(f"{alpha} does not carry the cominuscule root once")
         return self.weight_pairing(self.cominuscule, alpha)
 
-    def fundamental_weight(self, index: int) -> tuple[Fraction, ...]:
-        """omega_index in simple-root coordinates (rational in general)."""
+    def fundamental_weight(self, index: int) -> tuple:
+        """omega_index in simple-root coordinates, as Fractions (rational in
+        general)."""
+        from fractions import Fraction
+
         # Solve cartan x = e_index, since <omega, alpha_i^vee> = sum_j
         # x_j cartan[i][j] must be delta_{i,index}.
         n = self.rank

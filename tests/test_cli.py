@@ -141,6 +141,65 @@ def test_cache_answers_and_poset_commands_load_no_numpy(capsys, tmp_path):
     assert [s for s in seen[:-1] if s[1] or s[2]] == []
 
 
+LEAN_START = """
+import contextlib, io, json, sys
+
+base = set(sys.modules)
+watched = {"dataclasses", "inspect", "fractions", "decimal", "qkcalc.chevalley"}
+seen = []
+
+def loaded(label):
+    seen.append([label, sorted(watched & (set(sys.modules) - base)), "numpy" in sys.modules])
+
+import qkcalc
+loaded("import qkcalc")
+from qkcalc import cli
+loaded("import qkcalc.cli")
+warm = f"--cache-dir={sys.argv[1]}"
+commands = [
+    ["dual", "Gr(2,4)", "1"], ["nbhd", "Gr(2,4)", "1", "1"],
+    ["product", "Gr(2,4)", "1", "2,1", "--backend=exact", warm],
+    ["product", "Gr(2,4)", "1", "2,1", "--backend=exact", "--format=json", warm],
+    ["product", "Gr(2,4)", "1", "2,1", "--backend=exact", "--format=latex", warm],
+    ["product", "Gr(2,4)", "1", "2,1", "--backend=mod-p", warm],
+    ["product", "Gr(2,4)", "1", "2,1", "--backend=mod-p", "--format=json", warm],
+    ["product", "Gr(2,4)", "1", "1", warm],
+    ["describe", "E6"], ["chevalley", "Gr(2,4)", "1"],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv):
+            raise SystemExit(f"{argv} failed")
+    loaded(" ".join(argv[:2] + argv[4:5]))
+print(json.dumps(seen))
+"""
+
+
+def test_cache_answers_load_no_dataclasses_fractions_or_chevalley(capsys, tmp_path):
+    # beyond what a bare interpreter has loaded: no dataclasses (and with it
+    # inspect), no fractions (and with it decimal), and no chevalley module
+    # until the chevalley command binds its names
+    for backend in ("exact", "mod-p"):
+        assert run(capsys, "table", "Gr(2,4)", f"--backend={backend}", f"--cache-dir={tmp_path}")[0] == 0
+    proc = _python(LEAN_START, str(tmp_path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert len(seen) == 12 and [s[0] for s in seen[-2:]] == ["describe E6", "chevalley Gr(2,4)"]
+    assert [s for s in seen[:-1] if s[1] or s[2]] == []
+    assert seen[-1][1:] == [["qkcalc.chevalley"], False]
+
+
+def test_chevalley_names_bound_before_first_use_are_kept(capsys, tmp_path, monkeypatch):
+    # a stand-in bound in cli before a command binds the Chevalley names, as
+    # perfbench's tracer binds its wrapper, stays in place
+    calls = []
+    real = cli.sgamma_star
+    monkeypatch.setattr(cli, "sgamma_star", lambda poset, mask: calls.append(mask) or real(poset, mask))
+    assert run(capsys, "chevalley", "Gr(2,4)", "1")[0] == 0
+    assert run(capsys, "verify", "Gr(2,4)", "--suite=chevalley", f"--cache-dir={tmp_path}")[0] == 0
+    assert len(calls) == 1 + 6
+
+
 def test_product_json_roundtrip(capsys, tmp_path):
     code, out, _ = run(
         capsys,

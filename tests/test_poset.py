@@ -10,6 +10,8 @@ from qkcalc.poset import (
     CominusculePoset,
     InvalidShape,
     NotContained,
+    Shape,
+    SpaceSpec,
     UnsupportedSpace,
     build_cominuscule,
     parse_space,
@@ -435,3 +437,27 @@ def test_space_setup_constructs_no_fraction(monkeypatch, space):
     made.clear()
     qkring.divisor_matrix(CominusculePoset(parse_space(space)))
     assert made == []
+
+
+def test_space_spec_and_shape_are_immutable_values():
+    # constructor, repr, str, ==, hash and frozen attributes of the two
+    # value classes
+    spec = SpaceSpec("Gr", 2, 4)
+    assert repr(spec) == "SpaceSpec(kind='Gr', a=2, b=4)" and str(spec) == "Gr(2,4)"
+    assert repr(SpaceSpec("E6")) == "SpaceSpec(kind='E6', a=0, b=0)" and str(SpaceSpec("E6")) == "E6"
+    assert str(SpaceSpec(kind="Q", a=5)) == "Q(5)" and str(SpaceSpec(a=2, b=4, kind="LG")) == "LG(2,4)"
+    assert spec == SpaceSpec(kind="Gr", a=2, b=4) == parse_space("Gr(2,4)")
+    assert spec != SpaceSpec("Gr", 2, 5) and spec != ("Gr", 2, 4) and spec.__eq__(("Gr", 2, 4)) is NotImplemented
+    assert hash(spec) == hash(("Gr", 2, 4)) and len({spec, SpaceSpec("Gr", 2, 4), parse_space("P3")}) == 2
+    poset = build_cominuscule("Gr(2,4)")
+    u = poset.parse_shape("2,1")
+    assert repr(u) == "Shape(Gr(2,4), 2,1)" and str(u) == "2,1"
+    assert u == Shape(poset, u.mask) == Shape(poset=poset, mask=u.mask)
+    assert u != Shape(CominusculePoset(spec), u.mask) and u != u.mask
+    assert hash(u) == hash((id(poset), u.mask))
+    for obj, name in ((spec, "a"), (spec, "other"), (u, "mask"), (u, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert (spec.a, u.mask) == (2, poset.parse_shape("2,1").mask)

@@ -268,3 +268,26 @@ def test_word_matrix_of_the_longest_words(key):
     for subset in (None, tuple(range(1, rs.rank))):
         w = longest_word(rs, subset)
         assert word_matrix(rs, w) == _reference_word_matrix(rs, w)
+
+
+def test_root_system_value_behaviour():
+    # field-wise ==, unhashable, the repr of its public fields and _max_norm,
+    # and a norm cache of its own per instance
+    rs = build_root_system("A", 2)
+    assert repr(rs) == (
+        "RootSystem(family='A', rank=2, cartan=((2, -1), (-1, 2)), symmetrizer=(1, 1), "
+        "bilinear=((2, -1), (-1, 2)), positive_roots=((0, 1), (1, 0), (1, 1)), cominuscule=None, _max_norm=2)"
+    )
+    assert rs == build_root_system("A", 2) and rs != build_root_system("A", 2, cominuscule=1)
+    assert rs != build_root_system("A", 3) and rs.__eq__(object()) is NotImplemented
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(rs)
+    one = ((2,),)
+    a = RootSystem("A", 1, one, (1,), one, ((1,),))
+    b = RootSystem(family="A", rank=1, cartan=one, symmetrizer=(1,), bilinear=one, positive_roots=((1,),))
+    assert repr(a) == (
+        "RootSystem(family='A', rank=1, cartan=((2,),), symmetrizer=(1,), bilinear=((2,),), "
+        "positive_roots=((1,),), cominuscule=None, _max_norm=0)"
+    )
+    assert a == b and a._root_set == frozenset() and a._norm_cache == {} and a._norm_cache is not b._norm_cache
+    assert a.norm2((1,)) == 2 and b._norm_cache == {} and a != b
