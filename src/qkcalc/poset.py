@@ -695,18 +695,13 @@ class CominusculePoset:
 
     # -- shape literals --------------------------------------------------------
 
-    def _partition_rows(self) -> list[tuple[int, int]] | None:
-        """(start_col, width) per row for partition-shaped layouts."""
-        if self.space.kind == "Gr":
-            m, n = self.space.a, self.space.b
-            return [(1, n - m)] * m
-        if self.space.kind == "LG":
-            n = self.space.a
-            return [(r, n - r + 1) for r in range(1, n + 1)]
-        if self.space.kind == "OG":
-            n = self.space.a
-            return [(r, n - r) for r in range(1, n)]
-        return None
+    def _partition_rows(self) -> list[int] | None:
+        """The width of each row of a partition-shaped layout (Gr, LG, OG),
+        whose cells are numbered row by row from row 1."""
+        if self.space.kind not in ("Gr", "LG", "OG"):
+            return None
+        rows = [r for r, _ in self.cells]
+        return [rows.count(r) for r in range(1, rows[-1] + 1)]
 
     def parse_shape(self, text: str) -> Shape:
         text = text.strip()
@@ -738,7 +733,7 @@ class CominusculePoset:
                 raise InvalidShape("too many rows")
             mask = 0
             offset = 0
-            for r, (start, width) in enumerate(rows):
+            for r, width in enumerate(rows):
                 lam = parts[r] if r < len(parts) else 0
                 if lam < 0 or lam > width:
                     raise InvalidShape(f"row {r+1} must have 0..{width} boxes")
@@ -772,7 +767,7 @@ class CominusculePoset:
         if rows is not None:
             parts = []
             offset = 0
-            for start, width in rows:
+            for width in rows:
                 parts.append(sum(1 for c in range(width) if u.mask >> (offset + c) & 1))
                 offset += width
             while parts and parts[-1] == 0:

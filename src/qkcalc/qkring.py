@@ -39,9 +39,9 @@ M_v L = L M_v (verify_ms_equations) and M_v e_1 = e_v (the identity row).  L
 is cyclic, so its commutant holds exactly one operator sending e_1 to e_v,
 and a candidate that passes is the true table whatever the degree box or the
 prime.  A failed certificate redraws the nodes once with a doubled box, a
-singular node or a missed live entry on the same box; a second failure
-raises QKRingError.  So a closed form that under-counts a degree costs a
-redraw, never a wrong table.
+singular node or a missed live entry on the same box; a second failure, or
+a doubled box past the guard, raises QKRingError.  So a closed form that
+under-counts a degree costs a redraw, never a wrong table.
 
 The certificate and the verify checks multiply exactly on term arrays: the
 terms of the table and of L as numpy arrays of int64 codes, each an entry
@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from itertools import product as iproduct
 from math import comb, prod
 from typing import Callable, NamedTuple
 
@@ -343,19 +342,18 @@ def _inverse_mod(A: np.ndarray, p: int) -> np.ndarray:
     return m[:, :, k:].reshape(shape)
 
 
-def _solve(L: np.ndarray, D: int, p: int, nodes: np.ndarray) -> np.ndarray:
+def _solve(L: np.ndarray, D: int, p: int) -> np.ndarray:
     """The layers M[j, v, d, w, u] of every M_v mod q^{D+1} at each point j.
 
-    nodes[j] holds the residues of x_1, ..., x_rank at point j; the mod-p
-    backend is the case of one point.  L is the divisor matrix (2, k, k)
-    over the group ring, or its values at the points, an int64 array
-    (points, 2, k, k), which an exact build evaluates from L's terms and
-    node powers computed once per grid.  M_v K = W_v, where column i of W_v
-    is L^i e_v, so M_v = W_v K^{-1}, and K is W_v of the identity class e_1.
+    L[j] holds the divisor matrix's values (2, k, k) at point j, residues in
+    an int64 array: callers evaluate it, the mod-p backend at its
+    assignment and an exact build at each block of its grid.  M_v K = W_v,
+    where column i of W_v is L^i e_v, so M_v = W_v K^{-1}, and K is W_v of
+    the identity class e_1.
     """
-    k, n = L.shape[-1], len(nodes)
+    n, k = len(L), L.shape[-1]
     # rows 0..k-1 hold L's q^0 layer, rows k..2k-1 its q^1 layer
-    Lj = (L if L.dtype == np.int64 else _eval_array(L, p, nodes)).reshape(n, 2 * k, k)
+    Lj = L.reshape(n, 2 * k, k)
     # one Krylov pass for all columns: W[j, w, v, d, i] = layer d of (L^i)_{wv}
     W = np.zeros((n, k, k, D + 1, k), dtype=np.int64)
     W[:, range(k), range(k), 0, 0] = 1
@@ -418,18 +416,17 @@ def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: rand
     if refusal:
         raise GridOutOfReach(refusal)
     axes = [rng.sample(range(1, p), n) for n in counts]
-    nodes = np.array(list(iproduct(*axes)), dtype=np.int64)
     Lterms = _terms(L)
     powers = _node_powers(Lterms[1], p, axes)
+    points = prod(counts)
     step = max(1, _BLOCK_ENTRIES // ((S + 1) * k**3))
-    for at in range(0, len(nodes), step):
-        block = nodes[at:at + step]
+    for at in range(0, points, step):
         # point j of the grid takes node unravel_index(j, counts)[i] of axes[i]
-        Lj = _eval_at(L.size, Lterms, powers, np.unravel_index(np.arange(at, at + len(block)), counts), p)
-        M = _solve(Lj.reshape(-1, *L.shape), S, p, block).reshape(-1, k * (S + 1) * k * k)
+        Lj = _eval_at(L.size, Lterms, powers, np.unravel_index(np.arange(at, min(at + step, points)), counts), p)
+        M = _solve(Lj.reshape(-1, *L.shape), S, p).reshape(-1, k * (S + 1) * k * k)
         if not at:
             live = np.flatnonzero(M.any(axis=0))
-            values = np.empty((len(nodes), len(live)), dtype=np.int32)  # residues below p < 2^24
+            values = np.empty((points, len(live)), dtype=np.int32)  # residues below p < 2^24
         values[at:at + step] = M[:, live]
         if np.count_nonzero(M) != np.count_nonzero(values[at:at + step]):
             raise LiveSetMissed("an entry zero on the grid's first block of points is not zero on a later one")
@@ -442,18 +439,17 @@ def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: rand
 
 def _coefficients(M: np.ndarray, counts: list, inverses: list, p: int) -> list:
     """The terms {exponents: coefficient} of each entry of M[j, ...] in
-    row-major order, from its values at the grid points j.  Only the
-    entries nonzero at some point are transformed (the transform sends zero
-    values to zero), in slices of about _BLOCK_ENTRIES values."""
+    row-major order, from its values at the grid points j, in slices of
+    about _BLOCK_ENTRIES values.  Every entry is transformed: the exact
+    build passes only its live entries, and an entry zero at every point
+    has no terms."""
     M = M.reshape(len(M), -1)
-    live = np.flatnonzero(M.any(axis=0))
     step = max(1, _BLOCK_ENTRIES // len(M))
     terms = [{} for _ in range(M.shape[1])]
-    for at in range(0, len(live), step):
+    for at in range(0, M.shape[1], step):
         # axes (n_1, ..., n_rank, entries); transforming the leading axis and
         # rotating it to the back ends with (entries, n_1, ..., n_rank)
-        cols = live[at:at + step]
-        c = M[:, cols].reshape(*counts, -1)
+        c = M[:, at:at + step].reshape(*counts, -1)
         for n, Vinv in zip(counts, inverses):
             c = _matmul_mod(Vinv, c.reshape(n, -1), p).T
         c = c.reshape(-1, prod(counts))
@@ -461,7 +457,7 @@ def _coefficients(M: np.ndarray, counts: list, inverses: list, p: int) -> list:
         entry, mono = np.nonzero(c)
         # the coefficient of x^j is that of e^{-j}
         exps = (-np.stack(np.unravel_index(mono, counts), axis=1)).tolist()
-        for t, e, x in zip(cols[entry].tolist(), exps, c[entry, mono].tolist()):
+        for t, e, x in zip((at + entry).tolist(), exps, c[entry, mono].tolist()):
             terms[t][tuple(e)] = x
     return terms
 
@@ -479,7 +475,8 @@ def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) 
     """Interpolate and certify, on two draws of the nodes: after a singular
     node or a missed live entry on the same box, after a failed certificate
     on a doubled one.  The first box has one node more than the table's
-    degree in each x_i.
+    degree in each x_i.  A first box past the guard is GridOutOfReach; a
+    doubled one is a QKRingError that names the failed certificate.
 
     The solves stop at q^S, S = min(D, d_max), and layers S+1..D are zero:
     the certificate compares untruncated products, so it proves them zero."""
@@ -487,7 +484,7 @@ def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) 
     rng = random.Random(f"nodes:{poset.space}:{D}")
     S = min(D, poset.d_max)
     counts = exact_grid(poset)
-    for _ in range(2):
+    for draw in range(2):
         try:
             mats = np.full((k, D + 1, k, k), _zero(poset.rs.rank), dtype=object)
             mats[:, :S + 1] = _interpolated_columns(L, D, counts, p, rng, S)
@@ -498,6 +495,10 @@ def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) 
         except LiveSetMissed:
             failure = "exact interpolation missed a live entry in its first block of points on its last draw"
             continue
+        except GridOutOfReach as refused:
+            if not draw:
+                raise
+            raise QKRingError(f"{failure}, and the doubled grid is refused: {refused}") from None
         if _certified(table):
             return table
         failure = "interpolated table failed its exact certificate"
@@ -618,9 +619,10 @@ def _truncation(poset: CominusculePoset, D: int | None) -> int:
 def _modp_point_tables(poset: CominusculePoset, L: np.ndarray, D: int, backends: list) -> list:
     """The tables of mod-p backends of one prime, from one solve batched over
     their assignments."""
-    nodes = np.array([b["assignment"] for b in backends], dtype=np.int64)
+    p = backends[0]["p"]
+    Lj = _eval_array(L, p, np.array([b["assignment"] for b in backends], dtype=np.int64))
     tables = []
-    for backend, mats in zip(backends, _solve(L, D, backends[0]["p"], nodes)):
+    for backend, mats in zip(backends, _solve(Lj, D, p)):
         tables.append(_assemble(poset, D, backend, mats))
         _check_identity_row(tables[-1])
     return tables

@@ -49,7 +49,7 @@ def make_field(poset: CominusculePoset, backend="exact", seed=0) -> dict:
     "assignment": [...]}, the residues of the x_i = e^{-alpha_i}.
     """
     rank = poset.rs.rank
-    if backend in ("mod-p", "modp"):
+    if backend == "mod-p":
         p = DEFAULT_PRIMES[0]
         backend = {"kind": "mod-p", "p": p, "assignment": default_assignments(rank, p, 1, seed)[0]}
     if backend == "exact" or isinstance(backend, dict) and backend.get("kind") == "exact":

@@ -885,7 +885,7 @@ def test_default_fallback_solves_only_the_modp_point(capsys, tmp_path, monkeypat
     # the only solve is the mod-p point's
     built = []
     solve = qkring._solve
-    monkeypatch.setattr(qkring, "_solve", lambda L, D, p, nodes: built.append(len(nodes)) or solve(L, D, p, nodes))
+    monkeypatch.setattr(qkring, "_solve", lambda L, D, p: built.append(len(L)) or solve(L, D, p))
     code, out, err = run(capsys, "table", "Gr(1,8)", f"--cache-dir={tmp_path}")
     assert code == 0 and "backend=mod-p" in out and "a grid of 40320 points" in err
     assert built == [1]

@@ -714,7 +714,7 @@ def _recording_solves(monkeypatch) -> list:
     """(D, p, points) of every _solve call from now on, in order."""
     seen = []
     solve = qkring._solve
-    monkeypatch.setattr(qkring, "_solve", lambda L, D, p, nodes: seen.append((D, p, len(nodes))) or solve(L, D, p, nodes))
+    monkeypatch.setattr(qkring, "_solve", lambda L, D, p: seen.append((D, p, len(L))) or solve(L, D, p))
     return seen
 
 
@@ -750,9 +750,9 @@ def test_exact_build_redraws_after_a_missed_live_entry(monkeypatch):
     solve, interpolate = qkring._solve, qkring._interpolated_columns
     blocks, draws, dead = [], [], []
 
-    def planted(L, D, p, nodes):
-        M = solve(L, D, p, nodes)
-        blocks.append(len(nodes))
+    def planted(L, D, p):
+        M = solve(L, D, p)
+        blocks.append(len(L))
         if len(blocks) == 1:
             dead.extend(np.argwhere(~M.any(axis=0))[0])
         elif len(blocks) == 2:
@@ -859,6 +859,21 @@ def test_exact_build_names_a_singular_node_on_both_draws(monkeypatch):
         full_table(build_cominuscule("Gr(2,4)"))
     assert type(err.value) is qkring.QKRingError
     assert "singular Krylov node" in str(err.value) and "certificate" not in str(err.value)
+
+
+def test_failed_certificate_with_a_doubled_grid_out_of_reach_names_both(monkeypatch):
+    # Q(7)'s box one short on x_1 fails its certificate, and the doubled
+    # 14 x 16 x 16 x 16 box is past the guard: the error names the failed
+    # certificate, not a refused grid alone
+    poset = build_cominuscule("Q(7)")
+    monkeypatch.setattr(poset, "table_degrees", (6, 7, 7, 7))
+    solves = _recording_solves(monkeypatch)
+    with pytest.raises(qkring.QKRingError) as err:
+        full_table(poset, D=5)
+    assert type(err.value) is qkring.QKRingError
+    assert "failed its exact certificate" in str(err.value) and "a grid of 57344 points" in str(err.value)
+    # the first box was solved, the doubled one was not
+    assert sum(n for _, _, n in solves) == 7 * 8**3
 
 
 @pytest.mark.parametrize("space", EXACT_BUILD_SPACES + ("Q(6)",))
@@ -1297,7 +1312,7 @@ def test_modp_solver_takes_one_product_per_layer(LDpn):
     # pairs of layers that they replace, on powers of L computed apart
     L, D, p, nodes = LDpn
     try:
-        M = _solve(L, D, p, nodes)
+        M = _solve(qkring._eval_array(L, p, nodes), D, p)
     except SingularKrylov:
         assume(False)
     K, C, want = _pair_loop_solve(L, D, p, nodes)
@@ -1313,11 +1328,12 @@ def test_modp_solver_takes_one_product_per_layer(LDpn):
 @given(divisors_and_points())
 def test_solving_points_together_equals_solving_each_alone(LDpn):
     L, D, p, nodes = LDpn
+    Lj = qkring._eval_array(L, p, nodes)
     try:
-        M = _solve(L, D, p, nodes)
+        M = _solve(Lj, D, p)
     except SingularKrylov:
         assume(False)
-    assert np.array_equal(M, np.concatenate([_solve(L, D, p, nodes[j:j + 1]) for j in range(len(nodes))]))
+    assert np.array_equal(M, np.concatenate([_solve(Lj[j:j + 1], D, p) for j in range(len(nodes))]))
 
 
 def _dense_coefficients(M, counts, inverses, p):
@@ -1359,7 +1375,7 @@ def test_modp_solver_rejects_singular_krylov_matrix():
     flat = np.full((2, k, k), zero, dtype=object)
     d = make_field(poset, "mod-p")
     with pytest.raises(SingularKrylov):
-        _solve(flat, 4, d["p"], np.array([d["assignment"]]))
+        _solve(qkring._eval_array(flat, d["p"], np.array([d["assignment"]])), 4, d["p"])
 
 
 # ---------------------------------------------------------------------------
