@@ -61,6 +61,14 @@ values decide them, and each product is pointwise.  Either way the
 checks' arrays hold one entry per value of q, or one entry whose keys hold
 q.
 
+The associativity check applies the solve's argument to the table's own
+divisor operator M_g: if every M_w commutes with M_g and e_1 is cyclic for
+M_g, every M_w is a polynomial in M_g, so all of them commute.  That is two
+products over the ring and one Krylov matrix inverted mod p at q = 0
+(_commutant_decides).  Only on a table that fails it do the 2(k - 1)
+products comparing every pair [M_u, M_w] run, so that the report names each
+failing pair.
+
 Every mod-p matrix product runs through _matmul_mod, exact in float64 BLAS:
 the left factor splits into limbs narrow enough that no sum of products
 reaches 2^53 (one limb, the factor itself, at the interpolation prime and
@@ -90,7 +98,7 @@ from .gamma import (
     default_assignments,
     exact_divide,  # noqa: F401  perfbench/tracer.py counts calls through this name
 )
-from .chevalley import j_class, j_weight, sgamma_star
+from .chevalley import j_class, j_weight, sgamma_mask, sgamma_star
 from .poset import CominusculePoset, build_cominuscule  # noqa: F401  perfbench/tracer.py wraps this name
 # the table store; cache_key, cache_path, load_table and save_table are
 # re-exported, so that qkring.* keeps naming them
@@ -936,21 +944,56 @@ def verify_associativity(table: MultTable) -> dict:
     """Symmetry plus commuting multiplication operators.
 
     Once N^w_{u,v} = N^w_{v,u} holds, (O^u * O^v) * O^w = O^u * (O^v * O^w)
-    for all triples is equivalent to [M_u, M_w] = 0 for all pairs.
+    for all triples is equivalent to [M_u, M_w] = 0 for all pairs.  If every
+    M_w commutes with the divisor's operator M_g and M_g is cyclic, all of
+    them commute (_commutant_decides, two products over the ring).  Only
+    otherwise is each M_u compared with every later M_w, 2(k - 1) products,
+    so that the report names each failing pair.
     """
     C, _, matmul = _ring(table, divisor=False)
     k = table.k
     # asym[u, v, w]: N^w_{u,v} != N^w_{v,u} at some point
     asym = (C != C.transpose(3, 1, 2, 0)).any(axis=1).transpose(2, 0, 1)
     failures = [("symmetry", u, v, w) for u, v, w in np.argwhere(asym).tolist() if u < v]
-    # M_u against every later M_w at once: M_u [M_w ...] and [M_w; ...] M_u
-    for u in range(k - 1):
-        Mu, rest = C[u], C[u + 1:]
-        uw = matmul(Mu, _cols(rest)).reshape(-1, k, len(rest), k).transpose(0, 2, 1, 3)
-        wu = matmul(_rows(rest), Mu).reshape(-1, len(rest), k, k)
-        bad = (uw != wu).any(axis=(0, 2, 3))
-        failures += [("commutator", u, w) for w in (u + 1 + np.flatnonzero(bad)).tolist()]
+    if not _commutant_decides(table, C, matmul):
+        # M_u against every later M_w at once: M_u [M_w ...] and [M_w; ...] M_u
+        for u in range(k - 1):
+            Mu, rest = C[u], C[u + 1:]
+            uw = matmul(Mu, _cols(rest)).reshape(-1, k, len(rest), k).transpose(0, 2, 1, 3)
+            wu = matmul(_rows(rest), Mu).reshape(-1, len(rest), k, k)
+            bad = (uw != wu).any(axis=(0, 2, 3))
+            failures += [("commutator", u, w) for w in (u + 1 + np.flatnonzero(bad)).tolist()]
     return _report("associativity", table, failures, {"pairs": k * (k - 1) // 2})
+
+
+def _commutant_decides(table: MultTable, C, matmul) -> bool:
+    """True when every M_w in C commutes with M_g, the table's operator for
+    the divisor (one product each way over the ring of matmul), and e_1 is
+    cyclic for M_g at q = 0: its Krylov matrix inverts mod p at the table's
+    assignment, or for an exact table at the first default assignment of
+    the first default prime.  The Krylov determinant is then nonzero, so
+    M_g is cyclic over the fraction field, its commutant is the polynomials
+    in M_g, and all M_w commute.  Only the table's entries are read, not
+    divisor_matrix, so the check stays independent of the Molev-Sagan one.
+    """
+    k, g = table.k, table.masks.index(sgamma_mask(table.poset))
+    if table.is_exact:
+        p = DEFAULT_PRIMES[0]
+        node = np.array(default_assignments(table.poset.rs.rank, p, 1, 0), dtype=np.int64)
+        M = _eval_array(table.mats[g, 0], p, node)[0]
+    else:
+        p, M = table.backend["p"], table.mats[g, 0]
+    K = np.zeros((k, k), dtype=np.int64)
+    K[0, 0] = 1
+    for i in range(1, k):
+        K[:, i] = _matmul_mod(M, K[:, i - 1], p)
+    try:
+        _inverse_mod(K, p)
+    except SingularKrylov:
+        return False
+    gw = matmul(C[g], _cols(C)).reshape(-1, k, k, k).transpose(0, 2, 1, 3)
+    wg = matmul(_rows(C), C[g]).reshape(-1, k, k, k)
+    return not (gw != wg).any()
 
 
 def verify_positivity_signs(table: MultTable) -> dict:

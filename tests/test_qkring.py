@@ -1519,6 +1519,88 @@ def test_checks_of_the_q0_specialization_match_the_layer_convolution(space):
 
 
 # ---------------------------------------------------------------------------
+# Associativity through the divisor's commutant, against every pair
+
+
+def _pairwise_dict_report(table) -> dict:
+    """verify_associativity's report from the dict kernel with every pair
+    [M_u, M_w] compared, M_u against every later M_w."""
+    C, _, matmul = _dict_ring(table, divisor=False)
+    k = table.k
+    asym = (C != C.transpose(3, 1, 2, 0)).any(axis=1).transpose(2, 0, 1)
+    failures = [("symmetry", u, v, w) for u, v, w in np.argwhere(asym).tolist() if u < v]
+    for u in range(k - 1):
+        rest = C[u + 1:]
+        uw = matmul(C[u], qkring._cols(rest)).reshape(-1, k, len(rest), k).transpose(0, 2, 1, 3)
+        wu = matmul(qkring._rows(rest), C[u]).reshape(-1, len(rest), k, k)
+        bad = (uw != wu).any(axis=(0, 2, 3))
+        failures += [("commutator", u, w) for w in (u + 1 + np.flatnonzero(bad)).tolist()]
+    return qkring._report("associativity", table, failures, {"pairs": k * (k - 1) // 2})
+
+
+def _counted_products(monkeypatch) -> list:
+    """The products over the ring made from now on: each _term_matmul call,
+    and each _matmul_mod call on stacked operands (the Krylov vectors and
+    the values in q are not products over the ring)."""
+    calls, term_matmul, matmul_mod = [], qkring._term_matmul, qkring._matmul_mod
+
+    def counted_term_matmul(A, B):
+        calls.append("term")
+        return term_matmul(A, B)
+
+    def counted_matmul_mod(A, B, p):
+        if A.ndim > 2 or B.ndim > 2:
+            calls.append("mod-p")
+        return matmul_mod(A, B, p)
+
+    monkeypatch.setattr(qkring, "_term_matmul", counted_term_matmul)
+    monkeypatch.setattr(qkring, "_matmul_mod", counted_matmul_mod)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["exact", "mod-p"])
+def test_a_commuting_divisor_without_a_cyclic_vector_falls_back_to_every_pair(monkeypatch, backend):
+    # the identity commutes with every M_w but has no cyclic vector, so with
+    # it as M_g only the cyclicity check keeps the commutant argument from
+    # passing the symmetric corruption's commutators
+    table = full_table(build_cominuscule("Gr(2,4)"), backend=backend)
+    k, g = table.k, table.masks.index(sgamma_mask(table.poset))
+    assert g not in (2, 3)
+    if table.is_exact:
+        rank = table.poset.rs.rank
+        table.mats[g] = GammaElement.zero(rank)
+        table.mats[g, 0, range(k), range(k)] = GammaElement.from_int(rank, 1)
+    else:
+        table.mats[g] = 0
+        table.mats[g, 0] = np.eye(k, dtype=np.int64)
+    _bump(table, (2, 1, 4, 3))
+    _bump(table, (3, 1, 4, 2))
+    C, _, matmul = qkring._ring(table, divisor=False)
+    gw = matmul(C[g], qkring._cols(C)).reshape(-1, k, k, k).transpose(0, 2, 1, 3)
+    assert not (gw != matmul(qkring._rows(C), C[g]).reshape(-1, k, k, k)).any()
+    rep = verify_associativity(table)
+    assert rep["status"] == "fail" and "commutator" in {f[0] for f in rep["failures"]}
+    want = _dict_reports(monkeypatch, table)[1] if table.is_exact else _reference_reports(table)[1]
+    assert rep == want
+
+
+@pytest.mark.parametrize(
+    "space, backend",
+    [(s, "exact") for s in (*EXACT_BUILD_SPACES, "Gr(2,5)", "LG(3,6)", "OG(4,8)")]
+    + [(s, "mod-p") for s in ("Gr(2,6)", "OG(5,10)", "LG(4,8)", "E6")],
+)
+def test_a_passing_associativity_check_takes_two_products(monkeypatch, space, backend):
+    # [M_g, M_w] for every w at once, one product each way, whatever k
+    table = full_table(build_cominuscule(space), backend=backend)
+    want = _pairwise_dict_report(table) if table.is_exact else _reference_reports(table)[1]
+    with monkeypatch.context() as m:
+        calls = _counted_products(m)
+        rep = verify_associativity(table)
+    assert calls == ["term" if table.is_exact else "mod-p"] * 2
+    assert rep == want and rep["status"] == "pass"
+
+
+# ---------------------------------------------------------------------------
 # The float64 kernel against Python-int products
 
 KERNEL_DIMS = [1, 2, 63, 64, 65, 2047, 2048, 2049]
