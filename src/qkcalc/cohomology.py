@@ -28,7 +28,7 @@ from .gamma import (
     ch_character,
 )
 from .poset import CominusculePoset
-from .qkring import MultTable, _matmul_mod, _row_reduce_mod, divisor_matrix
+from .qkring import MultTable, _e1_cyclic, _matmul_mod, _row_reduce_mod, divisor_matrix
 
 
 class CohomologyError(Exception):
@@ -387,17 +387,18 @@ def _ms_solution_dimension(H: np.ndarray, p: int) -> int:
     return k * m - _row_reduce_mod(S.reshape(k**3, m * k), p)[1]
 
 
-def conjecture_probe(poset: CominusculePoset, assignments: int = 2, prime: int | None = None, seed: int = 0) -> dict:
-    """Dimension of the full Molev-Sagan solution space over evaluated Lambda_0.
+def conjecture_probe(poset: CominusculePoset, seed: int = 0) -> dict:
+    """Dimension of the full Molev-Sagan solution space over evaluated Lambda_0,
+    at two assignments mod the first default prime.
 
     The uniqueness conjecture predicts |W^P|.  This only reports; nothing
     is asserted on the outcome.
     """
-    p = prime if prime is not None else DEFAULT_PRIMES[0]
+    p = DEFAULT_PRIMES[0]
     rank = poset.rs.rank
     k = len(poset.shape_masks)
     rng = random.Random(f"probe:{seed}:{p}:{rank}")
-    points = [tuple(rng.randrange(1, p) for _ in range(rank)) for _ in range(assignments)]
+    points = [tuple(rng.randrange(1, p) for _ in range(rank)) for _ in range(2)]
     dims = [_ms_solution_dimension(_h_matrix(poset, asg, p), p) for asg in points]
     return {
         "check": "conjecture-probe",
@@ -412,24 +413,18 @@ def conjecture_probe(poset: CominusculePoset, assignments: int = 2, prime: int |
     }
 
 
-def divisor_generation_check(poset: CominusculePoset, prime: int | None = None, seed: int = 0) -> dict:
-    """Distinct divisor restrictions and an invertible H-side Krylov matrix."""
+def divisor_generation_check(poset: CominusculePoset, seed: int = 0) -> dict:
+    """Distinct divisor restrictions and an invertible H-side Krylov matrix,
+    at one assignment mod the first default prime."""
     masks = poset.shape_masks
     k = len(masks)
     rank = poset.rs.rank
     diags = [h_diagonal(poset, m) for m in masks]
     distinct = all(diags[i] != diags[j] for i in range(k) for j in range(i + 1, k))
-    p = prime if prime is not None else DEFAULT_PRIMES[0]
+    p = DEFAULT_PRIMES[0]
     rng = random.Random(f"divgen:{seed}:{p}:{rank}")
     asg = tuple(rng.randrange(1, p) for _ in range(rank))
-    L = _h_matrix(poset, asg, p).T
-    K = np.zeros((k, k), dtype=np.int64)
-    e = np.zeros(k, dtype=np.int64)
-    e[0] = 1
-    for i in range(k):
-        K[:, i] = e
-        e = _matmul_mod(L, e, p)
-    invertible = _row_reduce_mod(K, p)[1] == k
+    invertible = _e1_cyclic(_h_matrix(poset, asg, p).T, p)
     return {
         "check": "divisor-generation",
         "space": str(poset.space),

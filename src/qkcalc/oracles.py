@@ -10,7 +10,7 @@ calculus: it expands a product of explicit K-classes on projective space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .chevalley import j_class, kt_chevalley
 from .gamma import GammaElement
@@ -37,31 +37,26 @@ def euler_pairing_table(poset: CominusculePoset) -> list[list[int]]:
     return [[1 if mu & ~mv == 0 else 0 for mv in masks] for mu in masks]
 
 
-_THETA0_MATRIX_CACHE: dict[str, list[dict[int, int]]] = {}
-
-
+@cache
 def _theta0_matrix(poset: CominusculePoset) -> list[dict[int, int]]:
-    """Column u: the expansion of theta_0(O^u) in the Schubert basis."""
-    key = str(poset.space)
-    cols = _THETA0_MATRIX_CACHE.get(key)
-    if cols is None:
-        from .chevalley import theta0_op
+    """Column u: the expansion of theta_0(O^u) in the Schubert basis, once
+    per poset."""
+    from .chevalley import theta0_op
 
-        index = poset.shape_index
-        cols = []
-        for mask in poset.shape_masks:
-            col = {}
-            for m2, g in theta0_op(poset, {mask: GammaElement.from_int(poset.rs.rank, 1)}).items():
-                c = g.terms.get((0,) * poset.rs.rank, 0)
-                if len(g.terms) != 1 or c not in (1, -1):
-                    raise OracleError("theta_0 entries must be +-1")
-                if mask & ~m2:
-                    raise OracleError("theta_0 is not upper triangular")
-                col[index[m2]] = c
-            if col[index[mask]] != 1:
-                raise OracleError("theta_0 is not unitriangular")
-            cols.append(col)
-        _THETA0_MATRIX_CACHE[key] = cols
+    index = poset.shape_index
+    cols = []
+    for mask in poset.shape_masks:
+        col = {}
+        for m2, g in theta0_op(poset, {mask: GammaElement.from_int(poset.rs.rank, 1)}).items():
+            c = g.terms.get((0,) * poset.rs.rank, 0)
+            if len(g.terms) != 1 or c not in (1, -1):
+                raise OracleError("theta_0 entries must be +-1")
+            if mask & ~m2:
+                raise OracleError("theta_0 is not upper triangular")
+            col[index[m2]] = c
+        if col[index[mask]] != 1:
+            raise OracleError("theta_0 is not unitriangular")
+        cols.append(col)
     return cols
 
 

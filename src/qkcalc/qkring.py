@@ -34,10 +34,10 @@ whatever S is.  The grid is solved in blocks of points, all columns at
 once; the inverse Vandermonde matrix of each axis turns the values of the
 live entries, those nonzero somewhere in the first block, into
 coefficients, lifted to the symmetric range (-p/2, p/2).  The candidate is
-then certified exactly:
-M_v L = L M_v (verify_ms_equations) and M_v e_1 = e_v (the identity row).  L
-is cyclic, so its commutant holds exactly one operator sending e_1 to e_v,
-and a candidate that passes is the true table whatever the degree box or the
+then certified exactly by verify_ms_equations, the same check that verify
+runs: M_v L = L M_v, and its seed M_v e_1 = e_v (the identity row).  L is
+cyclic, so its commutant holds exactly one operator sending e_1 to e_v, and
+a candidate that passes is the true table whatever the degree box or the
 prime.  A failed certificate redraws the nodes once with a doubled box, a
 singular node or a missed live entry on the same box; a second failure, or
 a doubled box past the guard, raises QKRingError.  So a closed form that
@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import cache
 from math import comb, prod
 from typing import Callable, NamedTuple
 
@@ -190,18 +191,12 @@ def _eval_array(G: np.ndarray, p: int, nodes: np.ndarray, terms=None) -> np.ndar
     return _eval_at(G.size, terms, powers, index, p).reshape(len(nodes), *G.shape)
 
 
-_DIVISOR_CACHE: dict[str, np.ndarray] = {}
-
-
+@cache
 def divisor_matrix(poset: CominusculePoset) -> np.ndarray:
     """Matrix of O^{s_gamma} * (.) in the Schubert basis, split by q-degree:
     the read-only (2, k, k) object array L[d, w, u] over the group ring (all
     higher layers vanish by the Chevalley theorem), with its structural
-    invariants checked."""
-    key = str(poset.space)
-    hit = _DIVISOR_CACHE.get(key)
-    if hit is not None:
-        return hit
+    invariants checked; once per poset, which build_cominuscule memoizes."""
     masks = poset.shape_masks
     k = len(masks)
     rank = poset.rs.rank
@@ -229,7 +224,6 @@ def divisor_matrix(poset: CominusculePoset) -> np.ndarray:
             if not L[0, w, u].is_zero() and masks[u] & masks[w] != masks[u]:
                 raise QKRingError("q^0 layer not triangular")
     L.flags.writeable = False
-    _DIVISOR_CACHE[key] = L
     return L
 
 
@@ -350,6 +344,17 @@ def _inverse_mod(A: np.ndarray, p: int) -> np.ndarray:
     return m[:, :, k:].reshape(shape)
 
 
+def _e1_cyclic(M: np.ndarray, p: int) -> bool:
+    """Whether e_1 is cyclic for the k x k matrix M mod p: its Krylov matrix
+    [e_1, M e_1, ..., M^{k-1} e_1] has rank k."""
+    k = len(M)
+    K = np.zeros((k, k), dtype=np.int64)
+    K[0, 0] = 1
+    for i in range(1, k):
+        K[:, i] = _matmul_mod(M, K[:, i - 1], p)
+    return _row_reduce_mod(K, p)[1] == k
+
+
 def _solve(L: np.ndarray, D: int, p: int) -> np.ndarray:
     """The layers M[j, v, d, w, u] of every M_v mod q^{D+1} at each point j.
 
@@ -412,10 +417,10 @@ _BLOCK_ENTRIES = 1 << 17
 
 
 def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: random.Random, S: int) -> np.ndarray:
-    """Layers C[v, d, w, u], d <= S, of every M_v over the group ring,
-    interpolated from the solve mod q^{S+1} on a grid of counts[i] random
-    nonzero nodes per variable, in blocks of points of about _BLOCK_ENTRIES
-    entries (a larger point alone).  A grid past the guard of truncation D
+    """Layers C[v, d, w, u], d <= D, of every M_v over the group ring, the
+    shared zero above S, interpolated from the solve mod q^{S+1} on a grid
+    of counts[i] random nonzero nodes per variable, in blocks of points of
+    about _BLOCK_ENTRIES entries (a larger point alone).  A grid past the guard of truncation D
     is refused before any solve.  Only the live entries, nonzero somewhere
     in the first block, keep their values; LiveSetMissed when a later block
     has another."""
@@ -440,9 +445,9 @@ def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: rand
             raise LiveSetMissed("an entry zero on the grid's first block of points is not zero on a later one")
     terms = _coefficients(values, counts, [_interpolation_matrix(xs, p) for xs in axes], p)
     zero = _zero(rank)
-    mats = np.full(k * (S + 1) * k * k, zero, dtype=object)
-    mats[live] = _object_array([GammaElement(rank, t) if t else zero for t in terms], len(live))
-    return mats.reshape(k, S + 1, k, k)
+    mats = np.full((k, D + 1, k * k), zero, dtype=object)
+    mats[np.unravel_index(live, (k, S + 1, k * k))] = _object_array([GammaElement(rank, t) if t else zero for t in terms], len(live))
+    return mats.reshape(k, D + 1, k, k)
 
 
 def _coefficients(M: np.ndarray, counts: list, inverses: list, p: int) -> list:
@@ -470,15 +475,6 @@ def _coefficients(M: np.ndarray, counts: list, inverses: list, p: int) -> list:
     return terms
 
 
-def _certified(table: MultTable) -> bool:
-    """M_v e_1 = e_v and M_v L = L M_v, exactly: only the true table passes."""
-    try:
-        _check_identity_row(table)
-    except QKRingError:
-        return False
-    return verify_ms_equations(table)["status"] == "pass"
-
-
 def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) -> MultTable:
     """Interpolate and certify, on two draws of the nodes: after a singular
     node or a missed live entry on the same box, after a failed certificate
@@ -488,15 +484,13 @@ def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) 
 
     The solves stop at q^S, S = min(D, d_max), and layers S+1..D are zero:
     the certificate compares untruncated products, so it proves them zero."""
-    p, k = _INTERPOLATION_PRIME, L.shape[-1]
+    p = _INTERPOLATION_PRIME
     rng = random.Random(f"nodes:{poset.space}:{D}")
     S = min(D, poset.d_max)
     counts = exact_grid(poset)
     for draw in range(2):
         try:
-            mats = np.full((k, D + 1, k, k), _zero(poset.rs.rank), dtype=object)
-            mats[:, :S + 1] = _interpolated_columns(L, D, counts, p, rng, S)
-            table = _assemble(poset, D, backend, mats)
+            table = _assemble(poset, D, backend, _interpolated_columns(L, D, counts, p, rng, S))
         except SingularKrylov:
             failure = "exact interpolation hit a singular Krylov node on its last draw"
             continue
@@ -507,7 +501,7 @@ def _exact_table(poset: CominusculePoset, L: np.ndarray, D: int, backend: dict) 
             if not draw:
                 raise
             raise QKRingError(f"{failure}, and the doubled grid is refused: {refused}") from None
-        if _certified(table):
+        if verify_ms_equations(table)["status"] == "pass":
             return table
         failure = "interpolated table failed its exact certificate"
         counts = [2 * n for n in counts]
@@ -524,20 +518,27 @@ class MultTable:
 
     mats[v, d, w, u] holds the coefficient of q^d O^w in O^u * O^v, in an
     array of shape (k, D+1, k, k): GammaElement objects (exact backend) or
-    int64 residues (mod-p backend).
+    int64 residues (mod-p backend).  The space, its basis and k are the
+    poset's.
     """
 
-    space: str
+    poset: CominusculePoset
     D: int
     backend: dict
-    masks: tuple
     mats: np.ndarray
-    poset: CominusculePoset | None = None
     flags: dict = field(default_factory=dict)
 
     @property
+    def space(self) -> str:
+        return str(self.poset.space)
+
+    @property
+    def masks(self) -> tuple:
+        return self.poset.shape_masks
+
+    @property
     def k(self) -> int:
-        return len(self.masks)
+        return len(self.poset.shape_masks)
 
     @property
     def is_exact(self) -> bool:
@@ -546,8 +547,7 @@ class MultTable:
     def entry(self, u: int, v: int, w: int):
         layers = self.mats[v, :, w, u].tolist()
         if self.is_exact:
-            rank = self.poset.rs.rank if self.poset else layers[0].rank
-            return QPolynomial(rank, layers)
+            return QPolynomial(self.poset.rs.rank, layers)
         return tuple(layers)
 
     def classical(self, u: int, v: int, w: int):
@@ -572,32 +572,19 @@ class MultTable:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "MultTable":
-        """The table of to_json_obj's output; a mod-p "mats" may also be an
-        int64 array, which is used as it is, without a copy."""
+        """The table of to_json_obj's output: its layers are nested lists of
+        GammaElement objects (exact) or of residues (mod-p; an int64 array
+        is used as it is, without a copy)."""
         poset = _space_of(obj)
-        k = len(poset.shape_masks)
-        return MultTable(
-            space=obj["space"],
-            D=obj["D"],
-            backend=obj["backend"],
-            masks=tuple(obj["masks"]),
-            mats=_table_array(obj["backend"], obj["mats"], (k, obj["D"] + 1, k, k), poset.rs.rank),
-            poset=poset,
-            flags=dict(obj.get("flags", {})),
-        )
-
-
-def _table_array(backend: dict, mats, shape: tuple, rank: int) -> np.ndarray:
-    """An array of table layers of the given shape from its JSON form: nested
-    lists of GammaElement objects (exact) or of residues (mod-p; an int64
-    array is used as it is)."""
-    if backend.get("kind") == "exact":
-        mats = _object_array(_decoded([x for layers in mats for mat in layers for row in mat for x in row], rank), shape)
-    else:
-        mats = np.asarray(mats, dtype=np.int64)
-    if mats.shape != shape:
-        raise ValueError(f"table array of shape {mats.shape}, expected {shape}")
-    return mats
+        k, D, backend, mats = len(poset.shape_masks), obj["D"], obj["backend"], obj["mats"]
+        shape = (k, D + 1, k, k)
+        if backend.get("kind") == "exact":
+            mats = _object_array(_decoded([x for layers in mats for mat in layers for row in mat for x in row], poset.rs.rank), shape)
+        else:
+            mats = np.asarray(mats, dtype=np.int64)
+        if mats.shape != shape:
+            raise ValueError(f"table array of shape {mats.shape}, expected {shape}")
+        return MultTable(poset, D, backend, mats, dict(obj.get("flags", {})))
 
 
 def full_table(poset: CominusculePoset, D: int | None = None, backend="exact") -> MultTable:
@@ -641,35 +628,33 @@ def _assemble(poset: CominusculePoset, D: int, backend: dict, mats: np.ndarray) 
     for d in (D - 1, D):
         if mats[:, d].any():
             raise TruncationTooSmall(f"nonzero coefficient at q^{d} with truncation {D}")
-    return MultTable(
-        space=str(poset.space),
-        D=D,
-        backend=backend,
-        masks=poset.shape_masks,
-        mats=mats,
-        poset=poset,
-        flags={"stabilized": True},
-    )
+    return MultTable(poset, D, backend, mats, {"stabilized": True})
 
 
-def _check_identity_row(table: MultTable) -> None:
-    # O^1 is the unit: column u = identity of M_v must be e_v in layer 0.
+def _seed_breaks(table: MultTable) -> np.ndarray:
+    """broken[v, w]: some layer of N^w_{1,v}, entry mats[v, :, w, 0], is not
+    that of O^1 * O^v = O^v (O^1 is the unit), 1 at q^0 O^v and 0 elsewhere."""
     col = table.mats[..., 0]
     unit = np.zeros(col.shape, dtype=bool)
     unit[:, 0] = np.eye(table.k, dtype=bool)
-    one = GammaElement.from_int(table.poset.rs.rank, 1) if table.is_exact else 1
-    if not (col[unit] == one).all() or col[~unit].astype(bool).any():
+    broken = col.astype(bool)
+    broken[unit] = col[unit] != (GammaElement.from_int(table.poset.rs.rank, 1) if table.is_exact else 1)
+    return broken.any(axis=1)
+
+
+def _check_identity_row(table: MultTable) -> None:
+    if _seed_breaks(table).any():
         raise QKRingError("identity row broken")
 
 
-def modp_tables(poset: CominusculePoset, D: int | None = None, primes: int = 2, assignments: int = 2, seed: int = 0) -> list:
-    """One table per evaluation: `assignments` default assignments for each of
-    the first `primes` default primes, from one batched solve per prime;
-    checks must agree on all."""
+def modp_tables(poset: CominusculePoset, D: int | None = None, seed: int = 0) -> list:
+    """One table per evaluation: two default assignments for each of the
+    first two default primes, from one batched solve per prime; checks must
+    agree on all."""
     D, rank, L = _truncation(poset, D), poset.rs.rank, divisor_matrix(poset)
     tables = []
-    for p in DEFAULT_PRIMES[:primes]:
-        asgs = default_assignments(rank, p, assignments, seed)
+    for p in DEFAULT_PRIMES[:2]:
+        asgs = default_assignments(rank, p, 2, seed)
         tables += _modp_point_tables(poset, L, D, [make_field(poset, {"kind": "mod-p", "p": p, "assignment": a}) for a in asgs])
     return tables
 
@@ -922,12 +907,19 @@ def _cols(X: np.ndarray) -> np.ndarray:
 
 
 def verify_ms_equations(table: MultTable) -> dict:
-    """Check both generalized Molev-Sagan identities on every triple (u,v,w).
+    """Check both generalized Molev-Sagan identities on every triple (u,v,w),
+    seeded by the unit.
 
     With beta = gamma the three sums are, over u', w', v' respectively,
     sum N^{u'}_{s,u} D^w_{u',v} = sum N^w_{s,w'} D^{w'}_{u,v} = sum N^{v'}_{s,v} D^w_{u,v'}.
     They are three products over the ring: M_v L and L M_v for all v at
-    once, and S L for the stack S[(w, u), v'] = M_v'.
+    once, and S L for the stack S[(w, u), v'] = M_v'.  The sums are linear
+    in the table, so a zero table or a multiple of the true one passes
+    them; the seed M_v e_1 = e_v (O^1 * O^v = O^v) pins it, and a broken
+    entry N^w_{1,v}, mats[v, :, w, 0], fails the triple (0, v, w).  L is cyclic, so its
+    commutant holds exactly one operator sending e_1 to e_v: an exact table
+    that passes is the true table, which makes this the exact build's
+    certificate.
     """
     C, L, matmul = _ring(table, divisor=True)
     k = table.k
@@ -937,6 +929,7 @@ def verify_ms_equations(table: MultTable) -> dict:
     right = matmul(S, L).reshape(-1, k, k, k).transpose(0, 3, 1, 2)
     # bad[u, v, w]: some identity fails at some point
     bad = ((left != mid) | (mid != right)).any(axis=0).transpose(2, 0, 1)
+    bad[0] |= _seed_breaks(table)
     return _report("ms-equations", table, [tuple(t) for t in np.argwhere(bad).tolist()], {"triples": k**3})
 
 
@@ -983,13 +976,7 @@ def _commutant_decides(table: MultTable, C, matmul) -> bool:
         M = _eval_array(table.mats[g, 0], p, node)[0]
     else:
         p, M = table.backend["p"], table.mats[g, 0]
-    K = np.zeros((k, k), dtype=np.int64)
-    K[0, 0] = 1
-    for i in range(1, k):
-        K[:, i] = _matmul_mod(M, K[:, i - 1], p)
-    try:
-        _inverse_mod(K, p)
-    except SingularKrylov:
+    if not _e1_cyclic(M, p):
         return False
     gw = matmul(C[g], _cols(C)).reshape(-1, k, k, k).transpose(0, 2, 1, 3)
     wg = matmul(_rows(C), C[g]).reshape(-1, k, k, k)

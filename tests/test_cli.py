@@ -311,6 +311,24 @@ def test_verify_detects_corrupt_table(capsys, tmp_path):
     assert "fail" in out
 
 
+@pytest.mark.parametrize("scale", [0, 2], ids=["zeroed", "doubled"])
+def test_verify_fails_a_scaled_modp_cache_file(capsys, tmp_path, scale):
+    # the Molev-Sagan sums and associativity are linear in the table, so a
+    # zeroed or doubled payload passes them; the unit's seed fails it
+    cache = f"--cache-dir={tmp_path}"
+    assert run(capsys, "table", "Gr(2,4)", "--backend=mod-p", cache)[0] == 0
+    (path,) = tmp_path.glob("qk-*.json")
+    head, payload = path.read_bytes().split(b"\n", 1)
+    p = json.loads(head)["backend"]["p"]
+    path.write_bytes(head + b"\n" + (np.frombuffer(payload, dtype="<i8") * scale % p).astype("<i8").tobytes())
+    code, out, _ = run(capsys, "verify", "Gr(2,4)", "--suite=table", "--backend=mod-p", "--format=json", cache)
+    assert code == 1
+    ms, assoc = (json.loads(line) for line in out.splitlines() if line.startswith("{"))
+    assert ms["check"] == "ms-equations" and ms["status"] == "fail"
+    assert ms["failures"] == [[0, v, v] for v in range(6)]
+    assert assoc["status"] == "pass"
+
+
 def test_dual_and_nbhd(capsys):
     code, out, _ = run(capsys, "dual", "Gr(2,4)", "2,1")
     assert code == 0 and out.strip() == "1"

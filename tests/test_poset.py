@@ -432,7 +432,6 @@ def test_space_setup_constructs_no_fraction(monkeypatch, space):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
-    monkeypatch.setattr(qkring, "_DIVISOR_CACHE", {})
     assert fractions.Fraction(1, 2) and made == [(1, 2)]  # the counter counts
     made.clear()
     qkring.divisor_matrix(CominusculePoset(parse_space(space)))

@@ -684,20 +684,43 @@ def test_exact_build_of_larger_spaces(space):
     table = full_table(poset)
     assert time.perf_counter() - start < 10
     assert verify_ms_equations(table)["status"] == "pass"
-    assert tables_agree(table, modp_tables(poset, D=table.D, primes=1, assignments=1)[0])
+    assert tables_agree(table, modp_tables(poset, D=table.D)[0])
 
 
 def test_exact_build_redraws_after_a_failed_certificate(monkeypatch):
     # a degree box one short on one axis interpolates the wrong polynomials;
-    # the certificate rejects them and the doubled box gives the true table
+    # the certificate, verify_ms_equations, rejects them and the doubled box
+    # gives the true table
     outcomes = []
-    certified = qkring._certified
+    verify = qkring.verify_ms_equations
     poset = build_cominuscule("Gr(2,4)")
     monkeypatch.setattr(poset, "table_degrees", (2, 3, 2))
-    monkeypatch.setattr(qkring, "_certified", lambda t: outcomes.append(certified(t)) or outcomes[-1])
+
+    def recorded(t):
+        rep = verify(t)
+        outcomes.append(rep["status"] == "pass")
+        return rep
+
+    monkeypatch.setattr(qkring, "verify_ms_equations", recorded)
     table = full_table(poset)
     assert outcomes == [False, True]
     assert _digest(table) == PINNED_EXACT_TABLES["Gr(2,4)"]
+
+
+@pytest.mark.parametrize("backend", ["exact", "mod-p"])
+@pytest.mark.parametrize("scale", [0, 2], ids=["zeroed", "doubled"])
+def test_ms_equations_fail_a_scaled_table(backend, scale):
+    # the Molev-Sagan sums are linear in the table, so a zeroed or doubled
+    # table passes them; the unit's seed O^1 * O^v = O^v fails it at (0, v, v)
+    table = full_table(build_cominuscule("Gr(2,4)"), backend=backend)
+    assert verify_ms_equations(table)["status"] == "pass"
+    if table.is_exact:
+        mats = _object_array_of(lambda g: g + g if scale else g - g, table.mats)
+    else:
+        mats = table.mats * scale % table.backend["p"]
+    rep = verify_ms_equations(replace(table, mats=mats))
+    assert rep["status"] == "fail"
+    assert rep["failures"] == [(0, v, v) for v in range(table.k)]
 
 
 def test_exact_build_refuses_a_grid_out_of_reach(monkeypatch):
@@ -1045,9 +1068,20 @@ def _dict_ring(table, divisor):
     return qkring._Ring(pack(table.mats), pack(layers), lambda A, B: _packed_matmul(A[0], B[0])[None])
 
 
+def _reference_seed(table) -> np.ndarray:
+    """broken[v, w]: N^w_{1,v} is not the unit's product, entry by entry."""
+    k, one = table.k, GammaElement.from_int(table.poset.rs.rank, 1) if table.is_exact else 1
+    zero = one - one
+    broken = np.zeros((k, k), dtype=bool)
+    for v, d, w in itertools.product(range(k), range(table.D + 1), range(k)):
+        broken[v, w] |= table.mats[v, d, w, 0] != (one if (d, w) == (0, v) else zero)
+    return broken
+
+
 def _dict_reports(monkeypatch, table) -> list:
     with monkeypatch.context() as m:
         m.setattr(qkring, "_ring", _dict_ring)
+        m.setattr(qkring, "_seed_breaks", _reference_seed)
         return [verify_ms_equations(table), verify_associativity(table)]
 
 
@@ -1413,6 +1447,7 @@ def _reference_reports(table) -> list:
     S = C.transpose(1, 2, 3, 0).reshape(C.shape[1], k * k, k)
     right = _lay_mul(S, L, matmul).reshape(-1, k, k, k).transpose(0, 3, 1, 2)
     bad = ((left != mid) | (mid != right)).any(axis=0).transpose(2, 0, 1)
+    bad[0] |= _reference_seed(table)
     ms = qkring._report("ms-equations", table, [tuple(t) for t in np.argwhere(bad).tolist()], {"triples": k**3})
     asym = (C != C.transpose(3, 1, 2, 0)).any(axis=1).transpose(2, 0, 1)
     failures = [("symmetry", u, v, w) for u, v, w in np.argwhere(asym).tolist() if u < v]
