@@ -2,9 +2,11 @@
 
 The ring QK_T(X) is reconstructed from a single Chevalley formula: the
 divisor class generates, so every structure constant is pinned down by a
-linear solve over the equivariant coefficient field.  Everything is exact
-(integers and representation-ring characters); mod-p evaluation exists only
-as an independent cross-check and as a fallback for large posets.
+linear solve over the equivariant coefficient field.  The solve runs mod p
+for both backends: the exact backend interpolates mod-p solves over a grid
+of evaluation points and certifies the result exactly (integers and
+representation-ring characters); the mod-p backend is one such point, for
+spaces past the grid's reach and as an independent cross-check.
 
 Main entry points:
 

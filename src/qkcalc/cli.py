@@ -24,7 +24,7 @@ from .poset import (
     build_cominuscule,
     eps_string,
 )
-from .store import cache_path, default_truncation, exact_grid, grid_refusal, load_table, make_field, save_table
+from .store import cache_path, default_truncation, exact_grid, grid_refusal, load_table, make_field, save_table, table_json_obj
 
 # names bound in this module on first use (PEP 562), a module's at a time:
 # chevalley's, which only the chevalley command and suite call, and the
@@ -272,7 +272,7 @@ def _cmd_table(args) -> int:
     k = table.k
     nonzero = int(table.mats.astype(bool).any(axis=1).sum())
     if args.format == "json":
-        print(json.dumps(table.to_json_obj(), sort_keys=True))
+        print(json.dumps(table_json_obj(table), sort_keys=True))
     else:
         print(
             f"table {poset.space}: k={k}, qmax={table.D}, "

@@ -27,6 +27,7 @@ from .gamma import (
     PolynomialFraction,
     ch_character,
 )
+from .chevalley import j_weight
 from .poset import CominusculePoset
 from .qkring import MultTable, _e1_cyclic, _matmul_mod, _row_reduce_mod, divisor_matrix
 
@@ -94,12 +95,7 @@ class LambdaFraction(PolynomialFraction):
 
 def h_diagonal(poset: CominusculePoset, mask: int) -> ChernPolynomial:
     """Fixed-point restriction c_T(omega - u.omega) = sum (omega, alpha^v) x_{delta(alpha)}."""
-    rank = poset.rs.rank
-    coeffs = [0] * rank
-    for i in range(poset.n_boxes):
-        if mask >> i & 1:
-            coeffs[poset.delta[i]] += poset.pairing_omega[i]
-    return ChernPolynomial.linear(rank, coeffs)
+    return ChernPolynomial.linear(poset.rs.rank, j_weight(poset, mask))
 
 
 def h_chevalley(poset: CominusculePoset, mask: int) -> dict[int, ChernPolynomial]:
@@ -292,7 +288,7 @@ def ch_bridge_check(table: MultTable, sol: MSSolution) -> dict:
     for u in range(k):
         for v in range(k):
             for w in range(k):
-                n = table.classical(u, v, w)
+                n = table.mats[v, 0, w, u]
                 cwu = sol.value(u, v, w)
                 d = lengths[u] + lengths[v] - lengths[w]
                 if d < 0:

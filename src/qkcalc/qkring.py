@@ -79,7 +79,9 @@ of M_v^T.
 
 Backend descriptors, the grid's guard and the table cache live in
 qkcalc.store, which loads no numpy, so that a query the cache answers
-never imports this module; the names are imported back here.
+never imports this module; the names are imported back here.  The store
+writes and reads the whole cache file, the table's JSON included:
+MultTable is only the solver's record.
 """
 
 from __future__ import annotations
@@ -104,8 +106,7 @@ from .poset import CominusculePoset, build_cominuscule  # noqa: F401  perfbench/
 # the table store; cache_key, cache_path, load_table and save_table are
 # re-exported, so that qkring.* keeps naming them
 from .store import (  # noqa: F401
-    _decoded, _space_of, _zero, cache_key, cache_path, default_truncation, exact_grid, grid_refusal, load_table,
-    make_field, save_table,
+    _zero, cache_key, cache_path, default_truncation, exact_grid, grid_refusal, load_table, make_field, save_table,
 )
 
 
@@ -344,6 +345,15 @@ def _inverse_mod(A: np.ndarray, p: int) -> np.ndarray:
     return m[:, :, k:].reshape(shape)
 
 
+def _vandermonde(xs, n: int, p: int) -> np.ndarray:
+    """The Vandermonde matrix V[a, j] = xs[a]^j mod p, j < n."""
+    xs = np.asarray(xs, dtype=np.int64)
+    V = np.ones((len(xs), n), dtype=np.int64)
+    for j in range(1, n):
+        V[:, j] = V[:, j - 1] * xs % p
+    return V
+
+
 def _e1_cyclic(M: np.ndarray, p: int) -> bool:
     """Whether e_1 is cyclic for the k x k matrix M mod p: its Krylov matrix
     [e_1, M e_1, ..., M^{k-1} e_1] has rank k."""
@@ -396,16 +406,6 @@ def _solve(L: np.ndarray, D: int, p: int) -> np.ndarray:
 # Exact tables from mod-p evaluations
 
 
-def _interpolation_matrix(xs, p: int) -> np.ndarray:
-    """Inverse of the Vandermonde matrix V[a, j] = xs[a]^j for each node list
-    of a stack xs (..., t): values at the nodes to coefficients of 1, x, x^2, ..."""
-    xs = np.asarray(xs, dtype=np.int64)
-    V = np.ones(xs.shape + xs.shape[-1:], dtype=np.int64)
-    for j in range(1, xs.shape[-1]):
-        V[..., j] = V[..., j - 1] * xs % p
-    return _inverse_mod(V, p)
-
-
 # The exact build's prime, the largest below 2^24: a product mod p of inner
 # dimension n is one float64 limb when 2 * 24 + ceil(log2 n) <= 53
 # (_matmul_mod), that is up to n = 32.  The lift needs |coefficients| < p/2.
@@ -443,7 +443,8 @@ def _interpolated_columns(L: np.ndarray, D: int, counts: list, p: int, rng: rand
         values[at:at + step] = M[:, live]
         if np.count_nonzero(M) != np.count_nonzero(values[at:at + step]):
             raise LiveSetMissed("an entry zero on the grid's first block of points is not zero on a later one")
-    terms = _coefficients(values, counts, [_interpolation_matrix(xs, p) for xs in axes], p)
+    # values at the nodes to coefficients of 1, x, x^2, ...
+    terms = _coefficients(values, counts, [_inverse_mod(_vandermonde(xs, len(xs), p), p) for xs in axes], p)
     zero = _zero(rank)
     mats = np.full((k, D + 1, k * k), zero, dtype=object)
     mats[np.unravel_index(live, (k, S + 1, k * k))] = _object_array([GammaElement(rank, t) if t else zero for t in terms], len(live))
@@ -549,42 +550,6 @@ class MultTable:
         if self.is_exact:
             return QPolynomial(self.poset.rs.rank, layers)
         return tuple(layers)
-
-    def classical(self, u: int, v: int, w: int):
-        return self.mats[v, 0, w, u]
-
-    def to_json_obj(self) -> dict:
-        mats = self.mats.tolist()
-        if self.is_exact:
-            zero = _zero(self.mats.flat[0].rank).to_json_obj()
-            mats = [[[[x.to_json_obj() if x.terms else zero for x in row] for row in mat] for mat in layers] for layers in mats]
-        return self._json_obj(mats=mats)
-
-    def _json_obj(self, **payload) -> dict:
-        return {
-            "space": self.space,
-            "D": self.D,
-            "backend": self.backend,
-            "masks": list(self.masks),
-            **payload,
-            "flags": self.flags,
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "MultTable":
-        """The table of to_json_obj's output: its layers are nested lists of
-        GammaElement objects (exact) or of residues (mod-p; an int64 array
-        is used as it is, without a copy)."""
-        poset = _space_of(obj)
-        k, D, backend, mats = len(poset.shape_masks), obj["D"], obj["backend"], obj["mats"]
-        shape = (k, D + 1, k, k)
-        if backend.get("kind") == "exact":
-            mats = _object_array(_decoded([x for layers in mats for mat in layers for row in mat for x in row], poset.rs.rank), shape)
-        else:
-            mats = np.asarray(mats, dtype=np.int64)
-        if mats.shape != shape:
-            raise ValueError(f"table array of shape {mats.shape}, expected {shape}")
-        return MultTable(poset, D, backend, mats, dict(obj.get("flags", {})))
 
 
 def full_table(poset: CominusculePoset, D: int | None = None, backend="exact") -> MultTable:
@@ -734,8 +699,7 @@ def _values(X: np.ndarray, axis: int, n: int, p: int) -> np.ndarray:
     """X with its layers in q along axis replaced by its values at q = 0,
     1, ..., n-1: one product with the Vandermonde matrix V[j, d] = j^d."""
     X = np.moveaxis(X, axis, 0)
-    V = np.array([[pow(j, d, p) for d in range(len(X))] for j in range(n)], dtype=np.int64)
-    Y = _matmul_mod(V, X.reshape(len(X), -1), p)
+    Y = _matmul_mod(_vandermonde(range(n), len(X), p), X.reshape(len(X), -1), p)
     return np.moveaxis(Y.reshape(n, *X.shape[1:]), 0, axis)
 
 

@@ -4,7 +4,9 @@ table cache.
 This module imports neither numpy nor the solver (`qkring`), so that a
 query the cache answers loads neither: a product read decodes its one
 column in pure Python.  Only a full-table read imports `qkring`, for
-`MultTable`; `qkring` imports these names back.
+`MultTable`; `qkring` imports these names back.  The file's form is this
+module's alone: it writes every table's JSON (table_json_obj), encodes and
+decodes the entries, and checks what it reads.
 
 A backend is the descriptor dict a table carries and its cache key is made
 of (make_field).  Whether the exact backend reaches a space is known before
@@ -12,14 +14,17 @@ any work: its interpolation grid has one node more per variable than the
 table's degree in x_i (exact_grid), and grid_refusal holds it against
 _GRID_ENTRIES.
 
-A cache file starts with one line of JSON, the table's to_json_obj()
+A cache file starts with one line of JSON, the table's table_json_obj()
 without "mats", and the table's columns M_v follow it, v = 0, ..., k-1, so
 that a query reads only the column it needs and decodes only the product
 O^u * O^v it prints, mats[v][:, :, u].  An exact table's header has
 "columns", the payload offsets of the k columns and of the payload's end;
 column v is the JSON line of mats[v], the (D+1, k, k) layers of M_v.  A
 mod-p table's header has "shape", and the array follows as raw
-little-endian int64, column v in the v-th slab of 8(D+1)k^2 bytes.
+little-endian int64, column v in the v-th slab of 8(D+1)k^2 bytes.  A
+product read checks the unit's seed in the column it reads, N^w_{1,v} in
+its raw form, so that a zeroed or scaled file is a miss; whole tables are
+judged by `verify`.
 """
 
 from __future__ import annotations
@@ -112,17 +117,6 @@ def _decoded(entries: list, rank: int) -> list:
     return [zero if x == blank else de(x) for x in entries]
 
 
-def _space_of(obj: dict) -> CominusculePoset:
-    """The space of a table's JSON object, once the table's basis matches it."""
-    poset = build_cominuscule(obj["space"])
-    if tuple(obj["masks"]) != poset.shape_masks:
-        # the solver's error, loaded only when raised
-        from .qkring import QKRingError
-
-        raise QKRingError("cached table does not match the space basis")
-    return poset
-
-
 # ---------------------------------------------------------------------------
 # Table cache
 
@@ -140,14 +134,27 @@ def cache_path(space: str, D: int, backend: dict, cache_dir: str) -> str:
     return os.path.join(cache_dir, f"qk-{cache_key(space, D, backend)}.json")
 
 
+def table_json_obj(table, **payload) -> dict:
+    """A MultTable's JSON object: its space, D, backend and basis, the
+    payload, then its flags.  The default payload is the whole table as
+    "mats": residues (mod-p) or the entries' JSON (exact)."""
+    if not payload:
+        mats = table.mats.tolist()
+        if table.is_exact:
+            zero = _zero(table.poset.rs.rank).to_json_obj()
+            mats = [[[[x.to_json_obj() if x.terms else zero for x in row] for row in mat] for mat in col] for col in mats]
+        payload = {"mats": mats}
+    return {"space": table.space, "D": table.D, "backend": table.backend, "masks": list(table.masks), **payload, "flags": table.flags}
+
+
 def save_table(table, cache_dir: str) -> str:
     """Write the MultTable atomically; concurrent writers never share a temp file."""
     if table.is_exact:
-        lines = [json.dumps(col).encode() + b"\n" for col in table.to_json_obj()["mats"]]
-        head = table._json_obj(columns=list(accumulate(map(len, lines), initial=0)))
+        lines = [json.dumps(col).encode() + b"\n" for col in table_json_obj(table)["mats"]]
+        head = table_json_obj(table, columns=list(accumulate(map(len, lines), initial=0)))
         payload = b"".join(lines)
     else:
-        head = table._json_obj(shape=list(table.mats.shape))
+        head = table_json_obj(table, shape=list(table.mats.shape))
         payload = table.mats.astype("<i8").tobytes()
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(table.space, table.D, table.backend, cache_dir)
@@ -167,62 +174,58 @@ def save_table(table, cache_dir: str) -> str:
     return path
 
 
-def _read_header(fh, space: str, D: int, backend: dict) -> dict | None:
-    """The header line of an open cache file, or None when it is not a JSON
-    object keyed by space, D and backend.  Raises ValueError when it is not
-    JSON at all."""
-    obj = json.loads(fh.readline())
-    if not isinstance(obj, dict):
-        return None
-    if obj.get("space") != space or obj.get("D") != D or obj.get("backend") != backend:
-        return None
-    return obj
-
-
 def load_table(space: str, D: int, backend: dict, cache_dir: str, *, product: tuple[int, int] | None = None):
     """The cached MultTable, or with product=(u, v) only mats[v][:, :, u]
     as (D+1) lists c[d][w] of k coefficients, those of q^d O^w in
     O^u * O^v, read from M_v alone: GammaElements (exact) or residues
     (mod-p).  None when the file is missing, unreadable, cut short,
-    malformed or keyed differently, or when a mod-p column read holds a
-    residue outside [0, p); a basis mismatch raises QKRingError."""
+    malformed or keyed differently, when a mod-p column read holds a
+    residue outside [0, p), or when a product read's column breaks the
+    unit's seed; a basis mismatch raises QKRingError."""
     try:
         with open(cache_path(space, D, backend, cache_dir), "rb") as fh:
-            obj = _read_header(fh, space, D, backend)
-            if obj is None:
+            obj = json.loads(fh.readline())
+            if not isinstance(obj, dict) or obj.get("space") != space or obj.get("D") != D or obj.get("backend") != backend:
                 return None
             # files that an older default rule fell back to carry
             # "exact_out_of_reach", which says nothing about their table
             flags = dict(obj.get("flags", {}))
             flags.pop("exact_out_of_reach", None)
-            poset = _space_of(obj)
-            k = len(poset.shape_masks)
+            poset = build_cominuscule(space)
+            if tuple(obj["masks"]) != poset.shape_masks:
+                # the solver's error, loaded only when raised
+                from .qkring import QKRingError
+
+                raise QKRingError("cached table does not match the space basis")
+            k, rank = len(poset.shape_masks), poset.rs.rank
             if product is not None and not all(0 <= i < k for i in product):
                 raise IndexError(f"no product {product} in a table of {k} classes")
             vs = range(k) if product is None else range(product[1], product[1] + 1)
             start, size = fh.tell(), os.fstat(fh.fileno()).st_size
             if backend["kind"] == "exact":
-                # k nonempty lines from the header to the end of the file
-                ends = obj.pop("columns")
+                # k nonempty lines from the header to the end of the file,
+                # each the (D+1, k, k) layers of its column
+                ends = obj["columns"]
                 if len(ends) != k + 1 or ends != sorted(set(ends)) or ends[0] != 0 or start + ends[-1] != size:
                     return None
                 fh.seek(start + ends[vs[0]])
                 cols = [json.loads(fh.read(ends[v + 1] - ends[v])) for v in vs]
+                if any(len(col) != D + 1 or any(len(mat) != k or any(len(row) != k for row in mat) for mat in col)
+                       for col in cols):
+                    return None
             else:
                 slab = 8 * (D + 1) * k * k
-                if obj.pop("shape") != [k, D + 1, k, k] or size - start != k * slab:
+                if obj["shape"] != [k, D + 1, k, k] or size - start != k * slab:
                     return None
                 fh.seek(start + vs[0] * slab)
                 cols = fh.read(len(vs) * slab)
         if product is None:
-            return _whole_table(dict(obj, flags=flags), cols, backend, (k, D + 1, k, k))
-        u = product[0]
+            return _whole_table(poset, D, backend, flags, cols)
+        u, v = product
         if backend["kind"] == "exact":
-            # the whole line's shape is checked, and only the printed entries decoded
-            (col,) = cols
-            if len(col) != D + 1 or any(len(mat) != k or any(len(row) != k for row in mat) for mat in col):
-                return None
-            c = _decoded([row[u] for mat in col for row in mat], poset.rs.rank)
+            # rows d k + w of M_v, left as JSON: only the printed entries are decoded
+            col = [row for mat in cols[0] for row in mat]
+            seed, one, zero = [row[0] for row in col], GammaElement.from_int(rank, 1).to_json_obj(), _zero(rank).to_json_obj()
         else:
             col = array("Q", cols)
             if sys.byteorder == "big":
@@ -231,22 +234,30 @@ def load_table(space: str, D: int, backend: dict, cache_dir: str, *, product: tu
             if max(col) >= backend["p"]:
                 return None
             # entry (d, w, u) of M_v sits at (d k + w) k + u
-            c = col[u::k].tolist()
+            seed, one, zero = col[::k], 1, 0
+        # the unit's seed, O^1 * O^v = O^v: N^w_{1,v} is 1 at q^0 O^v and 0 elsewhere
+        if seed[v] != one or seed.count(zero) != len(seed) - 1:
+            return None
+        c = _decoded([row[u] for row in col], rank) if backend["kind"] == "exact" else col[u::k].tolist()
         return [c[d * k:(d + 1) * k] for d in range(D + 1)]
     except (OSError, KeyError, TypeError, ValueError):
         return None
 
 
-def _whole_table(obj: dict, cols, backend: dict, shape: tuple):
-    """The MultTable of a header and its payload: the k column lines of an
+def _whole_table(poset: CominusculePoset, D: int, backend: dict, flags: dict, cols):
+    """The MultTable of a cache file's payload: the k column lines of an
     exact table, the int64 bytes of a mod-p one (None when a residue lies
     outside [0, p)).  The solver's table, so this read loads numpy."""
     import numpy as np
 
-    from .qkring import MultTable
+    from .qkring import MultTable, _object_array
 
-    if backend["kind"] != "exact":
-        cols = np.frombuffer(cols, dtype="<i8").reshape(shape)
-        if (cols.view("<u8") >= backend["p"]).any():
+    k = len(poset.shape_masks)
+    shape = (k, D + 1, k, k)
+    if backend["kind"] == "exact":
+        mats = _object_array(_decoded([x for col in cols for mat in col for row in mat for x in row], poset.rs.rank), shape)
+    else:
+        mats = np.frombuffer(cols, dtype="<i8").astype(np.int64, copy=False).reshape(shape)
+        if (mats.view(np.uint64) >= backend["p"]).any():
             return None
-    return MultTable.from_json_obj(dict(obj, mats=cols))
+    return MultTable(poset, D, backend, mats, flags)

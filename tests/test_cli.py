@@ -329,6 +329,34 @@ def test_verify_fails_a_scaled_modp_cache_file(capsys, tmp_path, scale):
     assert assoc["status"] == "pass"
 
 
+@pytest.mark.parametrize("damage", ["zeroed-mod-p", "doubled-mod-p", "doubled-exact"])
+def test_product_rebuilds_a_file_that_breaks_the_seed(capsys, tmp_path, damage):
+    # a zeroed or doubled column is well formed; the unit's seed, which a
+    # product read checks in the column it reads, makes it a miss: the query
+    # warns, rebuilds and answers as the clean file did, and the rewritten
+    # file answers warm
+    argv = ["product", "Gr(2,4)", "1", "1", f"--backend={damage.split('-', 1)[1]}", f"--cache-dir={tmp_path}"]
+    code, clean, err = run(capsys, *argv)
+    assert code == 0 and not err
+    (path,) = tmp_path.glob("qk-*.json")
+    head, payload = path.read_bytes().split(b"\n", 1)
+    head = json.loads(head)
+    if damage == "doubled-exact":
+        # the seed entry of the column read, N^v_{1,v} at q^0
+        poset = build_cominuscule("Gr(2,4)")
+        v = poset.index_of(poset.parse_shape("1"))
+        cols = [json.loads(line) for line in payload.splitlines()]
+        assert cols[v][0][v][0]["terms"] == [[[0] * poset.rs.rank, 1]]
+        cols[v][0][v][0]["terms"][0][1] = 2
+        path.write_bytes(_exact_file(head, cols))
+    else:
+        scale, p = (0 if damage == "zeroed-mod-p" else 2), head["backend"]["p"]
+        path.write_bytes(path.read_bytes()[:-len(payload)] + (np.frombuffer(payload, dtype="<i8") * scale % p).astype("<i8").tobytes())
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, clean, f"warning: ignoring unreadable cache file {path}\n")
+    assert run(capsys, *argv) == (0, clean, "")
+
+
 def test_dual_and_nbhd(capsys):
     code, out, _ = run(capsys, "dual", "Gr(2,4)", "2,1")
     assert code == 0 and out.strip() == "1"
@@ -1002,8 +1030,8 @@ def test_verify_decodes_the_table_once(capsys, tmp_path, monkeypatch):
     cache = f"--cache-dir={tmp_path}"
     assert run(capsys, "table", "Q(4)", cache)[0] == 0
     decoded = []
-    decode = qkring.MultTable.from_json_obj
-    monkeypatch.setattr(qkring.MultTable, "from_json_obj", staticmethod(lambda obj: decoded.append(1) or decode(obj)))
+    decode = store._whole_table
+    monkeypatch.setattr(store, "_whole_table", lambda *args: decoded.append(1) or decode(*args))
     code, out, _ = run(capsys, "verify", "Q(4)", "--suite=all", cache)
     # the table and positivity suites share it
     assert code == 0 and "positivity-signs" in out and "ms-equations" in out

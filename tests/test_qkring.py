@@ -42,6 +42,7 @@ from qkcalc.qkring import (
     verify_ms_equations,
     verify_positivity_signs,
 )
+from qkcalc.store import table_json_obj
 
 
 @pytest.fixture(scope="module")
@@ -503,10 +504,12 @@ def test_load_table_treats_malformed_file_as_miss(tmp_path, backend):
             fh.write(broken)
         assert _misses(args, range(k))
     if table.is_exact:
-        # a column line of the wrong shape misses on a full read and on its own
+        # a column line of the wrong shape misses on a full read and on its own,
+        # ragged rows with the right count of entries included
         head, lines = _exact_lines(save_table(table, str(tmp_path)))
         col = json.loads(lines[2])
-        for wrong in (col[:-1], [mat[:-1] for mat in col], [[row[:-1] for row in mat] for mat in col], [[[]]], 7):
+        ragged = [[mat[0] + mat[1][-1:], mat[1][:-1], *mat[2:]] for mat in col]
+        for wrong in (col[:-1], [mat[:-1] for mat in col], [[row[:-1] for row in mat] for mat in col], ragged, [[[]]], 7):
             _write_exact(path, head, lines[:2] + [json.dumps(wrong).encode() + b"\n"] + lines[3:])
             assert _misses(args, [2]), wrong
             assert all((load_table(*args, product=(u, 3)) == table.mats[3][:, :, u]).all() for u in range(k))
@@ -518,16 +521,20 @@ def test_load_table_treats_malformed_file_as_miss(tmp_path, backend):
 
 def test_product_read_decodes_only_its_product(tmp_path, gr24_table):
     # a malformed entry misses the full read and the product it belongs to;
-    # the other products of its column do not decode it
+    # the other products of its column do not decode it.  In the unit's seed
+    # (u = 0) it misses every product of its column, which all check the seed
     table = gr24_table
     args = (table.space, table.D, table.backend, str(tmp_path))
     path = save_table(table, str(tmp_path))
     head, lines = _exact_lines(path)
-    col = json.loads(lines[2])
-    col[1][4][0] = {"rank": 3, "terms": [[[0, 0, 0], "one"]]}
-    _write_exact(path, head, lines[:2] + [json.dumps(col).encode() + b"\n"] + lines[3:])
-    assert load_table(*args) is None and load_table(*args, product=(0, 2)) is None
-    assert all((load_table(*args, product=(u, 2)) == table.mats[2][:, :, u]).all() for u in range(1, table.k))
+    for bad in (1, 0):
+        col = json.loads(lines[2])
+        col[1][4][bad] = {"rank": 3, "terms": [[[0, 0, 0], "one"]]}
+        _write_exact(path, head, lines[:2] + [json.dumps(col).encode() + b"\n"] + lines[3:])
+        assert load_table(*args) is None and load_table(*args, product=(bad, 2)) is None
+        answered = [u for u in range(table.k) if load_table(*args, product=(u, 2)) is not None]
+        assert answered == ([u for u in range(table.k) if u != bad] if bad else [])
+        assert all((load_table(*args, product=(u, 2)) == table.mats[2][:, :, u]).all() for u in answered)
 
 
 @pytest.mark.parametrize("space", ["Gr(2,4)", "Q(4)", "Q(5)"])
@@ -621,7 +628,7 @@ def test_identity_row_check_survives_python_O():
     ]
 
 
-# sha256(json.dumps(table.to_json_obj(), sort_keys=True))[:16] of the default
+# sha256(json.dumps(table_json_obj(table), sort_keys=True))[:16] of the default
 # mod-p table; recorded from the pure-Python solve, which the numpy solve must
 # reproduce residue for residue
 PINNED_MODP_TABLES = {
@@ -646,7 +653,7 @@ PINNED_EXACT_TABLES = {
 
 
 def _digest(table) -> str:
-    return hashlib.sha256(json.dumps(table.to_json_obj(), sort_keys=True).encode()).hexdigest()[:16]
+    return hashlib.sha256(json.dumps(table_json_obj(table), sort_keys=True).encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize(
@@ -1389,7 +1396,7 @@ def test_coefficients_transform_only_live_entries(monkeypatch, entries):
     monkeypatch.setattr(qkring, "_BLOCK_ENTRIES", entries)
     rng = np.random.default_rng(7)
     counts = [2, 3]
-    inverses = [qkring._interpolation_matrix(rng.choice(np.arange(1, 1000), n, replace=False), P0) for n in counts]
+    inverses = [_inverse_mod(qkring._vandermonde(rng.choice(np.arange(1, 1000), n, replace=False), n, P0), P0) for n in counts]
     zero = np.zeros((6, 2, 3, 3), dtype=np.int64)
     single = np.zeros((6, 2, 3, 3), dtype=np.int64)
     single[4, 0, 1, 2] = 5
@@ -1765,13 +1772,15 @@ def test_exact_table_zero_entries_are_one_object(tmp_path):
 
 
 def test_load_table_refuses_a_zero_entry_without_rank(tmp_path, gr24_table):
-    # a zero entry is read as the shared zero only once its rank is read
+    # a zero entry is read as the shared zero only once its rank is read; the
+    # entry lies outside the unit's seed (u = 0), which every product read of
+    # its column checks
     table = gr24_table
     args = (table.space, table.D, table.backend, str(tmp_path))
     path = save_table(table, str(tmp_path))
     head, lines = _exact_lines(path)
     col = json.loads(lines[2])
-    d, w, u = next((d, w, u) for d, mat in enumerate(col) for w, row in enumerate(mat) for u, x in enumerate(row) if not x["terms"])
+    d, w, u = next((d, w, u) for d, mat in enumerate(col) for w, row in enumerate(mat) for u, x in enumerate(row) if u and not x["terms"])
     assert col[d][w][u] == {"rank": table.poset.rs.rank, "terms": []}
     del col[d][w][u]["rank"]
     lines[2] = json.dumps(col).encode() + b"\n"
