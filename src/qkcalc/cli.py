@@ -34,7 +34,7 @@ _LAZY_NAMES = {
     "chevalley": ("j_class", "j_weight", "qkt_chevalley", "sgamma_star"),
     "qkring": (
         "full_table", "modp_tables", "tables_agree",
-        "verify_associativity", "verify_ms_equations", "verify_positivity_signs",
+        "verify_associativity", "verify_ms_equations", "verify_positivity_signs", "verify_ring",
     ),
 }
 
@@ -338,9 +338,10 @@ def _suite_lg_oracle(poset, args, table) -> list[dict]:
 def _suite_table(poset, args, table) -> list[dict]:
     _bind("qkring")
     table = table()
+    ring = verify_ring(table)
     reports = [
-        verify_ms_equations(table),
-        verify_associativity(table),
+        verify_ms_equations(table, ring),
+        verify_associativity(table, ring),
     ]
     if table.is_exact:
         agree = tables_agree(table, *modp_tables(poset, D=table.D, seed=args.seed))

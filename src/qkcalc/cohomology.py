@@ -2,9 +2,11 @@
 
 Divisor Chevalley constants in H_T(X), the A-coefficient recursion that
 solves the Molev-Sagan equations from identity-row seeds, the distinct
-diagonal divisor-generation check, a nullspace probe for the uniqueness
-conjecture, and the Chern-character bridge tying the q = 0 layer of the
-quantum K table to the cohomological constants.
+diagonal divisor-generation check, a probe of the Molev-Sagan solution
+space's dimension for the uniqueness conjecture (read off the divisor's
+distinct diagonal residues when it has them, by elimination otherwise), and
+the Chern-character bridge tying the q = 0 layer of the quantum K table to
+the cohomological constants.
 
 The same recursion engine also runs at K-theory level (scalars in the
 fraction field of the group ring, Chevalley row from the divisor matrix),
@@ -328,9 +330,10 @@ def _h_matrix(poset: CominusculePoset, assignment: tuple, p: int) -> np.ndarray:
     return H
 
 
-# The probe's second system has k^3 rows and k*m columns, where m >= k is the
-# dimension of Comm(H); past this many entries each int64 copy of it passes
-# 128 MB.  E6 needs 27^5 (about 14.3M) entries, E7 56^5 (about 550M).
+# The elimination's second system has k^3 rows and k*m columns, where m >= k
+# is the dimension of Comm(H); past this many entries each int64 copy of it
+# passes 128 MB.  E6 needs 27^5 (about 14.3M) entries, E7 56^5 (about 550M);
+# the divisor's own H at a generic point takes no elimination at all.
 _PROBE_SYSTEM_ENTRIES = 1 << 24
 
 
@@ -359,6 +362,29 @@ def _ms_solution_dimension(H: np.ndarray, p: int) -> int:
     """Dimension mod p of the tensors c[u, v, w] whose slices c[:, v, :] and
     c[u, :, :] all commute with H: the Molev-Sagan equations of the divisor.
 
+    An H that is upper triangular with k pairwise distinct diagonal residues
+    mod p, as the divisor's is in shape_masks order at a generic point, needs
+    no elimination: the answer is k.  Its eigenvalues are those residues, k
+    distinct ones in F_p, so H = P Delta P^{-1} over F_p with Delta diagonal.
+    The change of basis c'[a, b, c] = sum P^{-1}[a, u] P^{-1}[b, v] c[u, v, w]
+    P[w, c] is invertible and turns both families into the same equations
+    with Delta for H.  A matrix that commutes with a diagonal matrix of
+    distinct entries is diagonal, so the first family forces c'[a, b, c] = 0
+    unless a = c, the second unless b = c, and any values of c'[a, a, a]
+    satisfy both.  Both conditions are checked here, on H as given; every
+    other H (a collided diagonal, a non-triangular or permuted H) goes
+    through _ms_elimination_dimension.
+    """
+    k = len(H)
+    # a set, not np.unique, whose first call imports numpy.ma
+    if not (np.tril(H, -1) % p).any() and len(set((np.diagonal(H) % p).tolist())) == k:
+        return k
+    return _ms_elimination_dimension(H, p)
+
+
+def _ms_elimination_dimension(H: np.ndarray, p: int) -> int:
+    """_ms_solution_dimension for any H, by elimination through Comm(H).
+
     Write c[u, v, w] = sum_j a[v, j] B_j[u, w] over a basis B_1..B_m of
     Comm(H); the first family then holds, and the second is a (k^3, k*m)
     system in a, whose equation (u, v, w) has the coefficient
@@ -383,18 +409,27 @@ def _ms_solution_dimension(H: np.ndarray, p: int) -> int:
     return k * m - _row_reduce_mod(S.reshape(k**3, m * k), p)[1]
 
 
+def _probe_points(poset: CominusculePoset, seed: int) -> list[tuple]:
+    """The probe's two assignments mod the first default prime."""
+    p = DEFAULT_PRIMES[0]
+    rank = poset.rs.rank
+    rng = random.Random(f"probe:{seed}:{p}:{rank}")
+    return [tuple(rng.randrange(1, p) for _ in range(rank)) for _ in range(2)]
+
+
 def conjecture_probe(poset: CominusculePoset, seed: int = 0) -> dict:
     """Dimension of the full Molev-Sagan solution space over evaluated Lambda_0,
     at two assignments mod the first default prime.
 
-    The uniqueness conjecture predicts |W^P|.  This only reports; nothing
-    is asserted on the outcome.
+    The uniqueness conjecture predicts |W^P|.  Where the divisor's H at an
+    assignment has pairwise distinct diagonal residues, that is the
+    dimension, read off without elimination (_ms_solution_dimension); a
+    collision is eliminated.  This only reports; nothing is asserted on the
+    outcome.
     """
     p = DEFAULT_PRIMES[0]
-    rank = poset.rs.rank
     k = len(poset.shape_masks)
-    rng = random.Random(f"probe:{seed}:{p}:{rank}")
-    points = [tuple(rng.randrange(1, p) for _ in range(rank)) for _ in range(2)]
+    points = _probe_points(poset, seed)
     dims = [_ms_solution_dimension(_h_matrix(poset, asg, p), p) for asg in points]
     return {
         "check": "conjecture-probe",

@@ -659,7 +659,7 @@ def specialize(table: MultTable, mode: str) -> MultTable:
 class _Ring(NamedTuple):
     """The table mats[v, j, w, u] and the divisor L[j, w, u] over a ring, and
     its matrix product of two stacks along j.  Over F_p, j runs over the
-    values q = 0, 1, ..., n-1, as many as the check's products need, and
+    values q = 0, 1, ..., n-1, as many as the checks' products need, and
     products are pointwise; the exact ring's term arrays keep q in their
     keys, so they have one entry along j."""
 
@@ -668,17 +668,18 @@ class _Ring(NamedTuple):
     matmul: Callable
 
 
-def _ring(table: MultTable, divisor: bool) -> _Ring:
+def verify_ring(table: MultTable) -> _Ring:
     """The table and the divisor mod q^{D+1} over the table's coefficient
-    ring: term arrays for an exact table, F_p through the table's
-    assignment for a mod-p one.  Other tables (a nonequivariant
-    specialization, say) have no divisor image to check against.
+    ring, which verify_ms_equations and verify_associativity share: term
+    arrays for an exact table, F_p through the table's assignment for a
+    mod-p one.  Other tables (a nonequivariant specialization, say) have no
+    divisor image to check against.
 
-    A mod-p check multiplies the table by L (divisor) or by itself.  With e
-    and e_L the top nonzero layers of the table and of L, read from the
-    arrays, so that a corrupted layer above d_max counts, its products have
-    q-degree at most e + e_L or 2e, below p: their values at that many
-    points plus one differ exactly when some layer does."""
+    The mod-p checks multiply the table by L and by itself.  With e and e_L
+    the top nonzero layers of the table and of L, read from the arrays, so
+    that a corrupted layer above d_max counts, those products have q-degree
+    at most e + e_L and 2e, below p: their values at max(2e, e + e_L) + 1
+    points differ exactly when some layer does."""
     kind = table.backend.get("kind")
     # a q = 0 specialization (D = 0) keeps only L_0
     layers = divisor_matrix(table.poset)[: table.D + 1]
@@ -690,7 +691,7 @@ def _ring(table: MultTable, divisor: bool) -> _Ring:
         L = _eval_array(layers, p, node)[0]
         e = int(max(np.flatnonzero(table.mats.any(axis=(0, 2, 3))), default=0))
         eL = int(max(np.flatnonzero(L.any(axis=(1, 2))), default=0))
-        n = e + eL + 1 if divisor else 2 * e + 1
+        n = max(2 * e, e + eL) + 1
         return _Ring(_values(table.mats[:, : e + 1], 1, n, p), _values(L[: eL + 1], 0, n, p), lambda A, B: _matmul_mod(A, B, p))
     raise QKRingError(f"no coefficient ring to verify a {kind!r} table over")
 
@@ -870,7 +871,7 @@ def _cols(X: np.ndarray) -> np.ndarray:
     return X.transpose(1, 2, 0, 3).reshape(X.shape[1], X.shape[2], -1)
 
 
-def verify_ms_equations(table: MultTable) -> dict:
+def verify_ms_equations(table: MultTable, ring: _Ring | None = None) -> dict:
     """Check both generalized Molev-Sagan identities on every triple (u,v,w),
     seeded by the unit.
 
@@ -883,9 +884,9 @@ def verify_ms_equations(table: MultTable) -> dict:
     entry N^w_{1,v}, mats[v, :, w, 0], fails the triple (0, v, w).  L is cyclic, so its
     commutant holds exactly one operator sending e_1 to e_v: an exact table
     that passes is the true table, which makes this the exact build's
-    certificate.
+    certificate.  ring is the table's verify_ring, built here if not given.
     """
-    C, L, matmul = _ring(table, divisor=True)
+    C, L, matmul = verify_ring(table) if ring is None else ring
     k = table.k
     left = matmul(_rows(C), L).reshape(-1, k, k, k)
     mid = matmul(L, _cols(C)).reshape(-1, k, k, k).transpose(0, 2, 1, 3)
@@ -897,7 +898,7 @@ def verify_ms_equations(table: MultTable) -> dict:
     return _report("ms-equations", table, [tuple(t) for t in np.argwhere(bad).tolist()], {"triples": k**3})
 
 
-def verify_associativity(table: MultTable) -> dict:
+def verify_associativity(table: MultTable, ring: _Ring | None = None) -> dict:
     """Symmetry plus commuting multiplication operators.
 
     Once N^w_{u,v} = N^w_{v,u} holds, (O^u * O^v) * O^w = O^u * (O^v * O^w)
@@ -905,9 +906,10 @@ def verify_associativity(table: MultTable) -> dict:
     M_w commutes with the divisor's operator M_g and M_g is cyclic, all of
     them commute (_commutant_decides, two products over the ring).  Only
     otherwise is each M_u compared with every later M_w, 2(k - 1) products,
-    so that the report names each failing pair.
+    so that the report names each failing pair.  ring is the table's
+    verify_ring, built here if not given.
     """
-    C, _, matmul = _ring(table, divisor=False)
+    C, _, matmul = verify_ring(table) if ring is None else ring
     k = table.k
     # asym[u, v, w]: N^w_{u,v} != N^w_{v,u} at some point
     asym = (C != C.transpose(3, 1, 2, 0)).any(axis=1).transpose(2, 0, 1)

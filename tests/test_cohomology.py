@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,10 @@ from qkcalc.chevalley import kt_chevalley
 from qkcalc.cohomology import (
     CohomologyError,
     LambdaFraction,
+    _h_matrix,
+    _ms_elimination_dimension,
     _ms_solution_dimension,
+    _probe_points,
     ch_bridge_check,
     conjecture_probe,
     divisor_generation_check,
@@ -28,7 +32,7 @@ from qkcalc.cohomology import (
     ms_solve_classical,
     ms_solve_classical_kt,
 )
-from qkcalc.gamma import ChernPolynomial, GammaFraction
+from qkcalc.gamma import DEFAULT_PRIMES, ChernPolynomial, GammaFraction
 from qkcalc.poset import build_cominuscule
 from qkcalc.qkring import _row_reduce_mod, full_table, specialize
 
@@ -239,7 +243,10 @@ def _reference_dimension(H: np.ndarray, p: int) -> int:
 @st.composite
 def divisor_like_matrices(draw, p):
     """Random H and the degenerate ones: scalar, a diagonal with repeated
-    values, triangular and Jordan blocks, each conjugated by a permutation."""
+    values, triangular and Jordan blocks, each conjugated by a permutation
+    or left as drawn.  A triangular H draws its diagonal from two values or
+    from all of F_p, so that unpermuted ones with distinct diagonal residues,
+    which _ms_solution_dimension decides without elimination, are common."""
     k = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["random", "scalar", "repeated-diagonal", "triangular", "jordan"]))
     entry = st.integers(0, p - 1)
@@ -253,8 +260,9 @@ def divisor_like_matrices(draw, p):
     elif kind == "repeated-diagonal":
         H[range(k), range(k)] = [draw(eigen) for _ in range(k)]
     elif kind == "triangular":
+        diagonal = draw(st.sampled_from([eigen, entry]))
         for i in range(k):
-            H[i, i] = draw(eigen)
+            H[i, i] = draw(diagonal)
             H[i, i + 1:] = [draw(entry) for _ in range(i + 1, k)]
     else:
         start = 0
@@ -266,6 +274,8 @@ def divisor_like_matrices(draw, p):
                 if i + 1 < start + size:
                     H[i, i + 1] = 1
             start += size
+    if not draw(st.booleans()):
+        return H
     perm = draw(st.permutations(range(k)))
     return H[np.ix_(perm, perm)]
 
@@ -280,20 +290,76 @@ def test_commutant_reduction_matches_the_full_system(p, data):
 
 def test_commutant_reduction_extremes():
     # every tensor commutes with a scalar; distinct diagonal values leave
-    # only c[u, u, u]
+    # only c[u, u, u], with the elimination as without it
     p = 7
     assert _ms_solution_dimension(3 * np.eye(3, dtype=np.int64), p) == 27
     assert _ms_solution_dimension(np.diag(np.arange(1, 5)), p) == 4
+    assert _ms_elimination_dimension(np.diag(np.arange(1, 5)), p) == 4
 
 
 def test_probe_refuses_a_system_past_its_bound(monkeypatch):
-    # Gr(2,4): k = 6 and dim Comm(H) = 6 give a 216 x 36 system
-    poset = build_cominuscule("Gr(2,4)")
+    # Gr(2,4): k = 6 and dim Comm(H) = 6 give a 216 x 36 system.  The bound
+    # is on the elimination alone: the probe's own H takes none, so H is
+    # taken in reversed order, lower triangular, which only it decides
+    poset, p = build_cominuscule("Gr(2,4)"), DEFAULT_PRIMES[0]
+    H = _h_matrix(poset, _probe_points(poset, 0)[0], p)[::-1, ::-1]
     monkeypatch.setattr(cohomology, "_PROBE_SYSTEM_ENTRIES", 216 * 36)
-    assert conjecture_probe(poset)["dimension"] == 6
+    assert _ms_solution_dimension(H, p) == 6
     monkeypatch.setattr(cohomology, "_PROBE_SYSTEM_ENTRIES", 216 * 36 - 1)
     with pytest.raises(CohomologyError, match=r"216 x 36 system \(7776 entries\)"):
-        conjecture_probe(poset)
+        _ms_solution_dimension(H, p)
+    assert conjecture_probe(poset)["dimension"] == 6
+
+
+def test_probe_refuses_an_undecided_e7_size_before_any_allocation():
+    # a scalar H of E7's size is triangular with one diagonal value, so it
+    # goes to the elimination, which refuses it before its k^2 x k^2 system
+    # (3136 x 3136, 79 MB) exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(CohomologyError, match=r"175616 x 3136 system"):
+            _ms_solution_dimension(5 * np.eye(56, dtype=np.int64), DEFAULT_PRIMES[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# the probe's spaces up to Gr(2,6), at the probe's own seeded points
+SHORTCUT_SPACES = ["P1", "LG(2,4)", "Q(3)", "Gr(2,4)", "Q(4)", "Q(5)", "Gr(2,5)", "LG(3,6)", "OG(4,8)", "Gr(2,6)"]
+
+
+@pytest.mark.parametrize("space", SHORTCUT_SPACES)
+def test_distinct_diagonal_shortcut_matches_the_elimination(monkeypatch, space):
+    poset = build_cominuscule(space)
+    k, p = len(poset.shape_masks), DEFAULT_PRIMES[0]
+    Hs = [_h_matrix(poset, asg, p) for asg in _probe_points(poset, 0)]
+    want = [_ms_elimination_dimension(H, p) for H in Hs]
+    assert want == [k, k]
+
+    def eliminate(H, p):
+        raise AssertionError("the shortcut did not decide this H")
+
+    monkeypatch.setattr(cohomology, "_ms_elimination_dimension", eliminate)
+    assert [_ms_solution_dimension(H, p) for H in Hs] == want
+
+
+def test_a_collided_diagonal_takes_the_elimination(monkeypatch):
+    # Gr(2,6)'s H at this point is triangular, but two of its diagonal
+    # residues coincide: the solution space is larger than k = 15
+    poset, p = build_cominuscule("Gr(2,6)"), DEFAULT_PRIMES[0]
+    H = _h_matrix(poset, (2, 3, 4, 5, 6), p)
+    assert not np.tril(H, -1).any()
+    assert len(set(np.diagonal(H).tolist())) < len(H)
+    calls = []
+
+    def eliminate(H, p):
+        calls.append(len(H))
+        return _ms_elimination_dimension(H, p)
+
+    monkeypatch.setattr(cohomology, "_ms_elimination_dimension", eliminate)
+    assert _ms_solution_dimension(H, p) == 21
+    assert calls == [15]
 
 
 def test_probe_bound_counts_the_commutant(monkeypatch):

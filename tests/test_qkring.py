@@ -1068,7 +1068,7 @@ def _packed_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return qkring._object_array(out, (A.shape[0], n))
 
 
-def _dict_ring(table, divisor):
+def _dict_ring(table):
     """The exact ring of the dict kernel, for the same check bodies."""
     layers = qkring.divisor_matrix(table.poset)[: table.D + 1]
     pack = _packing(table.poset.rs.rank, (table.mats, layers))
@@ -1087,7 +1087,7 @@ def _reference_seed(table) -> np.ndarray:
 
 def _dict_reports(monkeypatch, table) -> list:
     with monkeypatch.context() as m:
-        m.setattr(qkring, "_ring", _dict_ring)
+        m.setattr(qkring, "verify_ring", _dict_ring)
         m.setattr(qkring, "_seed_breaks", _reference_seed)
         return [verify_ms_equations(table), verify_associativity(table)]
 
@@ -1267,7 +1267,7 @@ def test_term_checks_pass_where_the_dict_kernel_passes(monkeypatch, space):
     want = _dict_reports(monkeypatch, table)
     assert [verify_ms_equations(table), verify_associativity(table)] == want
     assert {r["status"] for r in want} == {"pass"}
-    assert qkring._ring(table, divisor=True).mats.coef.dtype == np.int64
+    assert qkring.verify_ring(table).mats.coef.dtype == np.int64
 
 
 @pytest.mark.parametrize("change", [None, *CHECK_MUTATIONS])
@@ -1282,7 +1282,7 @@ def test_term_checks_past_int64_use_python_ints(monkeypatch, change):
     ((e, c), *rest) = mats.flat[at].terms.items()
     mats.flat[at] = GammaElement(rank, {e: c + (1 << 62), **dict(rest)})
     table = replace(table, mats=mats)
-    assert qkring._ring(table, divisor=True).mats.coef.dtype == object
+    assert qkring.verify_ring(table).mats.coef.dtype == object
     want = _dict_reports(monkeypatch, table)
     assert [verify_ms_equations(table), verify_associativity(table)] == want
     assert "fail" in {r["status"] for r in want}
@@ -1533,16 +1533,16 @@ def test_pointwise_checks_match_the_layer_convolution(space):
 @pytest.mark.parametrize("D", [None, 9], ids=["default-qmax", "qmax=9"])
 @pytest.mark.parametrize("space", ["Gr(2,4)", "LG(2,4)"])
 def test_checks_take_the_degree_from_the_table(space, D):
-    # a check evaluates at as many points as the table's own top layer e
+    # the checks evaluate at as many points as the table's own top layer e
     # needs, not 2D + 1; a corruption in a layer above e, zero in a
     # certified table, raises e and must still be seen
     table = full_table(build_cominuscule(space), D=D, backend="mod-p")
     e = _top_layer(table)
     assert e <= table.poset.d_max < table.D - 1
-    # L is linear in q, so e_L = 1
-    ring = qkring._ring(table, divisor=True)
-    assert len(ring.mats[0]) == len(ring.L) == e + 2
-    assert len(qkring._ring(table, divisor=False).mats[0]) == 2 * e + 1
+    # L is linear in q, so e_L = 1, and both checks' products, of degree
+    # e + 1 and 2e, are read at max(2e, e + 1) + 1 points
+    ring = qkring.verify_ring(table)
+    assert len(ring.mats[0]) == len(ring.L) == max(2 * e, e + 1) + 1
     # layer e + 1 is the first zero layer above the table's degree
     clean, *corrupted = _checked_reports(table, _layer_corruptions(table, e + 1) + _layer_corruptions(table, table.D))
     assert {r["status"] for r in clean} == {"pass"}
@@ -1554,7 +1554,7 @@ def test_checks_of_the_q0_specialization_match_the_layer_convolution(space):
     # D = 0: the table and L keep layer 0 alone, and each check one point
     table = specialize(full_table(build_cominuscule(space), backend="mod-p"), "q0")
     assert table.D == 0
-    assert len(qkring._ring(table, divisor=True).mats[0]) == len(qkring._ring(table, divisor=False).mats[0]) == 1
+    assert len(qkring.verify_ring(table).mats[0]) == 1
     clean, *corrupted = _checked_reports(table, _layer_corruptions(table, 0))
     assert {r["status"] for r in clean} == {"pass"}
     assert all("fail" in {r["status"] for r in reports} for reports in corrupted)
@@ -1567,7 +1567,7 @@ def test_checks_of_the_q0_specialization_match_the_layer_convolution(space):
 def _pairwise_dict_report(table) -> dict:
     """verify_associativity's report from the dict kernel with every pair
     [M_u, M_w] compared, M_u against every later M_w."""
-    C, _, matmul = _dict_ring(table, divisor=False)
+    C, _, matmul = _dict_ring(table)
     k = table.k
     asym = (C != C.transpose(3, 1, 2, 0)).any(axis=1).transpose(2, 0, 1)
     failures = [("symmetry", u, v, w) for u, v, w in np.argwhere(asym).tolist() if u < v]
@@ -1617,7 +1617,7 @@ def test_a_commuting_divisor_without_a_cyclic_vector_falls_back_to_every_pair(mo
         table.mats[g, 0] = np.eye(k, dtype=np.int64)
     _bump(table, (2, 1, 4, 3))
     _bump(table, (3, 1, 4, 2))
-    C, _, matmul = qkring._ring(table, divisor=False)
+    C, _, matmul = qkring.verify_ring(table)
     gw = matmul(C[g], qkring._cols(C)).reshape(-1, k, k, k).transpose(0, 2, 1, 3)
     assert not (gw != matmul(qkring._rows(C), C[g]).reshape(-1, k, k, k)).any()
     rep = verify_associativity(table)
