@@ -375,7 +375,7 @@ _SUITES = {
     "probe": _suite_probe,
 }
 
-_SOFT_CHECKS = {"positivity-signs", "conjecture-probe"}
+_SOFT_CHECKS = {"positivity-signs"}
 
 
 def _cmd_verify(args) -> int:
@@ -401,8 +401,6 @@ def _cmd_verify(args) -> int:
         line = f"[{status:>6}] {rep.get('check')} on {rep.get('space')}"
         if rep.get("check") == "conjecture-probe":
             line += f" (dimension {rep.get('dimension')}, expected {rep.get('expected')})"
-            if not rep.get("matches_conjecture"):
-                line += "  ** warning: dimension differs from |W^P| **"
         if status == "fail":
             if rep.get("check") in _SOFT_CHECKS:
                 line += "  ** warning: conjectural check failed, not fatal **"

@@ -293,36 +293,6 @@ def _limb_product(A: np.ndarray, B: np.ndarray, p: int, w: int) -> np.ndarray:
     return out
 
 
-def _row_reduce_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """Reduced row echelon form of A mod p, and its rank.
-
-    A is reduced in place and returned as the echelon form, so that a large
-    system is held once; callers pass an int64 array they no longer need.
-    Each pivot updates only the rows with a nonzero entry in its column,
-    and only from the pivot column on: the systems met here are sparse.
-    """
-    m = np.remainder(A, p, out=A)
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        nz = np.flatnonzero(m[r:, c])
-        if not len(nz):
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
-        hit = np.flatnonzero(m[:, c])
-        hit = hit[hit != r]
-        if len(hit):
-            # rank-one update: a single product of two residues stays below 2^62
-            m[hit, c:] = (m[hit, c:] - m[hit, c:c + 1] * m[r, c:] % p) % p
-        r += 1
-        if r == rows:
-            break
-    return m, r
-
-
 def _inverse_mod(A: np.ndarray, p: int) -> np.ndarray:
     """A^{-1} mod p for every matrix of a stack (..., k, k), by Gauss-Jordan
     on [A | I]; SingularKrylov when any of them is singular."""
@@ -356,13 +326,17 @@ def _vandermonde(xs, n: int, p: int) -> np.ndarray:
 
 def _e1_cyclic(M: np.ndarray, p: int) -> bool:
     """Whether e_1 is cyclic for the k x k matrix M mod p: its Krylov matrix
-    [e_1, M e_1, ..., M^{k-1} e_1] has rank k."""
+    [e_1, M e_1, ..., M^{k-1} e_1] inverts."""
     k = len(M)
     K = np.zeros((k, k), dtype=np.int64)
     K[0, 0] = 1
     for i in range(1, k):
         K[:, i] = _matmul_mod(M, K[:, i - 1], p)
-    return _row_reduce_mod(K, p)[1] == k
+    try:
+        _inverse_mod(K, p)
+    except SingularKrylov:
+        return False
+    return True
 
 
 def _solve(L: np.ndarray, D: int, p: int) -> np.ndarray:

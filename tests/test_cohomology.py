@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from qkcalc.chevalley import kt_chevalley
 from qkcalc.cohomology import (
     CohomologyError,
     LambdaFraction,
+    DiagonalCollision,
+    _distinct_diagonals,
     _h_matrix,
-    _ms_elimination_dimension,
     _ms_solution_dimension,
-    _probe_points,
+    _probe_draws,
     ch_bridge_check,
     conjecture_probe,
     divisor_generation_check,
@@ -34,7 +36,8 @@ from qkcalc.cohomology import (
 )
 from qkcalc.gamma import DEFAULT_PRIMES, ChernPolynomial, GammaFraction
 from qkcalc.poset import build_cominuscule
-from qkcalc.qkring import _row_reduce_mod, full_table, specialize
+from qkcalc.qkring import full_table, specialize
+from test_qkring import _rank_reference
 
 
 def at_ones(poly: ChernPolynomial) -> Fraction:
@@ -223,7 +226,7 @@ def _reference_dimension(H: np.ndarray, p: int) -> int:
     k = len(H)
     chev = [{w: int(c) for w, c in enumerate(row) if c} for row in H]
     idx = lambda u, v, w: (u * k + v) * k + w
-    mat = np.zeros((2 * k**3, k**3), dtype=np.int64)
+    mat = [[0] * k**3 for _ in range(2 * k**3)]
     for u in range(k):
         for v in range(k):
             for w in range(k):
@@ -237,92 +240,137 @@ def _reference_dimension(H: np.ndarray, p: int) -> int:
                     if c:
                         r1[idx(u, v, wp)] -= c
                         r2[idx(u, v, wp)] -= c
-    return k**3 - _row_reduce_mod(mat, p)[1]
+    return k**3 - _rank_reference([[x % p for x in row] for row in mat], p)
+
+
+def _echelon_mod(A: np.ndarray, p: int) -> np.ndarray:
+    """The nonzero rows of A's reduced echelon form mod p, for systems past
+    _rank_reference's reach; each pivot updates only the rows it hits."""
+    m = A % p
+    r = 0
+    for c in range(m.shape[1]):
+        nz = np.flatnonzero(m[r:, c])
+        if not len(nz):
+            continue
+        m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+        hit = np.flatnonzero(m[:, c])
+        hit = hit[hit != r]
+        # a product of two residues stays below 2^62
+        m[hit] = (m[hit] - m[hit, c:c + 1] * m[r] % p) % p
+        r += 1
+        if r == len(m):
+            break
+    return m[:r]
+
+
+def _eliminated_dimension(H: np.ndarray, p: int) -> int:
+    """The Molev-Sagan solution dimension of H by elimination through its
+    commutant: over a basis B_1..B_m of Comm(H), c[u, v, w] = sum_j
+    a[v, j] B_j[u, w] satisfies the first family, and the second is a
+    (k^3, k*m) system in a, whose equation (v, u, w) has the coefficient
+    H[v, v'] B_j[u, w] - [v = v'] (B_j H)[u, w] on a[j, v']."""
+    k = len(H)
+    eye = np.eye(k, dtype=np.int64)
+    R = _echelon_mod(np.kron(H, eye) - np.kron(eye, H.T), p)
+    pivots = (R != 0).argmax(axis=1)
+    free = np.setdiff1d(np.arange(k * k), pivots)
+    B = np.zeros((len(free), k * k), dtype=np.int64)
+    B[np.arange(len(free)), free] = 1
+    B[:, pivots] = -R[:, free].T % p
+    B = B.reshape(-1, k, k)
+    m = len(B)
+    BH = (B.astype(object) @ H.astype(object) % p).astype(np.int64)
+    S = np.einsum("xy,jab->xabjy", H, B) % p
+    for v in range(k):
+        S[v, :, :, :, v] -= BH.transpose(1, 2, 0)
+    return k * m - len(_echelon_mod(S.reshape(k**3, m * k), p))
 
 
 @st.composite
-def divisor_like_matrices(draw, p):
-    """Random H and the degenerate ones: scalar, a diagonal with repeated
-    values, triangular and Jordan blocks, each conjugated by a permutation
-    or left as drawn.  A triangular H draws its diagonal from two values or
-    from all of F_p, so that unpermuted ones with distinct diagonal residues,
-    which _ms_solution_dimension decides without elimination, are common."""
+def distinct_triangular_matrices(draw, p):
+    """Upper triangular H with k pairwise distinct diagonal residues, which
+    _ms_solution_dimension decides; the entries above the diagonal are
+    zero-heavy."""
     k = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["random", "scalar", "repeated-diagonal", "triangular", "jordan"]))
-    entry = st.integers(0, p - 1)
-    # two eigenvalues at most, so that repeats are common
-    eigen = st.sampled_from([draw(entry), draw(entry)])
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
     H = np.zeros((k, k), dtype=np.int64)
-    if kind == "random":
-        H[:] = [[draw(entry) for _ in range(k)] for _ in range(k)]
-    elif kind == "scalar":
-        H[:] = draw(entry) * np.eye(k, dtype=np.int64)
-    elif kind == "repeated-diagonal":
-        H[range(k), range(k)] = [draw(eigen) for _ in range(k)]
-    elif kind == "triangular":
-        diagonal = draw(st.sampled_from([eigen, entry]))
-        for i in range(k):
-            H[i, i] = draw(diagonal)
-            H[i, i + 1:] = [draw(entry) for _ in range(i + 1, k)]
-    else:
-        start = 0
-        while start < k:
-            size = draw(st.integers(1, k - start))
-            lam = draw(eigen)
-            for i in range(start, start + size):
-                H[i, i] = lam
-                if i + 1 < start + size:
-                    H[i, i + 1] = 1
-            start += size
-    if not draw(st.booleans()):
-        return H
-    perm = draw(st.permutations(range(k)))
-    return H[np.ix_(perm, perm)]
+    H[range(k), range(k)] = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k, unique=True))
+    for i in range(k):
+        H[i, i + 1:] = [draw(entry) for _ in range(i + 1, k)]
+    return H
 
 
 @pytest.mark.parametrize("p", [7, 2**31 - 1], ids=["p=7", "p=2^31-1"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_commutant_reduction_matches_the_full_system(p, data):
-    H = data.draw(divisor_like_matrices(p))
-    assert _ms_solution_dimension(H, p) == _reference_dimension(H, p)
+    # the reduction of _ms_solution_dimension's proof, to the commutant of a
+    # diagonal matrix with distinct entries, against the textbook system
+    H = data.draw(distinct_triangular_matrices(p))
+    assert _reference_dimension(H, p) == len(H) == _ms_solution_dimension(H, p)
 
 
 def test_commutant_reduction_extremes():
-    # every tensor commutes with a scalar; distinct diagonal values leave
-    # only c[u, u, u], with the elimination as without it
+    # distinct diagonal values leave only c[u, u, u]; every tensor commutes
+    # with a scalar, and neither a scalar nor a diagonal that collides mod p
+    # nor a lower triangular H is decided
     p = 7
-    assert _ms_solution_dimension(3 * np.eye(3, dtype=np.int64), p) == 27
-    assert _ms_solution_dimension(np.diag(np.arange(1, 5)), p) == 4
-    assert _ms_elimination_dimension(np.diag(np.arange(1, 5)), p) == 4
+    diagonal, scalar = np.diag(np.arange(1, 5)), 3 * np.eye(3, dtype=np.int64)
+    assert _ms_solution_dimension(diagonal, p) == _reference_dimension(diagonal, p) == 4
+    assert _ms_solution_dimension(scalar, p) is None
+    assert _reference_dimension(scalar, p) == 27
+    assert _ms_solution_dimension(np.diag([1, 8]), p) is None
+    assert _ms_solution_dimension(np.array([[1, 0], [1, 2]]), p) is None
+    assert _reference_dimension(np.array([[1, 0], [1, 2]]), p) == 2
 
 
-def test_probe_refuses_a_system_past_its_bound(monkeypatch):
-    # Gr(2,4): k = 6 and dim Comm(H) = 6 give a 216 x 36 system.  The bound
-    # is on the elimination alone: the probe's own H takes none, so H is
-    # taken in reversed order, lower triangular, which only it decides
-    poset, p = build_cominuscule("Gr(2,4)"), DEFAULT_PRIMES[0]
-    H = _h_matrix(poset, _probe_points(poset, 0)[0], p)[::-1, ::-1]
-    monkeypatch.setattr(cohomology, "_PROBE_SYSTEM_ENTRIES", 216 * 36)
-    assert _ms_solution_dimension(H, p) == 6
-    monkeypatch.setattr(cohomology, "_PROBE_SYSTEM_ENTRIES", 216 * 36 - 1)
-    with pytest.raises(CohomologyError, match=r"216 x 36 system \(7776 entries\)"):
-        _ms_solution_dimension(H, p)
-    assert conjecture_probe(poset)["dimension"] == 6
+# Gr(2,6)'s H at this point is triangular, but two of its diagonal
+# residues coincide
+COLLIDED_GR26 = (2, 3, 4, 5, 6)
 
 
-def test_probe_refuses_an_undecided_e7_size_before_any_allocation():
-    # a scalar H of E7's size is triangular with one diagonal value, so it
-    # goes to the elimination, which refuses it before its k^2 x k^2 system
-    # (3136 x 3136, 79 MB) exists
+def test_a_collided_first_draw_is_passed_over(monkeypatch):
+    poset = build_cominuscule("Gr(2,6)")
+    stream = cohomology._probe_draws
+    monkeypatch.setattr(cohomology, "_probe_draws", lambda poset, seed: chain([COLLIDED_GR26], stream(poset, seed)))
+    rep = conjecture_probe(poset)
+    assert rep["assignments"] == [list(a) for a in islice(stream(poset, 0), 2)]
+    assert rep["dimension"] == rep["expected"] == 15
+
+
+def test_probe_refuses_an_undecided_e7_size_before_any_allocation(monkeypatch):
+    # E7's diagonal forms made to coincide: no draw could then be decided,
+    # and the probe raises before its first draw, so before any 56 x 56 H
+    poset = build_cominuscule("E7")
+    monkeypatch.setattr(cohomology, "j_weight", lambda poset, mask: (0,))
+
+    def no_draw(poset, seed):
+        raise AssertionError("the probe drew a point")
+
+    monkeypatch.setattr(cohomology, "_probe_draws", no_draw)
     tracemalloc.start()
     try:
-        with pytest.raises(CohomologyError, match=r"175616 x 3136 system"):
-            _ms_solution_dimension(5 * np.eye(56, dtype=np.int64), DEFAULT_PRIMES[0])
+        with pytest.raises(DiagonalCollision, match="E7"):
+            conjecture_probe(poset)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_distinct_diagonals_match_the_pairwise_comparison(monkeypatch):
+    # divisor_generation_check's distinct_diagonals, once k^2/2 comparisons
+    # of the h_diagonal polynomials, reads the same off the j_weights
+    pairwise = lambda diags: all(a != b for i, a in enumerate(diags) for b in diags[i + 1:])
+    for space in ("P1", "Gr(2,4)", "LG(3,6)", "Q(6)", "E6"):
+        poset = build_cominuscule(space)
+        assert _distinct_diagonals(poset) is pairwise([h_diagonal(poset, m) for m in poset.shape_masks]) is True
+    poset = build_cominuscule("Gr(2,4)")
+    monkeypatch.setattr(cohomology, "j_weight", lambda poset, mask: (0, 0, mask.bit_count()))
+    assert pairwise([h_diagonal(poset, m) for m in poset.shape_masks]) is False
+    rep = divisor_generation_check(poset)
+    assert rep["distinct_diagonals"] is False and rep["status"] == "fail"
 
 
 # the probe's spaces up to Gr(2,6), at the probe's own seeded points
@@ -330,44 +378,26 @@ SHORTCUT_SPACES = ["P1", "LG(2,4)", "Q(3)", "Gr(2,4)", "Q(4)", "Q(5)", "Gr(2,5)"
 
 
 @pytest.mark.parametrize("space", SHORTCUT_SPACES)
-def test_distinct_diagonal_shortcut_matches_the_elimination(monkeypatch, space):
+def test_distinct_diagonal_shortcut_matches_the_elimination(space):
+    # the probe reports the stream's first two draws: both are decided, at
+    # the dimension an elimination finds
     poset = build_cominuscule(space)
     k, p = len(poset.shape_masks), DEFAULT_PRIMES[0]
-    Hs = [_h_matrix(poset, asg, p) for asg in _probe_points(poset, 0)]
-    want = [_ms_elimination_dimension(H, p) for H in Hs]
-    assert want == [k, k]
-
-    def eliminate(H, p):
-        raise AssertionError("the shortcut did not decide this H")
-
-    monkeypatch.setattr(cohomology, "_ms_elimination_dimension", eliminate)
-    assert [_ms_solution_dimension(H, p) for H in Hs] == want
+    points = list(islice(_probe_draws(poset, 0), 2))
+    assert conjecture_probe(poset)["assignments"] == [list(a) for a in points]
+    Hs = [_h_matrix(poset, a, p) for a in points]
+    assert [_ms_solution_dimension(H, p) for H in Hs] == [_eliminated_dimension(H, p) for H in Hs] == [k, k]
 
 
-def test_a_collided_diagonal_takes_the_elimination(monkeypatch):
-    # Gr(2,6)'s H at this point is triangular, but two of its diagonal
-    # residues coincide: the solution space is larger than k = 15
+def test_a_collided_diagonal_is_left_undecided():
+    # the collided point's solution space is larger than k = 15, so the
+    # probe may not read k off it
     poset, p = build_cominuscule("Gr(2,6)"), DEFAULT_PRIMES[0]
-    H = _h_matrix(poset, (2, 3, 4, 5, 6), p)
+    H = _h_matrix(poset, COLLIDED_GR26, p)
     assert not np.tril(H, -1).any()
     assert len(set(np.diagonal(H).tolist())) < len(H)
-    calls = []
-
-    def eliminate(H, p):
-        calls.append(len(H))
-        return _ms_elimination_dimension(H, p)
-
-    monkeypatch.setattr(cohomology, "_ms_elimination_dimension", eliminate)
-    assert _ms_solution_dimension(H, p) == 21
-    assert calls == [15]
-
-
-def test_probe_bound_counts_the_commutant(monkeypatch):
-    # a scalar H passes the first check, which assumes dim Comm(H) = k, and
-    # is refused once its commutant turns out to be all k^2 matrices
-    monkeypatch.setattr(cohomology, "_PROBE_SYSTEM_ENTRIES", 3**5)
-    with pytest.raises(CohomologyError, match=r"27 x 27 system \(729 entries\)"):
-        _ms_solution_dimension(5 * np.eye(3, dtype=np.int64), 7)
+    assert _ms_solution_dimension(H, p) is None
+    assert _eliminated_dimension(H, p) == 21
 
 
 REACH_SCRIPT = """

@@ -27,9 +27,9 @@ from qkcalc.poset import build_cominuscule
 from qkcalc.qkring import (
     SingularKrylov,
     TruncationTooSmall,
+    _e1_cyclic,
     _inverse_mod,
     _matmul_mod,
-    _row_reduce_mod,
     _solve,
     full_table,
     load_table,
@@ -952,16 +952,31 @@ def matrices_mod_p(draw, square=False):
     return B, C
 
 
+@st.composite
+def krylov_operators(draw):
+    """Square M: a product of two drawn factors, or a scalar or a diagonal M,
+    for which e_1 is an eigenvector and so cyclic only when k = 1."""
+    kind = draw(st.sampled_from(["product", "scalar", "diagonal"]))
+    if kind == "product":
+        return _product_mod(*draw(matrices_mod_p(square=True)), P0)
+    k = draw(st.integers(1, 6))
+    values = [draw(residues)] * k if kind == "scalar" else [draw(residues) for _ in range(k)]
+    return [[values[i] if i == j else 0 for j in range(k)] for i in range(k)]
+
+
 @settings(max_examples=150, deadline=None)
-@given(matrices_mod_p())
-def test_matmul_mod_and_rank_match_reference(BC):
+@given(matrices_mod_p(), krylov_operators())
+def test_matmul_mod_and_rank_match_reference(BC, M):
     B, C = BC
     A = _product_mod(B, C, P0)
     got = _matmul_mod(np.array(B, dtype=np.int64), np.array(C, dtype=np.int64), P0)
     assert got.tolist() == A
-    R, rank = _row_reduce_mod(np.array(A, dtype=np.int64), P0)
-    assert rank == _rank_reference(A, P0)
-    assert not R[rank:].any()
+    # the rows of K are e_1, M e_1, ..., M^{k-1} e_1
+    k = len(M)
+    K = [[1] + [0] * (k - 1)]
+    for _ in range(1, k):
+        K.append([row[0] for row in _product_mod(M, [[x] for x in K[-1]], P0)])
+    assert _e1_cyclic(np.array(M, dtype=np.int64), P0) == (_rank_reference(K, P0) == k)
 
 
 @settings(max_examples=150, deadline=None)
